@@ -54,7 +54,7 @@ PARALLEL_THRESHOLD_SIDES = 14
 
 
 class SizeError(ValueError):
-    """The requested enumeration exceeds the configured desk-scale guard."""
+    """The request exceeds a desk-scale guard (oracle sides, ``nhat`` faces)."""
 
 
 class OracleError(ValueError):
@@ -941,6 +941,12 @@ def brute_count(spec: GluingSpec, parallel: bool | None = None) -> Fraction:
 
     if parallel is None:
         parallel = S >= PARALLEL_THRESHOLD_SIDES and (os.cpu_count() or 1) > 1
+    if parallel:
+        import multiprocessing as mp
+        try:
+            ctx = mp.get_context("fork")
+        except ValueError:  # no fork start method on this platform
+            parallel = False
     if not parallel:
         return Fraction(_search(spec), weight)
 
@@ -957,8 +963,6 @@ def brute_count(spec: GluingSpec, parallel: bool | None = None) -> Fraction:
             if c2 == c:
                 continue
             tasks.append((spec_fields, (first, (lo, c2))))
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
     with ctx.Pool(min(os.cpu_count() or 1, 8)) as pool:
         parts = pool.map(_branch_task, tasks, chunksize=8)
     return Fraction(sum(parts), weight)

@@ -22,9 +22,15 @@ from math import comb, factorial
 
 from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
                        series_J, series_J_inverse)
+from .oracle import SizeError
 from .ring import GradedSeries, MultiPoly, Series
 
 SUPPORTED_GENERA = (0, 1, 2)
+
+#: largest face count per genus that ``nhat`` computes: each takes at most
+#: 20 s on a 2-vCPU Xeon VM with Python 3.11 ((0, 10) 6 s, (1, 5) 18 s,
+#: (2, 4) 5 s), where one face more takes 29 s at genus 0 and 79 s at genus 2
+MAX_FACES = {0: 10, 1: 5, 2: 4}
 
 #: largest moment index used anywhere (3g - 3 for g = 2)
 MAX_MOMENT = 3
@@ -72,25 +78,32 @@ def make_context(genus: int, nfaces: int, cap: int | None = None) -> PipelineCon
 def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
     """Solve J(b; R) = t + sum_i e_i I(b, l_i; R) for R in the graded ring.
 
-    Fixed-point iteration R <- J^{-1}(b; t + sum_i e_i I(b, l_i; R)) starting
-    from 0 gains one exact grading degree per round, so it stabilizes within
-    cap + 1 rounds; non-stabilization is an internal error.
+    Degree by degree, as R = J^{-1}(b; X) with X = t + sum_i e_i I(b, l_i; R).
+    Each marker e_i has degree 1, so degree k of X depends on R only through
+    degree k - 1: round k = 1..cap builds X at cap k from the round k - 1
+    result and settles exactly grading degree k of R.  In e_i I(b, l_i; R) the
+    terms of R that carry e_i vanish (e_i^2 = 0), so they are dropped before
+    I is composed at cap k - 1, and e_i is attached to every key afterwards.
+    Each round must reproduce the previous one below its top degree; a
+    mismatch is an internal error.
     """
     gens, cap, n = ctx.gens, ctx.cap, ctx.nfaces
     jinv = series_J_inverse(max(cap, 1), gens)
-    eyes = [series_I(cap, gens, ell=f"l{i}") for i in range(1, n + 1)]
-    t = GradedSeries.t_var(gens, cap)
-    eps = [GradedSeries.marker(gens, cap, i) for i in range(1, n + 1)]
-    R = GradedSeries(gens, cap)
-    for _ in range(cap + 3):
-        X = t
-        for e_i, I_i in zip(eps, eyes):
-            X = X + e_i * I_i.compose(R)
-        R_next = jinv.compose(X)
-        if R_next == R:
-            return R
+    eyes = [series_I(max(cap - 1, 0), gens, ell=f"l{i}") for i in range(1, n + 1)]
+    R = GradedSeries(gens, 0)
+    for k in range(1, cap + 1):
+        X = GradedSeries.t_var(gens, k)
+        for i, I_i in enumerate(eyes, start=1):
+            free = GradedSeries(gens, k - 1,
+                                {key: c for key, c in R.terms.items() if i not in key[1]})
+            I_R = I_i.truncate(k - 1).compose(free)
+            X = X + GradedSeries(gens, k, {(te, eps | {i}): c
+                                           for (te, eps), c in I_R.terms.items()})
+        R_next = jinv.truncate(k).compose(X)
+        if R_next.truncate(k - 1) != R:
+            raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
         R = R_next
-    raise ConsistencyError("fixed point for R did not stabilize")
+    return R
 
 
 def _zhat_series(ctx: PipelineContext, order: int) -> Series:
@@ -281,8 +294,15 @@ def nhat_genus0(n: int) -> CountPolynomial:
     for i in range(1, n + 1):
         integrand = integrand * series_I(order, gens, ell=f"l{i}")
     anti = integrand.antiderivative()
-    composed = anti.compose(series_J_inverse(n - 2, gens))
-    poly = composed[n - 2] * factorial(n - 2)
+    # only [z^(n-2)] of anti(J^{-1}(z)) is needed; J^{-1} has coefficients in
+    # b alone, so its powers are cheap and each anti[k] is used once
+    jinv = series_J_inverse(n - 2, gens)
+    power = jinv
+    poly = anti[1] * jinv[n - 2]
+    for k in range(2, n - 1):
+        power = power * jinv
+        poly = poly + anti[k] * power[n - 2]
+    poly = poly * factorial(n - 2)
     return CountPolynomial(0, n, gens, poly)
 
 
@@ -307,6 +327,8 @@ def nhat(genus: int, n: int) -> CountPolynomial:
     """The counting polynomial for (genus, n), cached."""
     if genus not in SUPPORTED_GENERA:
         raise UnsupportedGenusError(f"genus {genus} is not supported")
+    if n > MAX_FACES[genus]:
+        raise SizeError(f"{n} faces exceed the genus-{genus} guard of {MAX_FACES[genus]}")
     key = (genus, n)
     if key not in _NHAT_CACHE:
         _NHAT_CACHE[key] = nhat_genus0(n) if genus == 0 else nhat_higher_genus(genus, n)

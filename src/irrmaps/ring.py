@@ -232,6 +232,9 @@ class MultiPoly:
         return self.gens == other.gens and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it must hash like it
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.gens, frozenset(self.terms.items())))
 
     # ---------- substitution / evaluation ----------
@@ -454,9 +457,6 @@ class Series:
 
     __hash__ = None  # unhashable
 
-    def map(self, fn) -> "Series":
-        return Series([fn(c) for c in self.coeffs], self.order, self.zero)
-
     def derivative(self) -> "Series":
         """d/dx; the result is exact one order lower."""
         if self.order == 0:
@@ -470,10 +470,6 @@ class Series:
         for k in range(self.order + 1):
             out.append(self.coeffs[k] * Fraction(1, k + 1))
         return Series(out, self.order + 1, self.zero)
-
-    def shift_mul(self) -> "Series":
-        """Multiply by the series variable (drops the top coefficient)."""
-        return Series([self.zero] + self.coeffs[:-1], self.order, self.zero)
 
     def compose(self, inner):
         """Evaluate the series at ``inner`` via Horner.
@@ -754,6 +750,8 @@ class GradedSeries:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, GradedSeries) and other.cap != self.cap:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented

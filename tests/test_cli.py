@@ -25,6 +25,12 @@ def test_nhat_json(capsys):
     assert doc["monomials"] == [{"exps": [0, 0, 0, 0], "num": "1", "den": "1"}]
 
 
+def test_nhat_beyond_the_face_guard_exits_2(capsys):
+    code, out, err = run(capsys, "nhat", "--genus", "0", "--faces", "50")
+    assert code == 2
+    assert out == "" and "exceed" in err
+
+
 def test_count_both_matches(capsys):
     code, out, _ = run(capsys, "count", "--genus", "2", "--b", "1",
                        "--degrees", "4", "--method", "both")

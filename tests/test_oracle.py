@@ -145,6 +145,18 @@ def test_brute_count_b_independent_for_one_face():
                            parallel=False) == count_exact(0, 3, b, (3, 3, 3))
 
 
+def test_parallel_falls_back_to_serial_without_fork(monkeypatch):
+    import multiprocessing
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    spec = GluingSpec(0, (2, 2, 2), 1)
+    serial = brute_count(spec, parallel=False)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert brute_count(spec, parallel=True) == serial == count_exact(0, 3, 1, (2, 2, 2))
+
+
 def test_brute_disputed_tree_transform_case():
     # the nested transform gives 1 here (strict p > b); the oracle agrees
     got = brute_count(GluingSpec(0, (2, 1, 1), 1, allow_degree_one=True))

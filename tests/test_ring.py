@@ -155,6 +155,24 @@ def test_graded_cap_mismatch():
         _ = GradedSeries.t_var(gens, 2) + GradedSeries.t_var(gens, 3)
 
 
+def test_graded_equality_across_caps_is_false():
+    gens = ("b",)
+    assert GradedSeries(gens, 2) != GradedSeries(gens, 3)
+    assert not GradedSeries.t_var(gens, 2) == GradedSeries.t_var(gens, 3)
+    assert GradedSeries.t_var(gens, 3).truncate(2) == GradedSeries.t_var(gens, 2)
+
+
+def test_constant_poly_hashes_like_its_value():
+    three = MultiPoly.constant(("b",), 3)
+    assert three == 3 and hash(three) == hash(3) == hash(Fraction(3))
+    assert len({three, 3}) == 1
+    assert len({MultiPoly(("b",)), 0}) == 1
+    half = MultiPoly.constant(("b", "l1"), Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))
+    b = MultiPoly.variable(("b",), "b")
+    assert len({b, b + 0, 3}) == 2
+
+
 def test_graded_truncation_commutes():
     gens = ("b",)
     a = GradedSeries.t_var(gens, 4) + GradedSeries.marker(gens, 4, 1) + 1
