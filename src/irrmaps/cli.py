@@ -22,6 +22,11 @@ from .pipeline import DomainError, count_exact, nhat, to_m_basis
 from .serialize import count_csv_rows, emit_polynomial_json
 from .verify import SUITES, cross_verify_counts, verify_dilaton, verify_string
 
+#: largest ``series --order`` per series: each takes at most 8 s on a 2-vCPU
+#: Xeon VM with Python 3.11 (Jinv 15: 6.6-8.2 s, I 60: 2.5 s, J 60: 0.1 s),
+#: where the reversion behind Jinv takes 53 s at order 20
+MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
+
 
 def _format_bpoly(poly) -> str:
     if poly.is_constant():
@@ -139,6 +144,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.order < 0:
+        raise DomainError("order must be nonnegative")
+    if args.order > MAX_SERIES_ORDER[args.name]:
+        raise SizeError(f"order {args.order} exceeds the {args.name} guard of "
+                        f"{MAX_SERIES_ORDER[args.name]}")
     gens = ("b", "l")
     if args.name == "I":
         ser = series_I(args.order, gens, ell="l")

@@ -34,7 +34,11 @@ matches the full base rotation, so every vertex within the requested radius
 of the base lift ends up with a complete star and complete incident faces.
 A simple cycle of length at most 2b through the base lift stays within
 distance b of it, so radius b suffices to test both the length bound and
-the bounding-face condition.
+the bounding-face condition.  The ball is built incrementally: forced zips
+and dart identifications are settled from a worklist of the darts each
+step touched, walking only the rotations through them, and each round
+grows only the open rotations that a breadth-first search from the base
+lift, stopped at the radius, reaches.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .families import ConsistencyError
 
@@ -154,21 +159,34 @@ def enumerate_matchings(degrees, visitor=None,
 # ============================================================
 
 
+@lru_cache(maxsize=256)
+def polygon_layout(degrees: tuple[int, ...]):
+    """The sides of labeled polygons: (nxt, prv, poly_of, offsets), as tuples.
+
+    Polygon i owns the 2*degrees[i] consecutive sides from offsets[i]; nxt
+    (phi) and prv step counterclockwise and clockwise along its boundary.
+    """
+    nxt, prv, poly_of, offsets = [], [], [], []
+    base = 0
+    for i, l in enumerate(degrees):
+        k = 2 * l
+        offsets.append(base)
+        nxt += range(base + 1, base + k)
+        nxt.append(base)
+        prv.append(base + k - 1)
+        prv += range(base, base + k - 1)
+        poly_of += [i] * k
+        base += k
+    return tuple(nxt), tuple(prv), tuple(poly_of), tuple(offsets)
+
+
 class HalfEdgeMap:
     """A polygon gluing assembled into a rotation system."""
 
     def __init__(self, degrees, matching):
         degrees = tuple(degrees)
-        S = sum(2 * l for l in degrees)
-        nxt = [0] * S
-        poly_of = [0] * S
-        base = 0
-        for i, l in enumerate(degrees):
-            k = 2 * l
-            for j in range(k):
-                nxt[base + j] = base + (j + 1) % k
-                poly_of[base + j] = i
-            base += k
+        nxt, prv, poly_of, offsets = polygon_layout(degrees)
+        S = len(nxt)
         if matching and isinstance(matching[0], (list, tuple)):
             partner = [-1] * S
             for a, c in matching:
@@ -181,9 +199,7 @@ class HalfEdgeMap:
         self.degrees = degrees
         self.S = S
         self.nxt = nxt
-        self.prv = [0] * S
-        for s in range(S):
-            self.prv[nxt[s]] = s
+        self.prv = prv
         self.poly_of = poly_of
         self.partner = partner
 
@@ -219,7 +235,6 @@ class HalfEdgeMap:
             raise ConsistencyError("odd Euler characteristic from an oriented gluing")
         self.genus = (2 - chi) // 2
 
-        offsets = [sum(2 * l for l in degrees[:i]) for i in range(len(degrees))]
         seen = {0}
         stack = [0]
         while stack:
@@ -401,7 +416,15 @@ class CoverBall:
     gluing (zip) then forces a dart identification, which propagates around
     the face cycles and through existing gluings.  All zips and
     identifications are facts of the cover, so running them to a fixpoint is
-    order-independent.  On return, every cover vertex within graph distance
+    order-independent.
+
+    Settling works from a worklist: every gluing and identification pushes
+    the darts whose sigma-chain it changed, a new face pushes its darts over
+    degree-1 base vertices (each already a full rotation), and only the
+    chains through pushed darts are walked again.  Each development round
+    attaches faces at the open chains found by a breadth-first search from
+    the base lift that stops at ``radius``; the rest of the ball is never
+    visited.  On return, every cover vertex within graph distance
     ``radius`` of the base lift is complete (full rotation, all incident
     face lifts present).
     """
@@ -422,6 +445,7 @@ class CoverBall:
         self.cprv: list[int] = []
         self.part: list[int] = []   # alpha on class representatives, -1 if unglued
         self.rep: list[int] = []    # union-find parent
+        self._dirty: list[int] = []  # darts whose sigma-chain may owe a rule
         self.nfaces_created = 0
 
         self._seed = self._new_face_over(base.vertices[base_vertex][0])
@@ -447,14 +471,21 @@ class CoverBall:
         base = self.base
         k = 2 * base.degrees[base.poly_of[anchor_side]]
         first = len(self.proj)
+        last = first + k - 1
         side = anchor_side
-        for j in range(k):
+        for _ in range(k):
             self.proj.append(side)
-            self.cnxt.append(first + (j + 1) % k)
-            self.cprv.append(first + (j - 1) % k)
-            self.part.append(-1)
-            self.rep.append(first + j)
             side = base.nxt[side]
+        self.cnxt += range(first + 1, last + 1)
+        self.cnxt.append(first)
+        self.cprv.append(last)
+        self.cprv += range(first, last)
+        self.part += [-1] * k
+        self.rep += range(first, last + 1)
+        # every fresh dart is a chain of its own, which owes a rule only when
+        # it is already a full rotation: the zip around a degree-1 vertex
+        deg = self._base_deg
+        self._dirty.extend(d for d in range(first, first + k) if deg[self.proj[d]] == 1)
         return first
 
     def _glue(self, x: int, y: int) -> None:
@@ -466,6 +497,7 @@ class CoverBall:
 
     def _force(self, ops) -> None:
         queue = list(ops)
+        dirty = self._dirty
         while queue:
             op, x, y = queue.pop()
             x, y = self._find(x), self._find(y)
@@ -479,6 +511,8 @@ class CoverBall:
                             "cover gluing does not project to a base edge")
                     self.part[x] = y
                     self.part[y] = x
+                    dirty.append(x)
+                    dirty.append(y)
                 elif px != -1:
                     queue.append(("ident", y, px))
                 else:
@@ -489,6 +523,7 @@ class CoverBall:
                 if self.proj[x] != self.proj[y]:
                     raise ConsistencyError("identified darts project differently")
                 self.rep[y] = x
+                dirty.append(x)
                 py = self.part[y]
                 if py != -1:
                     py = self._find(py)
@@ -502,114 +537,86 @@ class CoverBall:
                 queue.append(("ident", self._find(self.cnxt[x]),
                               self._find(self.cnxt[y])))
 
-    def _classes(self) -> list[int]:
-        return [d for d in range(len(self.proj)) if self._find(d) == d]
+    def _chain(self, x: int) -> tuple[list[int], bool]:
+        """The maximal sigma-path through class x: (classes, closed flag).
 
-    def _sigma(self, x: int) -> int:
-        """sigma on classes where defined (alpha glued), else -1."""
-        p = self.part[x]
-        if p == -1:
-            return -1
-        return self._find(self.cnxt[self._find(p)])
-
-    def _chains(self):
-        """Maximal sigma-paths on classes: list of (darts, closed_flag)."""
-        classes = self._classes()
-        succ = {x: self._sigma(x) for x in classes}
-        pred: dict[int, int] = {}
-        for x, s in succ.items():
-            if s != -1:
-                if s in pred:
-                    raise ConsistencyError("cover rotation branches")
-                pred[s] = x
-        chains = []
-        seen = set()
-        for x in classes:
-            if x in seen or x in pred:
-                continue
-            # open chain starting at x
-            run = [x]
-            seen.add(x)
-            cur = succ[x]
-            while cur != -1:
-                run.append(cur)
-                seen.add(cur)
-                cur = succ[cur]
-            chains.append((run, False))
-        for x in classes:
-            if x in seen:
-                continue
-            run = [x]
-            seen.add(x)
-            cur = succ[x]
-            while cur != x:
-                run.append(cur)
-                seen.add(cur)
-                cur = succ[cur]
-            chains.append((run, True))
-        return chains
-
-    def _distances(self, chains) -> dict[int, int]:
-        vert_of = {}
-        for i, (run, _) in enumerate(chains):
-            for x in run:
-                vert_of[x] = i
-        adj: dict[int, set[int]] = {}
-        for x in vert_of:
-            u = vert_of[x]
-            w = vert_of[self._find(self.cnxt[x])]
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
-        root = vert_of[self._find(self._seed)]
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        Walks back with pred(y) = alpha(phi^-1(y)) to the start of the path,
+        or once around when the path is a closed rotation, then forward.
+        """
+        find, part, cnxt, cprv = self._find, self.part, self.cnxt, self.cprv
+        start = x
+        while True:
+            p = part[find(cprv[start])]
+            if p == -1:
+                break
+            p = find(p)
+            if p == x:
+                break
+            start = p
+        run = [start]
+        cur = start
+        while True:
+            p = part[cur]
+            if p == -1:
+                return run, False
+            cur = find(cnxt[find(p)])
+            if cur == start:
+                return run, True
+            run.append(cur)
 
     def _settle(self) -> None:
         """Run all forced zips and identifications to a fixpoint.
 
         Facts read off a valid partial development stay true after more
-        gluings, so a whole snapshot of due actions can be applied in batch:
+        gluings, so the chain through each dirty dart is checked on its own:
         a chain longer than the base degree means a growth front wrapped
         around the vertex, making its rotation periodic (run[0] and
         run[need] are the same cover dart); a full open chain zips shut.
         """
-        while True:
-            acted = False
-            for run, closed in self._chains():
-                need = self._base_deg[self.proj[run[0]]]
-                if len(run) > need:
-                    if closed and len(run) % need:
-                        raise ConsistencyError("cover rotation of the wrong degree")
-                    a, c = self._find(run[0]), self._find(run[need])
-                    if a != c:
-                        self._identify(a, c)
-                        acted = True
-                elif closed and len(run) != need:
-                    raise ConsistencyError("cover rotation closed too early")
-                elif not closed and len(run) == need:
-                    e = self._find(run[-1])
-                    t = self._find(self.cprv[self._find(run[0])])
-                    p = self.part[e]
-                    if p == -1 or self._find(p) != t:
-                        self._glue(e, t)
-                        acted = True
-            if not acted:
-                return
+        dirty = self._dirty
+        while dirty:
+            run, closed = self._chain(self._find(dirty.pop()))
+            need = self._base_deg[self.proj[run[0]]]
+            if len(run) > need:
+                if closed and len(run) % need:
+                    raise ConsistencyError("cover rotation of the wrong degree")
+                self._identify(run[0], run[need])
+            elif closed and len(run) != need:
+                raise ConsistencyError("cover rotation closed too early")
+            elif not closed and len(run) == need:
+                self._glue(run[-1], self.cprv[run[0]])
+
+    def _chains_within_radius(self) -> list[tuple[list[int], bool]]:
+        """The chains (cover vertices) within distance ``radius`` of the base
+        lift, by a breadth-first search that stops there.
+
+        A shortest path to a vertex stays within its distance, so the
+        distances found are those of the whole ball.  The neighbours of a
+        chain are the chains through the face-adjacent darts of its own.
+        """
+        find, cnxt, cprv = self._find, self.cnxt, self.cprv
+        root = self._chain(find(self._seed))
+        seen = set(root[0])
+        found = [root]
+        layer = [root]
+        for _ in range(self.radius):
+            ring = []
+            for run, _ in layer:
+                for x in run:
+                    for y in (find(cnxt[x]), find(cprv[x])):
+                        if y not in seen:
+                            chain = self._chain(y)
+                            seen.update(chain[0])
+                            ring.append(chain)
+            found += ring
+            layer = ring
+        return found
 
     def _develop(self) -> None:
         while True:
             self._settle()
-            chains = self._chains()
-            dist = self._distances(chains)
-            targets = [run[-1] for i, (run, closed) in enumerate(chains)
-                       if not closed and dist.get(i, self.radius + 1) <= self.radius]
+            targets = [run[-1] for run, closed in self._chains_within_radius()
+                       if not closed]
             if not targets:
                 return
             for end in targets:
@@ -618,17 +625,21 @@ class CoverBall:
                     continue  # settled by a cascade from an earlier attach
                 nd = self._new_face_over(self.base.partner[self.proj[e]])
                 self._glue(e, nd)
-            self._settle()
 
     def _finalize(self) -> None:
-        chains = self._chains()
+        find = self._find
+        vert_of = [-1] * len(self.proj)
+        chains = []
+        for d in range(len(self.proj)):
+            if vert_of[d] == -1 and find(d) == d:
+                run, closed = self._chain(d)
+                for x in run:
+                    vert_of[x] = len(chains)
+                chains.append((run, closed))
         self._chain_list = chains
-        self._vert_of = {}
-        for i, (run, _) in enumerate(chains):
-            for x in run:
-                self._vert_of[x] = i
+        self._vert_of = vert_of
         self.num_vertices = len(chains)
-        self.base_lift = self._vert_of[self._find(self._seed)]
+        self.base_lift = vert_of[find(self._seed)]
 
     # ----- queries -----
 
@@ -637,43 +648,41 @@ class CoverBall:
         return x if p == -1 else min(x, self._find(p))
 
     def cycle_graph(self):
+        find, part, cnxt, vert_of = self._find, self.part, self.cnxt, self._vert_of
         adj = [[] for _ in range(self.num_vertices)]
-        done = set()
-        for x in self._vert_of:
-            e = self._edge_id(x)
-            if e in done:
-                continue
-            done.add(e)
-            u = self._vert_of[x]
-            w = self._vert_of[self._find(self.cnxt[x])]
-            adj[u].append((w, e))
-            if w != u:
-                adj[w].append((u, e))
+        for u, (run, _) in enumerate(self._chain_list):
+            for x in run:
+                p = part[x]
+                if p != -1 and find(p) < x:
+                    continue  # the edge is listed from its partner class
+                w = vert_of[find(cnxt[x])]
+                adj[u].append((w, x))
+                if w != u:
+                    adj[w].append((u, x))
         return self.num_vertices, adj
 
     def face_contours(self):
+        find, cnxt = self._find, self.cnxt
         out = []
-        seen = set()
-        for x in self._vert_of:
-            # face cycle through x, canonicalized by its least class id
-            cyc = [x]
-            cur = self._find(self.cnxt[x])
-            while cur != x:
-                cyc.append(cur)
-                cur = self._find(self.cnxt[cur])
-            key = min(cyc)
-            if key in seen:
-                continue
-            seen.add(key)
-            ids = [self._edge_id(d) for d in cyc]
-            out.append((len(cyc), frozenset(ids) if len(set(ids)) == len(cyc) else None))
+        walked = set()
+        for run, _ in self._chain_list:
+            for x in run:
+                if x in walked:
+                    continue
+                ids = []
+                cur = x
+                while True:
+                    walked.add(cur)
+                    ids.append(self._edge_id(cur))
+                    cur = find(cnxt[cur])
+                    if cur == x:
+                        break
+                edges = frozenset(ids)
+                out.append((len(ids), edges if len(edges) == len(ids) else None))
         return out
 
     def complete_within_radius(self) -> bool:
-        chains = self._chain_list
-        dist = self._distances(chains)
-        return all(closed for i, (run, closed) in enumerate(chains)
-                   if dist.get(i, self.radius + 1) <= self.radius)
+        return all(closed for _, closed in self._chains_within_radius())
 
     def validate_local_isomorphism(self) -> bool:
         """Closed cover rotations must project bijectively onto base rotations."""
@@ -716,21 +725,10 @@ def _search(spec: GluingSpec, forced: tuple = ()) -> int:
         return 0
     mindeg2 = not spec.allow_degree_one
 
-    nxt = [0] * S
-    poly_of = [0] * S
-    base = 0
-    for i, l in enumerate(degrees):
-        k = 2 * l
-        for j in range(k):
-            nxt[base + j] = base + (j + 1) % k
-            poly_of[base + j] = i
-        base += k
-
+    nxt, prv, poly_of, _ = polygon_layout(degrees)
     partner = [-1] * S
     bnx = list(nxt)
-    bpv = [0] * S
-    for s in range(S):
-        bpv[nxt[s]] = s
+    bpv = list(prv)
     cstart = list(range(S))   # valid at chain ends
     cend = list(range(S))     # valid at chain starts
     clen = [1] * S            # valid at chain starts

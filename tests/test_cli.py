@@ -69,6 +69,15 @@ def test_series_command(capsys):
     assert "[r^1] 1" in out
 
 
+def test_series_order_beyond_the_guard_exits_2(capsys):
+    for name, order in (("Jinv", "16"), ("I", "61"), ("J", "-1")):
+        code, out, err = run(capsys, "series", "--name", name, "--order", order)
+        assert code == 2
+        assert out == "" and "error:" in err
+    code, out, _ = run(capsys, "series", "--name", "J", "--order", "0")
+    assert code == 0 and "[r^1] 1" in out
+
+
 def test_domain_error_exits_two(capsys):
     code, _, err = run(capsys, "count", "--genus", "0", "--b", "0",
                        "--degrees", "2,2")
