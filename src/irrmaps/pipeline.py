@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import comb, factorial
+from itertools import permutations
+from math import comb, factorial, prod
 
 from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
                        series_J, series_J_inverse)
@@ -260,6 +260,21 @@ def free_energy(genus: int, moments: list, cap: int):
     raise UnsupportedGenusError(f"no free energy available for genus {genus}")
 
 
+class _Moments(dict):
+    """Exponent e -> sum of w p^e over the weighted points (p, w), each
+    entry computed on first lookup."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points):
+        super().__init__()
+        self.points = points
+
+    def __missing__(self, e):
+        value = self[e] = sum(w * p ** e for p, w in self.points)
+        return value
+
+
 @dataclass(frozen=True)
 class CountPolynomial:
     """A finished counting polynomial with its index data."""
@@ -270,11 +285,27 @@ class CountPolynomial:
     poly: MultiPoly
 
     def evaluate(self, b, degrees) -> Fraction:
-        if len(degrees) != self.nfaces:
-            raise DomainError(f"expected {self.nfaces} degrees, got {len(degrees)}")
-        assign = {"b": b}
-        assign.update({f"l{i}": d for i, d in enumerate(degrees, start=1)})
-        return self.poly.evaluate(assign).as_fraction()
+        return self.weighted_sum(b, [((d, 1),) for d in degrees])
+
+    def weighted_sum(self, b, faces) -> Fraction:
+        """Sum of w_1 ... w_n N(b; p_1, ..., p_n) over one weighted point
+        (p_i, w_i) from each ``faces[i]``, in one pass over the terms.
+
+        The sum factorizes face by face: a term c b^k prod_i l_i^(e_i)
+        contributes c b^k prod_i m_i[e_i] with the moment
+        m_i[e] = sum over (p, w) in faces[i] of w p^e.  Each moment (and
+        each power of b) is built once, the first time a term needs it.
+        Plain evaluation is the case of one point of weight 1 per face.
+        """
+        if len(faces) != self.nfaces:
+            raise DomainError(f"expected {self.nfaces} degrees, got {len(faces)}")
+        points = {"b": ((b, 1),)}
+        points.update((f"l{i}", face) for i, face in enumerate(faces, start=1))
+        tables = [_Moments(points[g]) for g in self.gens]
+        total = Fraction(0)
+        for exps, c in self.poly.terms.items():
+            total += c * prod(t[e] for t, e in zip(tables, exps))
+        return total
 
     def m_basis(self) -> dict[tuple[int, ...], MultiPoly]:
         return to_m_basis(self)
@@ -448,26 +479,27 @@ def count_exact(genus: int, n: int, b: int, degrees,
     """Exact weighted count of essentially 2b-irreducible maps.
 
     Without degree-one vertices this is the counting polynomial plus the
-    planar all-degrees-equal correction; with them it is the nested
-    tree-transform sum over smaller half-degrees.
+    planar all-degrees-equal correction.  With them it is the tree
+    transform: the sum over p_i = b..d_i of prod_i a(b, d_i, p_i) times the
+    count at p.  The weight of face i depends on (d_i, p_i) alone, so the
+    transform is applied face by face: ``CountPolynomial.weighted_sum``
+    replaces each power l_i^e by the moment sum_p a(b, d_i, p) p^e and
+    walks the polynomial once.  The cost is about (terms of N-hat) x n
+    multiplications plus sum_i d_i table entries per moment, where
+    evaluating at every point of the grid cost prod_i (d_i - b + 1) full
+    evaluations.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))
-    poly = nhat(genus, n)
-    if not allow_degree_one:
-        return poly.evaluate(b, degrees) + planar_correction(genus, n, b, degrees)
-    total = Fraction(0)
-    ranges = [range(b, d + 1) for d in degrees]
-    for ptuple in product(*ranges):
-        w = Fraction(1)
-        for ell, p in zip(degrees, ptuple):
-            w *= a_transform_coeff(b, ell, p)
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        total += w * (poly.evaluate(b, ptuple) + planar_correction(genus, n, b, ptuple))
-    return total
+    if allow_degree_one:
+        faces = [[(p, w) for p in range(b, d + 1) if (w := a_transform_coeff(b, d, p))]
+                 for d in degrees]
+    else:
+        faces = [((d, 1),) for d in degrees]
+    # the planar correction lives at the single point p = (b, ..., b); its
+    # transform weight prod_i a(b, d_i, b) is 1 when every d_i = b and 0
+    # otherwise, which is exactly when the correction at the degrees applies
+    return nhat(genus, n).weighted_sum(b, faces) + planar_correction(genus, n, b, degrees)
 
 
 def girth_count(genus: int, n: int, b: int, degrees, mode: str = "at-least") -> Fraction:

@@ -1,6 +1,6 @@
 """Identity suites: the reference polynomial table, string/dilaton equations, the
-Q-polynomial certification, moment-route agreement, transform inversion, and
-the brute-force cross-check.
+Q-polynomial certification, moment-route agreement, transform inversion, the
+Harer-Zagier recursion, and the brute-force cross-check.
 
 All identities are checked as exact polynomial identities (the witness of a
 failure is the nonzero difference polynomial); numeric sampling appears only
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 from .families import qpoly_table
 from .oracle import GluingSpec, brute_count
@@ -61,8 +62,8 @@ def _restrict(poly: MultiPoly, gens) -> MultiPoly:
     return poly.with_context(tuple(gens))
 
 
-def string_equation_delta(genus: int, n: int) -> MultiPoly:
-    """LHS - RHS of the string equation, as a polynomial in (b, l1..ln).
+def _string_sides(genus: int, n: int) -> tuple[MultiPoly, MultiPoly]:
+    """LHS and RHS of the string equation, as polynomials in (b, l1..ln).
 
     LHS is the (n+1)-face polynomial with the extra half-degree set to 1;
     RHS replaces each l_j in turn by a summation variable k, multiplies by
@@ -80,24 +81,23 @@ def string_equation_delta(genus: int, n: int) -> MultiPoly:
             # sum_{k=b+1}^{l_j} 2 k^(e+1) in closed form
             rhs = rhs + coeff * faulhaber_closed_sum(e + 1, gens, "b", lj) * 2
         rhs = rhs - MultiPoly.variable(gens, lj) * small.poly
+    return lhs, rhs
+
+
+def _even_in_faces(poly: MultiPoly) -> bool:
+    # generator 0 is b; the face generators follow
+    return not any(e % 2 for exps in poly.terms for e in exps[1:])
+
+
+def string_equation_delta(genus: int, n: int) -> MultiPoly:
+    """LHS - RHS of the string equation, as a polynomial in (b, l1..ln)."""
+    lhs, rhs = _string_sides(genus, n)
     return lhs - rhs
 
 
 def string_rhs_even(genus: int, n: int) -> bool:
     """The combined string RHS must be even in every face generator."""
-    small = nhat(genus, n)
-    gens = small.gens
-    rhs = MultiPoly(gens)
-    for j in range(1, n + 1):
-        lj = f"l{j}"
-        for e, coeff in small.poly.coefficients_in(lj).items():
-            rhs = rhs + coeff * faulhaber_closed_sum(e + 1, gens, "b", lj) * 2
-        rhs = rhs - MultiPoly.variable(gens, lj) * small.poly
-    offset = 1
-    for exps in rhs.terms:
-        if any(exps[offset + i] % 2 for i in range(n)):
-            return False
-    return True
+    return _even_in_faces(_string_sides(genus, n)[1])
 
 
 def dilaton_equation_delta(genus: int, n: int) -> MultiPoly:
@@ -115,11 +115,12 @@ def verify_string(genus: int | None = None, n: int | None = None) -> Verificatio
     report = VerificationReport("string")
     pairs = [(genus, n)] if genus is not None and n is not None else STRING_DILATON_PAIRS
     for g, m in pairs:
-        delta = string_equation_delta(g, m)
+        lhs, rhs = _string_sides(g, m)
+        delta = lhs - rhs
         report.add(f"string equation at genus {g}, {m} faces",
                    delta.is_zero(), str(delta))
         report.add(f"string RHS even in the face degrees at genus {g}, {m} faces",
-                   string_rhs_even(g, m), "odd powers survive")
+                   _even_in_faces(rhs), "odd powers survive")
     return report
 
 
@@ -312,6 +313,45 @@ def verify_ab_inverse(limit: int = 12) -> VerificationReport:
 
 
 # ============================================================
+# Harer-Zagier numbers
+# ============================================================
+
+
+def harer_zagier_numbers(genus: int, n_max: int) -> list[int]:
+    """epsilon_genus(n) for n = 0..n_max: the number of ways to glue the
+    sides of a 2n-gon in pairs into a genus-g surface.
+
+    epsilon_0 is the Catalan numbers and, for g >= 1,
+    (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_(g-1)(n-2)
+    with eps_g(0) = 0 (Harer-Zagier 1986).
+    """
+    eps = [comb(2 * n, n) // (n + 1) for n in range(n_max + 1)]
+    for _ in range(genus):
+        lower, eps = eps, [0] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            total = 2 * (2 * n - 1) * eps[n - 1]
+            if n >= 2:
+                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * lower[n - 2]
+            eps[n] = total // (n + 1)
+    return eps
+
+
+def verify_harer_zagier() -> VerificationReport:
+    """One-face counts with degree-one vertices at b = 0, genus 1 and 2, up
+    to a 60-gon, against the Harer-Zagier recursion: every gluing of a
+    2l-gon is counted, and its 2l rootings cancel the 1/|Aut| weight."""
+    report = VerificationReport("harer-zagier")
+    ell_max = 30
+    for g in (1, 2):
+        want = harer_zagier_numbers(g, ell_max)
+        for ell in range(1, ell_max + 1):
+            got = 2 * ell * count_exact(g, 1, 0, (ell,), allow_degree_one=True)
+            report.add(f"genus {g} gluings of a {2 * ell}-gon", got == want[ell],
+                       f"count {got} vs recursion {want[ell]}")
+    return report
+
+
+# ============================================================
 # Oracle cross-check
 # ============================================================
 
@@ -349,5 +389,6 @@ SUITES = {
     "qpoly": verify_qpoly,
     "tpoly": verify_moments,
     "ab-inverse": verify_ab_inverse,
+    "harer-zagier": verify_harer_zagier,
     "oracle": cross_verify_counts,
 }

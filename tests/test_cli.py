@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import irrmaps.pipeline as pipeline
 from irrmaps.cli import main
+from irrmaps.ring import MultiPoly
 
 
 def run(capsys, *argv):
@@ -51,6 +53,37 @@ def test_verify_table1_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "table1")
     assert code == 0
     assert "suite table1: PASS" in out
+
+
+def test_verify_harer_zagier_exit_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "harer-zagier")
+    assert code == 0
+    assert "suite harer-zagier: PASS" in out
+
+
+def test_count_with_degree_one_walks_the_polynomial_once(capsys, monkeypatch):
+    # five faces of half-degree 30 span a grid of 31^5 points; evaluating the
+    # polynomial at each of them would never finish, so every walk over its
+    # terms counts against a budget that raises instead
+    pipeline.nhat(0, 5)
+    walks = []
+
+    def budget(real):
+        def counted(*args, **kwargs):
+            walks.append(real.__name__)
+            if len(walks) > 3:
+                raise AssertionError(f"polynomial walked {len(walks)} times")
+            return real(*args, **kwargs)
+        return counted
+
+    for owner, name in ((pipeline.CountPolynomial, "evaluate"),
+                        (pipeline.CountPolynomial, "weighted_sum"),
+                        (MultiPoly, "evaluate")):
+        monkeypatch.setattr(owner, name, budget(getattr(owner, name)))
+    code, out, _ = run(capsys, "count", "--genus", "0", "--degrees",
+                       "30,30,30,30,30", "--with-deg-one")
+    assert code == 0 and out.startswith("formula: ")
+    assert walks == ["weighted_sum"]
 
 
 def test_verify_string_single_pair(capsys):

@@ -4,9 +4,10 @@ import irrmaps.pipeline as pipeline
 from irrmaps.pipeline import CountPolynomial, face_generators, nhat
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import (cross_verify_counts, dilaton_equation_delta,
-                            string_equation_delta, string_rhs_even,
-                            verify_ab_inverse, verify_dilaton, verify_moments,
-                            verify_qpoly, verify_string, verify_table1)
+                            harer_zagier_numbers, string_equation_delta,
+                            string_rhs_even, verify_ab_inverse, verify_dilaton,
+                            verify_harer_zagier, verify_moments, verify_qpoly,
+                            verify_string, verify_table1)
 
 
 def test_table1_suite_passes():
@@ -70,6 +71,15 @@ def test_moment_suite_passes():
 def test_ab_inverse_suite_passes():
     report = verify_ab_inverse(12)
     assert report.passed, report.render()
+
+
+def test_harer_zagier_suite_passes():
+    # epsilon_1 and epsilon_2 up to a 12-gon, as tabulated by Harer and Zagier
+    assert harer_zagier_numbers(1, 6) == [0, 0, 1, 10, 70, 420, 2310]
+    assert harer_zagier_numbers(2, 6) == [0, 0, 0, 0, 21, 483, 6468]
+    report = verify_harer_zagier()
+    assert report.passed, report.render()
+    assert len(report.cases) == 60
 
 
 def test_oracle_crosscheck_small():
