@@ -20,11 +20,12 @@ from .families import series_I, series_J, series_J_inverse
 from .oracle import GluingSpec, OracleError, SizeError, brute_count
 from .pipeline import DomainError, count_exact, nhat, to_m_basis
 from .serialize import count_csv_rows, emit_polynomial_json
-from .verify import SUITES, cross_verify_counts, verify_dilaton, verify_string
+from .verify import (SUITES, cross_verify_counts, sweep_tuples, verify_dilaton,
+                     verify_string)
 
-#: largest ``series --order`` per series: each takes at most 8 s on a 2-vCPU
-#: Xeon VM with Python 3.11 (Jinv 15: 6.6-8.2 s, I 60: 2.5 s, J 60: 0.1 s),
-#: where the reversion behind Jinv takes 53 s at order 20
+#: largest ``series --order`` per series: each takes at most 2.1 s on a
+#: 2-vCPU Xeon VM with Python 3.11 (Jinv 15: 0.5-0.7 s, I 60: 1.5-2.1 s,
+#: J 60: 0.1 s); the reversion behind Jinv takes 2.6-3.2 s at order 20
 MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
 
 
@@ -70,22 +71,10 @@ def cmd_nhat(args) -> int:
     return 0
 
 
-def _sweep_tuples(max_sides: int, b_max: int):
-    from itertools import combinations_with_replacement
-    for genus in (0, 1, 2):
-        nmin = 3 if genus == 0 else 1
-        for n in range(nmin, max_sides // 2 + 1):
-            for b in range(0, b_max + 1):
-                for degs in combinations_with_replacement(
-                        range(max(b, 1), max_sides // 2 + 1), n):
-                    if sum(2 * d for d in degs) <= max_sides:
-                        yield genus, n, b, degs
-
-
 def cmd_sweep(args) -> int:
     rows = []
     mismatched = False
-    for genus, n, b, degs in _sweep_tuples(args.max_2e, args.b_max):
+    for genus, n, b, degs in sweep_tuples(args.max_2e, args.b_max):
         values = {}
         if args.method in ("formula", "both"):
             values["formula"] = count_exact(genus, n, b, degs,

@@ -23,7 +23,7 @@ from math import comb, factorial, prod
 from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
                        series_J, series_J_inverse)
 from .oracle import SizeError
-from .ring import GradedSeries, MultiPoly, Series
+from .ring import GradedSeries, MultiPoly, Series, inverse_unit, log_unit
 
 SUPPORTED_GENERA = (0, 1, 2)
 
@@ -31,9 +31,6 @@ SUPPORTED_GENERA = (0, 1, 2)
 #: 20 s on a 2-vCPU Xeon VM with Python 3.11 ((0, 10) 6 s, (1, 5) 18 s,
 #: (2, 4) 5 s), where one face more takes 29 s at genus 0 and 79 s at genus 2
 MAX_FACES = {0: 10, 1: 5, 2: 4}
-
-#: largest moment index used anywhere (3g - 3 for g = 2)
-MAX_MOMENT = 3
 
 
 class DomainError(ValueError):
@@ -124,17 +121,19 @@ def _zhat_series(ctx: PipelineContext, order: int) -> Series:
     return Series(coeffs, order, GradedSeries(gens, cap))
 
 
-def _apply_q_operator(p: int, w: Series, gens, order: int) -> Series:
-    """Apply Q_p(b, (1+r) d/dr) to an r-series with ring coefficients."""
-    by_j = {e: c.with_context(gens)
-            for e, c in qpoly_table(max(p, MAX_MOMENT))[p].coefficients_in("j").items()}
-    one_plus = power_one_plus_r(1, 0, order, gens)
+def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
+    """Apply Q_p(b, (1+r) d/dr) to the r-series ``w``.
+
+    ``by_j`` maps each power of j to its nonzero coefficient in Q_p(b, j)
+    and ``one_plus`` is the series 1 + r, both in the ring of the
+    coefficients of ``w``.
+    """
     acc = None
     cur = w
     for e in range(max(by_j) + 1):
         if e > 0:
             cur = cur.derivative() * one_plus.truncate(cur.order - 1)
-        if e in by_j and not by_j[e].is_zero():
+        if e in by_j:
             term = cur * by_j[e]
             acc = term if acc is None else acc + term
     return acc
@@ -146,12 +145,14 @@ def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries
     Exact to the context cap; the intermediate r-order is raised by p + 1
     because each application of (1+r) d/dr consumes one order.
     """
-    if p > qpoly_table().p_max:
+    table = qpoly_table()
+    if p > table.p_max:
         raise DomainError(f"moment index {p} beyond the available Q table")
     gens, cap = ctx.gens, ctx.cap
     order = cap + p + 1
     w = _zhat_series(ctx, order) * power_one_plus_r(0, -1, order, gens)
-    m = _apply_q_operator(p, w, gens, order)
+    by_j = {e: c.with_context(gens) for e, c in table[p].coefficients_in("j").items()}
+    m = _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, gens))
     return m.compose(rhat)
 
 
@@ -208,37 +209,12 @@ def moment_hat_via_T(ctx: PipelineContext, p: int) -> GradedSeries:
     T = t_weight(p, bpol, rs)
     pref = power_one_plus_r(1, -1, cap, gens).compose(derivs[0].truncate(cap))
     dinv = power_one_plus_r(-(2 * p + 1), 0, cap, gens).compose(rs[1] - 1)
-    out = pref * dinv
-    if not isinstance(T, GradedSeries):
-        return out * T
-    return out * T
+    return pref * dinv * T
 
 
 # ============================================================
 # Free energies and counting polynomials
 # ============================================================
-
-
-def _log_unit(u, cap: int):
-    """log of a ring element with constant term 1, via the Mercator series."""
-    v = u - 1
-    acc = v * 0
-    pk = v ** 0
-    for k in range(1, cap + 1):
-        pk = pk * v
-        acc = acc + pk * Fraction((-1) ** (k + 1), k)
-    return acc
-
-
-def _inv_unit(u, cap: int):
-    """1/u for a ring element with constant term 1, via the geometric series."""
-    v = (u - 1) * Fraction(-1)
-    acc = v ** 0
-    pk = v ** 0
-    for _ in range(1, cap + 1):
-        pk = pk * v
-        acc = acc + pk
-    return acc
 
 
 def genus2_combination(inv0, m1, m2, m3):
@@ -252,9 +228,9 @@ def free_energy(genus: int, moments: list, cap: int):
     """Assemble the genus-1 or genus-2 free energy from moment series."""
     m0 = moments[0]
     if genus == 1:
-        return _log_unit(m0, cap) * Fraction(-1, 12)
+        return log_unit(m0, cap) * Fraction(-1, 12)
     if genus == 2:
-        inv0 = _inv_unit(m0, cap)
+        inv0 = inverse_unit(m0, cap)
         m1, m2, m3 = (m * inv0 for m in moments[1:4])
         return genus2_combination(inv0, m1, m2, m3)
     raise UnsupportedGenusError(f"no free energy available for genus {genus}")
@@ -660,8 +636,12 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
     Solves the defining equation over x_max(b,1)..x_D with numeric b,
     assembles the free energy (genus >= 1) or the two-face integral formula
     (genus 0), and reads off the coefficient of the requested face monomial.
-    Shares no code path with the symbolic marker ring, so agreement with
-    ``count_exact`` (minus the planar correction) is a real crosscheck.
+    It shares the series families, the Q-operator application and
+    ``free_energy`` with the pipeline, but not the marker ring: one
+    variable per face degree replaces the nilpotent face markers, and the
+    solve, the moment series and the coefficient extraction are its own,
+    so agreement with ``count_exact`` (minus the planar correction) checks
+    the marker-ring route.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))
@@ -710,14 +690,7 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
         qp = qt[p].evaluate({"b": b})
         by_j = {e: c.as_fraction() for e, c in qp.coefficients_in("j").items()}
         one_plus = _numeric_series(power_one_plus_r(1, 0, rod, ("b",)), {"b": b})
-        acc, cur = None, w
-        for e in range(max(by_j) + 1):
-            if e > 0:
-                cur = cur.derivative() * one_plus.truncate(cur.order - 1)
-            if by_j.get(e):
-                term = cur * by_j[e]
-                acc = term if acc is None else acc + term
-        moments.append(acc.compose(R))
+        moments.append(_apply_q_operator(by_j, w, one_plus).compose(R))
     F = free_energy(genus, moments, cap)
     exps = [0] * len(gens)
     for d in degrees:

@@ -472,17 +472,26 @@ class Series:
         return Series(out, self.order + 1, self.zero)
 
     def compose(self, inner):
-        """Evaluate the series at ``inner`` via Horner.
+        """Evaluate the series at ``inner`` as the sum of c_k * inner**k.
 
-        ``inner`` may be a Series or a GradedSeries; it must have zero
-        constant term so the composition is well defined at the truncation.
-        The coefficient ring of ``inner`` must absorb this series'
-        coefficients under ``+`` and ``*``.
+        ``inner`` may be a Series, a GradedSeries or any truncated ring
+        element with ``valuation_positive``; it must have zero constant term
+        so the composition is well defined at the truncation.  The
+        coefficient ring of ``inner`` must absorb this series' coefficients
+        under ``+`` and ``*``.
+
+        The powers of ``inner`` are accumulated one by one: inner**k has
+        valuation >= k, so its low coefficients are zero and, in a graded
+        ring, it thins out and vanishes past the cap, where the sum stops.
         """
         _require_no_constant(inner)
-        acc = inner * 0  # additive zero of the target ring
-        for k in range(self.order, -1, -1):
-            acc = acc * inner + self.coeffs[k]
+        acc = inner * 0 + self.coeffs[0]
+        power = None
+        for c in self.coeffs[1:]:
+            power = inner if power is None else power * inner
+            if _is_zero_elem(power):
+                break
+            acc = acc + power * c
         return acc
 
     def reverse(self, order: int | None = None) -> "Series":
@@ -506,53 +515,24 @@ class Series:
             g.append(-(resid.coeffs[k] * c1inv))
         return Series(g, order, self.zero)
 
-    def log(self) -> "Series":
-        """log of a series with constant term exactly 1 (Mercator series)."""
-        if not _is_one_elem(self.coeffs[0]):
-            raise ValueError("log requires constant term 1")
-        u = Series(self.coeffs, self.order, self.zero)
-        u.coeffs = list(u.coeffs)
-        u.coeffs[0] = u.coeffs[0] - 1
-        acc = Series([self.zero], self.order, self.zero)
-        p = Series([self.zero + 1], self.order, self.zero)
-        for k in range(1, self.order + 1):
-            p = p * u
-            acc = acc + p * Fraction((-1) ** (k + 1), k)
-        return acc
-
-    def exp(self) -> "Series":
-        """exp of a series with zero constant term."""
-        if not _is_zero_elem(self.coeffs[0]):
-            raise ValueError("exp requires zero constant term")
-        acc = Series([self.zero + 1], self.order, self.zero)
-        p = Series([self.zero + 1], self.order, self.zero)
-        fact = 1
-        for k in range(1, self.order + 1):
-            p = p * self
-            fact *= k
-            acc = acc + p * Fraction(1, fact)
-        return acc
-
-    def inverse(self) -> "Series":
-        """Multiplicative inverse of a series with constant term 1."""
-        if not _is_one_elem(self.coeffs[0]):
-            raise ValueError("inverse requires constant term 1")
-        u = Series(list(self.coeffs), self.order, self.zero)
-        u.coeffs[0] = u.coeffs[0] - 1
-        # alternating geometric series 1 - u + u^2 - ...
-        acc = Series([self.zero + 1], self.order, self.zero)
-        p = Series([self.zero + 1], self.order, self.zero)
-        sign = 1
-        for _ in range(1, self.order + 1):
-            p = p * u
-            sign = -sign
-            acc = acc + p * Fraction(sign)
-        return acc
-
     def __str__(self):
         return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs)) or "0"
 
     __repr__ = __str__
+
+
+def log_unit(u, order: int):
+    """log u for a ring element u with constant term 1: the Mercator series
+    composed at u - 1, through order ``order``."""
+    mercator = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
+    return Series(mercator, order, Fraction(0)).compose(u - 1)
+
+
+def inverse_unit(u, order: int):
+    """1 / u for a ring element u with constant term 1: the alternating
+    geometric series composed at u - 1, through order ``order``."""
+    geometric = [Fraction((-1) ** k) for k in range(order + 1)]
+    return Series(geometric, order, Fraction(0)).compose(u - 1)
 
 
 def _is_zero_elem(c) -> bool:
@@ -561,14 +541,6 @@ def _is_zero_elem(c) -> bool:
     if isinstance(c, GradedSeries):
         return c.is_zero()
     return c == 0
-
-
-def _is_one_elem(c) -> bool:
-    if isinstance(c, MultiPoly):
-        return c.is_constant() and c.constant_term() == 1
-    if isinstance(c, GradedSeries):
-        return (c - 1).is_zero()
-    return c == 1
 
 
 def _invert_unit(c):

@@ -356,29 +356,41 @@ def verify_harer_zagier() -> VerificationReport:
 # ============================================================
 
 
-def cross_verify_counts(max_sides: int = 8, b_max: int = 3,
-                        genera=(0, 1, 2), degree_cap: int = 6,
-                        parallel: bool | None = None) -> VerificationReport:
-    """Compare brute-force and polynomial counts on every admissible tuple."""
-    report = VerificationReport("oracle")
-    for g in genera:
-        nmin = 3 if g == 0 else 1
+def sweep_tuples(max_sides: int, b_max: int):
+    """Every admissible (genus, n, b, half-degrees) with at most ``max_sides``
+    polygon sides in all: genus 0..2, b = 0..b_max, weakly increasing
+    half-degrees from max(b, 1), each one at most ``max_sides // 2``."""
+    for genus in (0, 1, 2):
+        nmin = 3 if genus == 0 else 1
         for n in range(nmin, max_sides // 2 + 1):
             for b in range(0, b_max + 1):
-                lo = max(b, 1)
-                for degs in combinations_with_replacement(range(lo, degree_cap), n):
-                    if sum(2 * d for d in degs) > max_sides:
-                        continue
-                    for allow in (False, True):
-                        want = count_exact(g, n, b, degs, allow_degree_one=allow)
-                        got = brute_count(
-                            GluingSpec(g, degs, b, allow_degree_one=allow,
-                                       guard_sides=max(max_sides, 18)),
-                            parallel=parallel)
-                        tag = "with" if allow else "without"
-                        report.add(
-                            f"genus {g} degrees {degs} b={b} {tag} degree-one vertices",
-                            want == got, f"formula {want} vs brute {got}")
+                for degs in combinations_with_replacement(
+                        range(max(b, 1), max_sides // 2 + 1), n):
+                    if sum(2 * d for d in degs) <= max_sides:
+                        yield genus, n, b, degs
+
+
+def cross_verify_counts(max_sides: int = 8, b_max: int = 3,
+                        parallel: bool | None = None) -> VerificationReport:
+    """Compare brute-force and polynomial counts, with and without
+    degree-one vertices, on every tuple of :func:`sweep_tuples`.
+
+    This is the tuple set of ``irrmaps sweep``: half-degrees run up to
+    ``max_sides // 2``, so from 12 sides on the single faces of genus 1
+    and 2 with half-degree 6 and more are checked too.
+    """
+    report = VerificationReport("oracle")
+    for g, n, b, degs in sweep_tuples(max_sides, b_max):
+        for allow in (False, True):
+            want = count_exact(g, n, b, degs, allow_degree_one=allow)
+            got = brute_count(
+                GluingSpec(g, degs, b, allow_degree_one=allow,
+                           guard_sides=max(max_sides, 18)),
+                parallel=parallel)
+            tag = "with" if allow else "without"
+            report.add(
+                f"genus {g} degrees {degs} b={b} {tag} degree-one vertices",
+                want == got, f"formula {want} vs brute {got}")
     return report
 
 

@@ -201,11 +201,11 @@ def test_unsupported_genus_paths():
 def test_free_energy_log_form():
     # the genus-1 free energy equals -1/12 log of the zeroth moment computed
     # through the derivative route as well
-    from irrmaps.pipeline import _log_unit
+    from irrmaps.ring import log_unit
     ctx = make_context(1, 1)
     R = solve_R_hat(ctx)
-    via_q = _log_unit(moment_hat(ctx, 0, R), ctx.cap) * Fraction(-1, 12)
-    via_t = _log_unit(moment_hat_via_T(ctx, 0), ctx.cap) * Fraction(-1, 12)
+    via_q = log_unit(moment_hat(ctx, 0, R), ctx.cap) * Fraction(-1, 12)
+    via_t = log_unit(moment_hat_via_T(ctx, 0), ctx.cap) * Fraction(-1, 12)
     assert via_q == via_t
 
 
@@ -214,3 +214,12 @@ def test_girth_exactly_worked_value():
     # 17 of girth at least 6
     assert girth_count(0, 4, 2, (3, 3, 3, 3), mode="exactly") == 12
     assert nhat(0, 4).evaluate(2, (3, 3, 3, 3)) == 17
+
+
+def test_higher_genus_builds_one_q_table():
+    # the moments look up the same cached table as the rest of the pipeline
+    from irrmaps.families import qpoly_table
+    from irrmaps.pipeline import nhat_higher_genus
+    qpoly_table.cache_clear()
+    nhat_higher_genus(2, 1)
+    assert qpoly_table.cache_info().currsize == 1

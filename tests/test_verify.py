@@ -5,9 +5,9 @@ from irrmaps.pipeline import CountPolynomial, face_generators, nhat
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import (cross_verify_counts, dilaton_equation_delta,
                             harer_zagier_numbers, string_equation_delta,
-                            string_rhs_even, verify_ab_inverse, verify_dilaton,
-                            verify_harer_zagier, verify_moments, verify_qpoly,
-                            verify_string, verify_table1)
+                            string_rhs_even, sweep_tuples, verify_ab_inverse,
+                            verify_dilaton, verify_harer_zagier, verify_moments,
+                            verify_qpoly, verify_string, verify_table1)
 
 
 def test_table1_suite_passes():
@@ -86,6 +86,12 @@ def test_oracle_crosscheck_small():
     report = cross_verify_counts(max_sides=6, parallel=False)
     assert report.passed, report.render()
     assert len(report.cases) >= 20
+
+
+def test_oracle_suite_checks_every_sweep_tuple():
+    assert len(list(sweep_tuples(8, 3))) == 62
+    report = cross_verify_counts(max_sides=6, parallel=False)
+    assert len(report.cases) == 2 * len(list(sweep_tuples(6, 3))) == 2 * 32
 
 
 def test_report_rendering():
