@@ -27,6 +27,14 @@ The search prunes branches only on provably monotone grounds:
   * a component whose boundary is fully glued while others remain can never
     connect.
 
+It also searches each rotation of an untouched polygon once.  When the
+smallest unmatched side is glued into a polygon q other than its own that
+has no glued side yet, only q's first side is tried, and the subtree counts
+2*l_q times.  Rotating q fixes every glued side and maps the subtree entered
+at any side of q onto the one entered at its first side; the rotated map is
+the same map with q's sides relabeled, so it is accepted exactly when the
+original is.  The search runs serially in one process.
+
 Essential irreducibility of a higher-genus map is decided on finite balls
 of its universal cover, developed face by face around a lift of each
 vertex: the rotation around a cover vertex is zipped shut exactly when it
@@ -43,7 +51,6 @@ lift, stopped at the radius, reaches.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +60,6 @@ from .families import ConsistencyError
 
 DEFAULT_GUARD_SIDES = 18
 COVER_FACE_GUARD = 200000
-
-#: below this many sides a parallel run is not worth the process spawn
-PARALLEL_THRESHOLD_SIDES = 14
 
 
 class SizeError(ValueError):
@@ -713,8 +717,8 @@ def _leaf_passes(spec: GluingSpec, partner) -> bool:
     return check_irreducible(hmap, spec.b, girth_only=(spec.constraint == "girth"))
 
 
-def _search(spec: GluingSpec, forced: tuple = ()) -> int:
-    """Count accepted matchings; ``forced`` fixes the first gluings."""
+def _search(spec: GluingSpec) -> int:
+    """Count accepted matchings, entering each untouched polygon at its first dart."""
     degrees = spec.degrees
     n = len(degrees)
     S = sum(2 * l for l in degrees)
@@ -725,8 +729,9 @@ def _search(spec: GluingSpec, forced: tuple = ()) -> int:
         return 0
     mindeg2 = not spec.allow_degree_one
 
-    nxt, prv, poly_of, _ = polygon_layout(degrees)
+    nxt, prv, poly_of, offsets = polygon_layout(degrees)
     partner = [-1] * S
+    used = [0] * n            # matched darts per polygon
     bnx = list(nxt)
     bpv = list(prv)
     cstart = list(range(S))   # valid at chain ends
@@ -774,6 +779,8 @@ def _search(spec: GluingSpec, forced: tuple = ()) -> int:
         trail = []
         partner[a] = c
         partner[c] = a
+        used[poly_of[a]] += 1
+        used[poly_of[c]] += 1
 
         # components and boundary circles
         ra = find(poly_of[a])
@@ -881,48 +888,39 @@ def _search(spec: GluingSpec, forced: tuple = ()) -> int:
                 bpv[j] = oldp
         partner[a] = -1
         partner[c] = -1
+        used[poly_of[a]] -= 1
+        used[poly_of[c]] -= 1
 
-    def rec(lo: int, matched: int):
+    def rec(lo: int, matched: int, weight: int):
         nonlocal accepted
         if matched == E:
             if ncomp == 1 and closedV == V_target:
                 if genus_acc != g_target:
                     raise ConsistencyError("handle count disagrees with Euler count")
                 if _leaf_passes(spec, partner):
-                    accepted += 1
+                    accepted += weight
             return
         while partner[lo] != -1:
             lo += 1
+        p = poly_of[lo]
         remaining = E - matched - 1
         for c in range(lo + 1, S):
             if partner[c] != -1:
                 continue
+            w = weight
+            q = poly_of[c]
+            if q != p and not used[q]:
+                # every rotation of q counts the same: enter at its first dart
+                if c != offsets[q]:
+                    continue
+                w *= 2 * degrees[q]
             trail, ok = glue(lo, c, remaining)
             if ok:
-                rec(lo + 1, matched + 1)
+                rec(lo + 1, matched + 1, w)
             unglue(lo, c, trail)
 
-    matched = 0
-    prefix = []
-    ok_all = True
-    for a, c in forced:
-        trail, ok = glue(a, c, E - matched - 1)
-        prefix.append((a, c, trail))
-        matched += 1
-        if not ok:
-            ok_all = False
-            break
-    if ok_all:
-        rec(0, matched)
-    for a, c, trail in reversed(prefix):
-        unglue(a, c, trail)
+    rec(0, 0, 1)
     return accepted
-
-
-def _branch_task(args):
-    spec_fields, forced = args
-    spec = GluingSpec(**spec_fields)
-    return _search(spec, forced)
 
 
 def brute_count(spec: GluingSpec, parallel: bool | None = None) -> Fraction:
@@ -930,37 +928,11 @@ def brute_count(spec: GluingSpec, parallel: bool | None = None) -> Fraction:
 
     Accepts matchings whose map is connected, has the target genus, respects
     the degree-one setting, and passes the irreducibility (or girth) test.
+    The search is serial; ``parallel`` is accepted for old callers and has
+    no effect.
     """
     spec.validate()
-    S = spec.total_sides
     weight = 1
     for l in spec.degrees:
         weight *= 2 * l
-
-    if parallel is None:
-        parallel = S >= PARALLEL_THRESHOLD_SIDES and (os.cpu_count() or 1) > 1
-    if parallel:
-        import multiprocessing as mp
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # no fork start method on this platform
-            parallel = False
-    if not parallel:
-        return Fraction(_search(spec), weight)
-
-    spec_fields = dict(
-        genus=spec.genus, degrees=spec.degrees, b=spec.b,
-        allow_degree_one=spec.allow_degree_one, constraint=spec.constraint,
-        guard_sides=spec.guard_sides)
-    # split on the partner of dart 0, then of the next unmatched dart
-    tasks = []
-    for c in range(1, S):
-        first = (0, c)
-        lo = 1 if c != 1 else 2
-        for c2 in range(lo + 1, S):
-            if c2 == c:
-                continue
-            tasks.append((spec_fields, (first, (lo, c2))))
-    with ctx.Pool(min(os.cpu_count() or 1, 8)) as pool:
-        parts = pool.map(_branch_task, tasks, chunksize=8)
-    return Fraction(sum(parts), weight)
+    return Fraction(_search(spec), weight)

@@ -395,9 +395,11 @@ def to_m_basis(count: CountPolynomial) -> dict[tuple[int, ...], MultiPoly]:
         groups.setdefault(lam, {})[beta] = MultiPoly(bgens, bterms)
     out: dict[tuple[int, ...], MultiPoly] = {}
     for lam, betas in groups.items():
+        # every beta rearranges lam padded with zeros: the orbit is complete
+        # when there are as many as the multinomial n! / prod(mult!)
         padded = lam + (0,) * (n - len(lam))
-        expected = set(permutations(padded))
-        if set(betas) != expected:
+        orbit = factorial(n) // prod(factorial(padded.count(e)) for e in set(padded))
+        if len(betas) != orbit:
             raise InvariantViolation(f"partition {lam}: orbit incomplete, not symmetric")
         ref = next(iter(betas.values()))
         if any(v != ref for v in betas.values()):

@@ -61,6 +61,15 @@ def test_verify_harer_zagier_exit_zero(capsys):
     assert "suite harer-zagier: PASS" in out
 
 
+def test_verify_oracle_skips_guarded_tuples_and_exits_zero(capsys, monkeypatch):
+    # a sweep tuple the nhat face guard refuses no longer aborts the suite
+    monkeypatch.setitem(pipeline.MAX_FACES, 2, 2)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-2e", "6")
+    assert code == 0
+    assert out.startswith("suite oracle: PASS (4 skipped)")
+    assert out.count("[SKIP]") == 4
+
+
 def test_count_with_degree_one_walks_the_polynomial_once(capsys, monkeypatch):
     # five faces of half-degree 30 span a grid of 31^5 points; evaluating the
     # polynomial at each of them would never finish, so every walk over its

@@ -2,9 +2,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irrmaps import oracle
 from irrmaps.oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError,
-                            SizeError, assemble_map, brute_count,
+                            SizeError, _search, assemble_map, brute_count,
                             check_irreducible, enumerate_matchings,
                             simple_cycles_up_to)
 from irrmaps.pipeline import count_exact, girth_count
@@ -141,20 +144,13 @@ def test_brute_count_b_independent_for_one_face():
     for b in (0, 1, 2):
         assert brute_count(GluingSpec(1, (2,), b)) == F(1, 4)
     for b in (0, 1, 2, 3):
-        assert brute_count(GluingSpec(0, (3, 3, 3), b, allow_degree_one=False),
-                           parallel=False) == count_exact(0, 3, b, (3, 3, 3))
+        spec = GluingSpec(0, (3, 3, 3), b, allow_degree_one=False)
+        assert brute_count(spec) == count_exact(0, 3, b, (3, 3, 3))
 
 
-def test_parallel_falls_back_to_serial_without_fork(monkeypatch):
-    import multiprocessing
-
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    spec = GluingSpec(0, (2, 2, 2), 1)
-    serial = brute_count(spec, parallel=False)
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    assert brute_count(spec, parallel=True) == serial == count_exact(0, 3, 1, (2, 2, 2))
+def test_brute_matches_formula_on_three_planar_faces():
+    for degs in [(2, 2, 2), (3, 2, 2)]:
+        assert brute_count(GluingSpec(0, degs, 1)) == count_exact(0, 3, 1, degs)
 
 
 def test_brute_disputed_tree_transform_case():
@@ -185,8 +181,7 @@ def test_brute_vs_formula_sweep_small():
                     for allow in (False, True):
                         want = count_exact(g, n, b, degs, allow_degree_one=allow)
                         got = brute_count(
-                            GluingSpec(g, degs, b, allow_degree_one=allow),
-                            parallel=False)
+                            GluingSpec(g, degs, b, allow_degree_one=allow))
                         assert want == got, (g, n, b, degs, allow)
 
 
@@ -251,34 +246,34 @@ def test_brute_vs_formula_spot_checks_medium():
     ]
     for g, degs, b, allow in cases:
         want = count_exact(g, len(degs), b, degs, allow_degree_one=allow)
-        got = brute_count(GluingSpec(g, degs, b, allow_degree_one=allow),
-                          parallel=False)
+        got = brute_count(GluingSpec(g, degs, b, allow_degree_one=allow))
         assert want == got, (g, degs, b, allow, want, got)
 
 
+def _naive_count(spec):
+    """Accepted matchings by a filter over the full canonical enumeration."""
+    hits = 0
+
+    def visit(matching):
+        nonlocal hits
+        hm = HalfEdgeMap(spec.degrees, matching)
+        if not hm.connected or hm.genus != spec.genus:
+            return
+        if not spec.allow_degree_one and hm.min_degree() < 2:
+            return
+        if spec.b and not check_irreducible(
+                hm, spec.b, girth_only=(spec.constraint == "girth")):
+            return
+        hits += 1
+
+    enumerate_matchings(spec.degrees, visit)
+    return hits
+
+
 def test_pruned_search_equals_naive_filter():
-    # the pruned engine must count exactly what a filter over the full
-    # canonical enumeration counts
-    from irrmaps.oracle import _search
-
-    def naive(spec):
-        hits = 0
-
-        def visit(matching):
-            nonlocal hits
-            hm = HalfEdgeMap(spec.degrees, matching)
-            if not hm.connected or hm.genus != spec.genus:
-                return
-            if not spec.allow_degree_one and hm.min_degree() < 2:
-                return
-            if spec.b and not check_irreducible(
-                    hm, spec.b, girth_only=(spec.constraint == "girth")):
-                return
-            hits += 1
-
-        enumerate_matchings(spec.degrees, visit)
-        return hits
-
+    # the pruned, pinned engine must count exactly what a filter over the
+    # full canonical enumeration counts; three or more polygons exercise the
+    # pinned entry into untouched polygons
     specs = [
         GluingSpec(0, (1, 1, 1), 1),
         GluingSpec(0, (2, 1, 1), 1, allow_degree_one=True),
@@ -288,20 +283,62 @@ def test_pruned_search_equals_naive_filter():
         GluingSpec(2, (4,), 1),
         GluingSpec(0, (2, 2, 2), 2),
         GluingSpec(1, (2, 2), 2, constraint="girth"),
+        GluingSpec(0, (2, 1, 1), 1),
+        GluingSpec(0, (2, 2, 1, 1), 1),
+        GluingSpec(0, (2, 2, 1, 1), 1, allow_degree_one=True),
+        GluingSpec(1, (1, 1, 2), 1),
+        GluingSpec(1, (1, 1, 2), 1, allow_degree_one=True),
+        GluingSpec(0, (2, 2, 1), 1, constraint="girth"),
     ]
     for spec in specs:
-        assert _search(spec) == naive(spec), spec
+        assert _search(spec) == _naive_count(spec), spec
+
+
+@st.composite
+def _small_specs(draw):
+    """Admissible specs of at most 10 sides, genus 0-2, b 0-2."""
+    genus = draw(st.integers(0, 2))
+    constraint = draw(st.sampled_from(["irreducible", "girth"]))
+    # three planar faces of half-degree 2 already need 12 sides
+    b = draw(st.integers(1 if constraint == "girth" else 0, 1 if genus == 0 else 2))
+    lo = max(b, 1)
+    n = draw(st.integers(3 if genus == 0 else 1, 5 // lo))
+    budget = 5 - lo * n
+    degs = []
+    for _ in range(n):
+        extra = draw(st.integers(0, budget))
+        budget -= extra
+        degs.append(lo + extra)
+    return GluingSpec(genus, tuple(degs), b, allow_degree_one=draw(st.booleans()),
+                      constraint=constraint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs())
+def test_pinned_search_equals_naive_filter_on_random_specs(spec):
+    assert _search(spec) == _naive_count(spec)
+
+
+def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
+    # every rotation of an untouched polygon is searched once, not 2l times:
+    # 360 leaf checks where the unpinned search made 45,360
+    calls = 0
+    leaf_passes = oracle._leaf_passes
+
+    def counted(spec, partner):
+        nonlocal calls
+        calls += 1
+        return leaf_passes(spec, partner)
+
+    monkeypatch.setattr(oracle, "_leaf_passes", counted)
+    spec = GluingSpec(0, (3, 3, 3, 3), 2, constraint="girth", guard_sides=24)
+    assert _search(spec) == 29 * 6 ** 4
+    assert calls <= 1000
 
 
 def test_girth_exactly_matches_oracle_difference():
     # exactly 2b = (at least 2b) - (at least 2b + 2), all via the oracle
-    at2 = brute_count(GluingSpec(0, (2, 2, 2, 2), 1, constraint="girth"),
-                      parallel=False)
-    at4 = brute_count(GluingSpec(0, (2, 2, 2, 2), 2, constraint="girth"),
-                      parallel=False)
+    at2 = brute_count(GluingSpec(0, (2, 2, 2, 2), 1, constraint="girth"))
+    at4 = brute_count(GluingSpec(0, (2, 2, 2, 2), 2, constraint="girth"))
     assert at2 - at4 == girth_count(0, 4, 1, (2, 2, 2, 2), mode="exactly")
 
-
-def test_parallel_and_serial_counts_agree():
-    spec = GluingSpec(0, (3, 2, 2), 1)
-    assert brute_count(spec, parallel=True) == brute_count(spec, parallel=False)

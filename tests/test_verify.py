@@ -83,15 +83,27 @@ def test_harer_zagier_suite_passes():
 
 
 def test_oracle_crosscheck_small():
-    report = cross_verify_counts(max_sides=6, parallel=False)
+    report = cross_verify_counts(max_sides=6)
     assert report.passed, report.render()
     assert len(report.cases) >= 20
 
 
 def test_oracle_suite_checks_every_sweep_tuple():
     assert len(list(sweep_tuples(8, 3))) == 62
-    report = cross_verify_counts(max_sides=6, parallel=False)
+    report = cross_verify_counts(max_sides=6)
     assert len(report.cases) == 2 * len(list(sweep_tuples(6, 3))) == 2 * 32
+
+
+def test_oracle_suite_skips_tuples_beyond_the_face_guard(monkeypatch):
+    # genus 2 with three faces of half-degree 1, at b = 0 and b = 1, with
+    # and without degree-one vertices: four cases the guard refuses
+    monkeypatch.setitem(pipeline.MAX_FACES, 2, 2)
+    report = cross_verify_counts(max_sides=6)
+    skipped = [c for c in report.cases if c.skipped]
+    assert len(skipped) == 4
+    assert all("genus 2 degrees (1, 1, 1)" in c.description for c in skipped)
+    assert all(c.witness == "3 faces exceed the genus-2 guard of 2" for c in skipped)
+    assert report.passed
 
 
 def test_report_rendering():
