@@ -77,8 +77,14 @@ def cmd_sweep(args) -> int:
     for genus, n, b, degs in sweep_tuples(args.max_2e, args.b_max):
         values = {}
         if args.method in ("formula", "both"):
-            values["formula"] = count_exact(genus, n, b, degs,
-                                            allow_degree_one=args.with_deg_one)
+            try:
+                values["formula"] = count_exact(genus, n, b, degs,
+                                                allow_degree_one=args.with_deg_one)
+            except SizeError as exc:
+                # the nhat face guard refuses this tuple: report it, go on
+                degrees = " ".join(str(d) for d in degs)
+                print(f"skip: {genus} {n} {b} {degrees}: {exc}", file=sys.stderr)
+                continue
         if args.method in ("brute", "both"):
             spec = GluingSpec(genus, degs, b, allow_degree_one=args.with_deg_one,
                               guard_sides=max(args.max_2e, 18))

@@ -35,6 +35,20 @@ at any side of q onto the one entered at its first side; the rotated map is
 the same map with q's sides relabeled, so it is accepted exactly when the
 original is.  The search runs serially in one process.
 
+Pinning never turns polygon 0, nor a polygon first entered from inside its
+own boundary, so a leaf is still reached once per rotation of those.  Each
+search therefore keeps its leaf verdicts in a dict keyed by a
+rotation-canonical code of the full matching: for every rotation of
+polygon 0, walk the polygons breadth-first from it, turn each newly reached
+polygon so that the side the walk enters first becomes its side 0, relabel
+the matching under those rotations, and keep the least result.  Rotating
+any polygon of the input changes none of these walks, so every rotation of
+a gluing has the same code; and the code is itself a rotation of the
+gluing, so equal codes mean the same face-labeled map with its sides
+relabeled, which is accepted exactly when the original is.  The cover-ball
+and cycle checks thus run once per rotation orbit of the leaves the search
+reaches.  With b = 0 every leaf passes, and no code is built.
+
 Essential irreducibility of a higher-genus map is decided on finite balls
 of its universal cover, developed face by face around a lift of each
 vertex: the rotation around a cover vertex is zipped shut exactly when it
@@ -711,14 +725,49 @@ class CoverBall:
 
 
 def _leaf_passes(spec: GluingSpec, partner) -> bool:
-    if spec.b == 0:
-        return True
     hmap = HalfEdgeMap(spec.degrees, partner)
     return check_irreducible(hmap, spec.b, girth_only=(spec.constraint == "girth"))
 
 
+def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
+    """The least partner list among the rotations of a connected gluing.
+
+    For each rotation of polygon 0, the polygons are walked breadth-first
+    from it, each newly reached one rotated so that the side the walk enters
+    first becomes its side 0, and ``partner`` is relabeled under those
+    rotations.  Rotating any polygon of the input changes no walk, so the
+    least relabeling is the same for every rotation of the gluing.
+    """
+    nxt, _, poly_of, offsets = polygon_layout(degrees)
+    S = len(partner)
+    best = None
+    for r0 in range(2 * degrees[0]):
+        first = [-1] * len(degrees)   # the side that becomes each polygon's side 0
+        first[0] = r0
+        new = [0] * S
+        order = [0]
+        for p in order:               # grows while it is walked
+            d = first[p]
+            for label in range(offsets[p], offsets[p] + 2 * degrees[p]):
+                new[d] = label
+                e = partner[d]
+                q = poly_of[e]
+                if first[q] == -1:
+                    first[q] = e
+                    order.append(q)
+                d = nxt[d]
+        code = [0] * S
+        for d in range(S):
+            code[new[d]] = new[partner[d]]
+        code = tuple(code)
+        if best is None or code < best:
+            best = code
+    return best
+
+
 def _search(spec: GluingSpec) -> int:
-    """Count accepted matchings, entering each untouched polygon at its first dart."""
+    """Count accepted matchings, entering each untouched polygon at its first
+    dart and checking each rotation orbit of leaves once."""
     degrees = spec.degrees
     n = len(degrees)
     S = sum(2 * l for l in degrees)
@@ -745,6 +794,7 @@ def _search(spec: GluingSpec) -> int:
     genus_acc = 0
     ncomp = n
     accepted = 0
+    verdicts: dict[tuple[int, ...], bool] = {}  # rotation code -> leaf verdict
 
     def find(x: int) -> int:
         while proot[x] != x:
@@ -897,8 +947,14 @@ def _search(spec: GluingSpec) -> int:
             if ncomp == 1 and closedV == V_target:
                 if genus_acc != g_target:
                     raise ConsistencyError("handle count disagrees with Euler count")
-                if _leaf_passes(spec, partner):
-                    accepted += weight
+                if spec.b:  # with b = 0 every leaf passes
+                    code = _rotation_code(degrees, partner)
+                    ok = verdicts.get(code)
+                    if ok is None:
+                        ok = verdicts[code] = _leaf_passes(spec, partner)
+                    if not ok:
+                        return
+                accepted += weight
             return
         while partner[lo] != -1:
             lo += 1

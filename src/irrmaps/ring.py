@@ -428,13 +428,17 @@ class Series:
             return Series([c * other for c in self.coeffs], self.order, self.zero)
         n = self._common(other)
         a, b = self.coeffs, other.coeffs
+        # products with a zero operand add nothing: form only the others
+        a_nonzero = [j for j in range(n + 1) if not _is_zero_elem(a[j])]
+        b_zero = [_is_zero_elem(b[k]) for k in range(n + 1)]
         out = []
         for k in range(n + 1):
             acc = self.zero
-            for j in range(k + 1):
-                aj = a[j]
-                bk = b[k - j]
-                acc = acc + aj * bk
+            for j in a_nonzero:
+                if j > k:
+                    break
+                if not b_zero[k - j]:
+                    acc = acc + a[j] * b[k - j]
             out.append(acc)
         return Series(out, n, self.zero)
 

@@ -5,6 +5,7 @@ import pytest
 import irrmaps.pipeline as pipeline
 from irrmaps.cli import main
 from irrmaps.ring import MultiPoly
+from irrmaps.verify import sweep_tuples
 
 
 def run(capsys, *argv):
@@ -143,3 +144,18 @@ def test_sweep_csv(capsys):
     assert lines[0] == "genus,n,b,degrees,value_num,value_den,method"
     assert len(lines) > 10
     assert any(line.startswith("1,1,1,2,1,4,") for line in lines)
+
+
+def test_sweep_skips_tuples_beyond_the_face_guard(capsys):
+    # at 10 sides the sweep reaches genus 2 with five faces, which the nhat
+    # face guard refuses: one stderr line each, every other tuple a CSV row
+    code, out, err = run(capsys, "sweep", "--max-2e", "10", "--method", "formula")
+    assert code == 0
+    guard = "5 faces exceed the genus-2 guard of 4"
+    assert err.splitlines() == [f"skip: 2 5 {b} 1 1 1 1 1: {guard}" for b in (0, 1)]
+    lines = out.strip().split("\n")
+    assert lines[0] == "genus,n,b,degrees,value_num,value_den,method"
+    rows = [tuple(line.split(",")[:4]) + (line.split(",")[-1],) for line in lines[1:]]
+    want = [(str(g), str(n), str(b), " ".join(map(str, degs)), "formula")
+            for g, n, b, degs in sweep_tuples(10, 3) if not (g == 2 and n == 5)]
+    assert rows == want

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from irrmaps import oracle
 from irrmaps.oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError,
-                            SizeError, _search, assemble_map, brute_count,
-                            check_irreducible, enumerate_matchings,
+                            SizeError, _leaf_passes, _rotation_code, _search,
+                            assemble_map, brute_count, check_irreducible,
+                            enumerate_matchings, polygon_layout,
                             simple_cycles_up_to)
 from irrmaps.pipeline import count_exact, girth_count
 
@@ -319,21 +320,109 @@ def test_pinned_search_equals_naive_filter_on_random_specs(spec):
     assert _search(spec) == _naive_count(spec)
 
 
-def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
-    # every rotation of an untouched polygon is searched once, not 2l times:
-    # 360 leaf checks where the unpinned search made 45,360
-    calls = 0
+def _count_leaf_checks(monkeypatch):
+    calls = []
     leaf_passes = oracle._leaf_passes
 
     def counted(spec, partner):
-        nonlocal calls
-        calls += 1
+        calls.append(tuple(partner))
         return leaf_passes(spec, partner)
 
     monkeypatch.setattr(oracle, "_leaf_passes", counted)
+    return calls
+
+
+def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
+    # every rotation of an untouched polygon is searched once, not 2l times:
+    # 360 leaves where the unpinned search made 45,360 (35 leaf checks once
+    # the memo folds the rotations of polygon 0 too)
+    calls = _count_leaf_checks(monkeypatch)
     spec = GluingSpec(0, (3, 3, 3, 3), 2, constraint="girth", guard_sides=24)
     assert _search(spec) == 29 * 6 ** 4
-    assert calls <= 1000
+    assert len(calls) <= 1000
+
+
+def test_memo_checks_one_leaf_per_rotation_orbit_of_a_single_face(monkeypatch):
+    # pinning never applies to polygon 0: one face of 10 sides reaches each
+    # genus-2 map once per rotation (273 leaves), the memo checks 32 orbits
+    calls = _count_leaf_checks(monkeypatch)
+    assert _search(GluingSpec(2, (5,), 2)) == 273
+    assert len(calls) <= 40
+    assert len({_rotation_code((5,), p) for p in calls}) == len(calls)
+
+
+def _connected_partners(degrees):
+    out = []
+
+    def visit(matching):
+        hm = HalfEdgeMap(degrees, matching)
+        if hm.connected:
+            out.append(hm.partner)
+
+    enumerate_matchings(degrees, visit)
+    return out
+
+
+def _rotate(degrees, partner, shifts):
+    """The partner list after turning polygon i by shifts[i] sides."""
+    _, _, poly_of, offsets = polygon_layout(degrees)
+
+    def moved(d):
+        p = poly_of[d]
+        return offsets[p] + (d - offsets[p] + shifts[p]) % (2 * degrees[p])
+
+    rotated = [0] * len(partner)
+    for d, e in enumerate(partner):
+        rotated[moved(d)] = moved(e)
+    return rotated
+
+
+@st.composite
+def _rotated_gluings(draw):
+    """A connected gluing of at most 10 sides and a rotation of each polygon."""
+    n = draw(st.integers(1, 4))
+    budget = 5 - n
+    degrees = []
+    for _ in range(n):
+        extra = draw(st.integers(0, budget))
+        budget -= extra
+        degrees.append(1 + extra)
+    degrees = tuple(degrees)
+    partner = draw(st.sampled_from(_connected_partners(degrees)))
+    shifts = [draw(st.integers(0, 2 * l - 1)) for l in degrees]
+    return degrees, partner, _rotate(degrees, partner, shifts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rotated_gluings())
+def test_rotation_code_is_invariant_under_polygon_rotations(case):
+    degrees, partner, rotated = case
+    assert _rotation_code(degrees, rotated) == _rotation_code(degrees, partner)
+
+
+@pytest.mark.parametrize("degrees", [(4,), (2, 1), (1, 1, 2), (2, 2), (1, 1, 1, 1)])
+def test_rotation_code_separates_rotation_orbits(degrees):
+    # equal codes exactly when the gluings are rotations of one another
+    partners = _connected_partners(degrees)
+    shifts = list(product(*(range(2 * l) for l in degrees)))
+    orbit_of = {tuple(p): min(tuple(_rotate(degrees, p, s)) for s in shifts)
+                for p in partners}
+    code_of = {tuple(p): _rotation_code(degrees, p) for p in partners}
+    assert len(set(code_of.values())) == len(set(orbit_of.values()))
+    for p in partners:
+        q = code_of[tuple(p)]
+        assert orbit_of[q] == orbit_of[tuple(p)]  # the code is in p's orbit
+
+
+@pytest.mark.parametrize("degrees", [(3,), (2, 1), (1, 1, 2), (2, 2)])
+def test_rotation_code_has_the_leaf_verdict_of_its_gluing(degrees):
+    for partner in _connected_partners(degrees):
+        code = _rotation_code(degrees, partner)
+        genus = HalfEdgeMap(degrees, partner).genus
+        for b in (1, 2):
+            for constraint in ("irreducible", "girth"):
+                spec = GluingSpec(genus, degrees, b, constraint=constraint)
+                assert _leaf_passes(spec, list(code)) == _leaf_passes(spec, partner)
 
 
 def test_girth_exactly_matches_oracle_difference():

@@ -1,9 +1,11 @@
-"""The power-sum series evaluation against the routes it replaced.
+"""The series product and evaluation against the routes they replaced.
 
 ``horner_compose`` is the earlier ``Series.compose``: Horner's rule, one
-multiplication of a dense accumulator per coefficient.  ``loop_log_unit``
-and ``loop_inv_unit`` are the earlier power loops behind the free energies
-for log u and 1/u.  All three are kept here only as references.
+multiplication of a dense accumulator per coefficient.  ``dense_mul`` is the
+earlier ``Series.__mul__``, which formed every product a_j * b_(k-j), zero
+operands included.  ``loop_log_unit`` and ``loop_inv_unit`` are the earlier
+power loops behind the free energies for log u and 1/u.  All four are kept
+here only as references.
 """
 
 from fractions import Fraction
@@ -24,6 +26,17 @@ def horner_compose(self, inner):
     for k in range(self.order, -1, -1):
         acc = acc * inner + self.coeffs[k]
     return acc
+
+
+def dense_mul(self, other):
+    n = min(self.order, other.order)
+    out = []
+    for k in range(n + 1):
+        acc = self.zero
+        for j in range(k + 1):
+            acc = acc + self.coeffs[j] * other.coeffs[k - j]
+        out.append(acc)
+    return Series(out, n, self.zero)
 
 
 def loop_log_unit(u, cap):
@@ -84,6 +97,26 @@ def assert_same(got, want):
     else:
         assert got.cap == want.cap
         assert got.terms == want.terms
+
+
+@st.composite
+def sparse_poly_series(draw):
+    """A Series over MultiPoly in b, about half its coefficients zero."""
+    order = draw(st.integers(0, 7))
+    bvar = MultiPoly.variable(GENS, "b")
+    zero = MultiPoly(GENS)
+    coeffs = [draw(st.sampled_from([zero, bvar * draw(fractions) + draw(fractions)]))
+              for _ in range(order + 1)]
+    return Series(coeffs, order, zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_poly_series(), sparse_poly_series())
+def test_product_matches_the_dense_loop(left, right):
+    got = left * right
+    want = dense_mul(left, right)
+    assert_same(got, want)
+    assert all(type(c) is MultiPoly and c.gens == GENS for c in got.coeffs)
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irrmaps.families import series_J_inverse
 from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
                           TruncationError, bernoulli_plus, faulhaber_closed_sum,
                           inverse_unit, log_unit, power_sum_poly)
@@ -85,6 +86,23 @@ def test_series_multiply_inverse():
     geo = scalar_series([1, -1, 1, -1, 1, -1, 1], 6)
     assert (one_plus * geo) == scalar_series([1], 6)
     assert inverse_unit(one_plus, 6) == geo
+
+
+def test_series_product_skips_zero_operands(monkeypatch):
+    # J and the partial inverses behind J^-1 are full of zero coefficients;
+    # products with a zero operand are not formed (9,912 when they were)
+    calls = 0
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    jinv = series_J_inverse(15, ("b", "l"))
+    assert jinv[1] == 1 and jinv.order == 15
+    assert calls <= 4500
 
 
 def test_series_reverse_catalan():
