@@ -5,7 +5,15 @@ graded ring (deformation variable t = weight of the smallest admissible face
 degree, one nilpotent marker per labeled face), builds moment series out of
 it, assembles the genus-1 and genus-2 free energies, and extracts the
 counting polynomial as the coefficient of t^0 * e_1 ... e_n.  Genus 0 has a
-closed integral formula and skips the graded ring entirely.
+closed integral formula; it forms the product over the faces in the same
+ring.
+
+R, the moments and the free energy are symmetric under permuting the faces,
+so the ring keeps one coefficient per multiset of face exponents, a
+polynomial in b alone (see ``ring.GradedSeries``): the series families
+enter split by powers of l as b-only series, I(b, l; r) = sum_a l^a I_a(r),
+and each face marker e_i comes as E_a = sum_i e_i l_i^a.  The explicit
+monomials in l1..ln appear only when the final coefficient is expanded.
 
 Everything is symbolic in the irreducibility parameter b and the face
 half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
@@ -17,20 +25,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial, prod
 
 from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
                        series_J, series_J_inverse)
 from .oracle import SizeError
-from .ring import GradedSeries, MultiPoly, Series, inverse_unit, log_unit
+from .ring import (GradedSeries, MultiPoly, Series, distinct_permutations,
+                   inverse_unit, log_unit)
 
 SUPPORTED_GENERA = (0, 1, 2)
 
-#: largest face count per genus that ``nhat`` computes: each takes at most
-#: 20 s on a 2-vCPU Xeon VM with Python 3.11 ((0, 10) 6 s, (1, 5) 18 s,
-#: (2, 4) 5 s), where one face more takes 29 s at genus 0 and 79 s at genus 2
-MAX_FACES = {0: 10, 1: 5, 2: 4}
+#: largest face count per genus that ``nhat`` computes: with the m-basis,
+#: each takes at most 5 s and 140 MB on a 2-vCPU Xeon VM with Python 3.11
+#: ((0, 11) 4.1 s and 138 MB, (1, 7) 2.4 s, (2, 6) 4.7 s), where one face
+#: more takes 14 s and 504 MB at genus 0, 7.9 s at genus 1, 13 s at genus 2
+MAX_FACES = {0: 11, 1: 7, 2: 6}
+
+#: largest sum of half-degrees for a count with degree-one vertices: the
+#: answer has about 0.6 digits per unit of the sum (2,420 digits at 4000,
+#: inside Python's 4,300-digit limit on printing an int), and one face of
+#: half-degree 4000 takes 4.1 s on the VM above, the cost growing with the
+#: square of the largest half-degree
+MAX_DEGREE_ONE_SUM = 4000
 
 
 class DomainError(ValueError):
@@ -45,13 +61,20 @@ class InvariantViolation(RuntimeError):
     """A structural invariant (symmetry, evenness) failed to hold."""
 
 
+#: context of the graded coefficients and of the b-only series families
+B_ONLY = ("b",)
+
+
 def face_generators(n: int) -> tuple[str, ...]:
-    return ("b",) + tuple(f"l{i}" for i in range(1, n + 1))
+    return B_ONLY + tuple(f"l{i}" for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """Index data for one symbolic run: genus, labeled faces, grading cap."""
+    """Index data for one symbolic run: genus, labeled faces, grading cap.
+
+    ``gens`` is (b, l1..ln), the context of the expanded coefficients.
+    """
 
     genus: int
     nfaces: int
@@ -72,30 +95,40 @@ def make_context(genus: int, nfaces: int, cap: int | None = None) -> PipelineCon
 # ============================================================
 
 
+def _face_parts(order: int) -> dict[int, Series]:
+    """I(b, l; r) split by powers of l: a -> the b-only series I_a with
+    I(b, l; r) = sum_a l^a I_a(b; r)."""
+    zero = MultiPoly(B_ONLY)
+    parts: dict[int, list] = {}
+    for k, c in enumerate(series_I(order, ("b", "l")).coeffs):
+        for a, ca in c.coefficients_in("l").items():
+            parts.setdefault(a, [zero] * (order + 1))[k] = ca.with_context(B_ONLY)
+    return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
+
+
 def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
     """Solve J(b; R) = t + sum_i e_i I(b, l_i; R) for R in the graded ring.
 
-    Degree by degree, as R = J^{-1}(b; X) with X = t + sum_i e_i I(b, l_i; R).
-    Each marker e_i has degree 1, so degree k of X depends on R only through
-    degree k - 1: round k = 1..cap builds X at cap k from the round k - 1
-    result and settles exactly grading degree k of R.  In e_i I(b, l_i; R) the
-    terms of R that carry e_i vanish (e_i^2 = 0), so they are dropped before
-    I is composed at cap k - 1, and e_i is attached to every key afterwards.
-    Each round must reproduce the previous one below its top degree; a
-    mismatch is an internal error.
+    In face-symmetric form the right-hand side is X = t + sum_a E_a I_a(R),
+    with E_a = sum_i e_i l_i^a and I_a the l^a-part of I (see
+    ``_face_parts``); multiplying by E_a appends a to every key, and the
+    ring drops what e_i^2 = 0 kills.  Degree by degree, as
+    R = J^{-1}(b; X): each E_a has degree 1, so degree k of X depends on R
+    only through degree k - 1, and round k = 1..cap builds X at cap k from
+    the round k - 1 result and settles exactly grading degree k of R.  Each
+    round must reproduce the previous one below its top degree; a mismatch
+    is an internal error.
     """
-    gens, cap, n = ctx.gens, ctx.cap, ctx.nfaces
-    jinv = series_J_inverse(max(cap, 1), gens)
-    eyes = [series_I(max(cap - 1, 0), gens, ell=f"l{i}") for i in range(1, n + 1)]
-    R = GradedSeries(gens, 0)
+    cap, n = ctx.cap, ctx.nfaces
+    jinv = series_J_inverse(max(cap, 1), B_ONLY)
+    parts = _face_parts(max(cap - 1, 0)) if n else {}
+    R = GradedSeries(B_ONLY, 0, n)
     for k in range(1, cap + 1):
-        X = GradedSeries.t_var(gens, k)
-        for i, I_i in enumerate(eyes, start=1):
-            free = GradedSeries(gens, k - 1,
-                                {key: c for key, c in R.terms.items() if i not in key[1]})
-            I_R = I_i.truncate(k - 1).compose(free)
-            X = X + GradedSeries(gens, k, {(te, eps | {i}): c
-                                           for (te, eps), c in I_R.terms.items()})
+        X = GradedSeries.t_var(B_ONLY, k, n)
+        for a, I_a in parts.items():
+            I_R = I_a.truncate(k - 1).compose(R)
+            X = X + GradedSeries(B_ONLY, k, n, {(te, lam + (a,)): c
+                                                for (te, lam), c in I_R.terms.items()})
         R_next = jinv.truncate(k).compose(X)
         if R_next.truncate(k - 1) != R:
             raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
@@ -104,21 +137,18 @@ def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
 
 
 def _zhat_series(ctx: PipelineContext, order: int) -> Series:
-    """The series J(b; r) - t - sum_i e_i I(b, l_i; r) in r, graded coefficients."""
-    gens, cap, n = ctx.gens, ctx.cap, ctx.nfaces
-    jser = series_J(max(order, 1), gens)
-    eyes = [series_I(order, gens, ell=f"l{i}") for i in range(1, n + 1)]
-    t = GradedSeries.t_var(gens, cap)
-    eps = [GradedSeries.marker(gens, cap, i) for i in range(1, n + 1)]
+    """The series J(b; r) - t - sum_a E_a I_a(b; r) in r, graded coefficients."""
+    cap, n = ctx.cap, ctx.nfaces
+    jser = series_J(max(order, 1), B_ONLY)
+    parts = _face_parts(order) if n else {}
     coeffs = []
     for k in range(order + 1):
-        c = GradedSeries.constant(gens, cap, jser[k] if k <= jser.order else MultiPoly(gens))
+        terms = {(0, (a,)): -I_a[k] for a, I_a in parts.items()}
+        terms[0, ()] = jser[k]
         if k == 0:
-            c = c - t
-        for e_i, I_i in zip(eps, eyes):
-            c = c - e_i * I_i[k]
-        coeffs.append(c)
-    return Series(coeffs, order, GradedSeries(gens, cap))
+            terms[1, ()] = MultiPoly.constant(B_ONLY, -1)
+        coeffs.append(GradedSeries(B_ONLY, cap, n, terms))
+    return Series(coeffs, order, GradedSeries(B_ONLY, cap, n))
 
 
 def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
@@ -148,11 +178,10 @@ def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries
     table = qpoly_table()
     if p > table.p_max:
         raise DomainError(f"moment index {p} beyond the available Q table")
-    gens, cap = ctx.gens, ctx.cap
-    order = cap + p + 1
-    w = _zhat_series(ctx, order) * power_one_plus_r(0, -1, order, gens)
-    by_j = {e: c.with_context(gens) for e, c in table[p].coefficients_in("j").items()}
-    m = _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, gens))
+    order = ctx.cap + p + 1
+    w = _zhat_series(ctx, order) * power_one_plus_r(0, -1, order, B_ONLY)
+    by_j = {e: c.with_context(B_ONLY) for e, c in table[p].coefficients_in("j").items()}
+    m = _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, B_ONLY))
     return m.compose(rhat)
 
 
@@ -198,17 +227,17 @@ def moment_hat_via_T(ctx: PipelineContext, p: int) -> GradedSeries:
     """
     if p > 3:
         raise DomainError(f"moment index {p} beyond the available T weights")
-    gens, cap = ctx.gens, ctx.cap
+    cap = ctx.cap
     raised = make_context(ctx.genus, ctx.nfaces, cap + p + 1)
     R = solve_R_hat(raised)
     derivs = [R]
     for _ in range(p + 1):
         derivs.append(derivs[-1].t_derivative())
     rs = [(derivs[0] + 1).truncate(cap)] + [d.truncate(cap) for d in derivs[1:]]
-    bpol = MultiPoly.variable(gens, "b")
+    bpol = MultiPoly.variable(B_ONLY, "b")
     T = t_weight(p, bpol, rs)
-    pref = power_one_plus_r(1, -1, cap, gens).compose(derivs[0].truncate(cap))
-    dinv = power_one_plus_r(-(2 * p + 1), 0, cap, gens).compose(rs[1] - 1)
+    pref = power_one_plus_r(1, -1, cap, B_ONLY).compose(derivs[0].truncate(cap))
+    dinv = power_one_plus_r(-(2 * p + 1), 0, cap, B_ONLY).compose(rs[1] - 1)
     return pref * dinv * T
 
 
@@ -291,26 +320,29 @@ def nhat_genus0(n: int) -> CountPolynomial:
     """Planar counting polynomial from the closed integral formula.
 
     (n-2)! [z^(n-2)] of the antiderivative of prod_i I(b, l_i; r) (1+r)^(-2b-1)
-    composed with J^{-1}(b; z).
+    composed with J^{-1}(b; z).  The product over the faces is the
+    e_1...e_n coefficient of (sum_a E_a I_a(b; r))^n / n!, formed in the
+    graded ring with b-only coefficients.
     """
     if n < 3:
         raise DomainError("the planar family needs at least 3 faces")
-    gens = face_generators(n)
     order = n - 3
-    integrand = power_one_plus_r(-1, -2, order, gens)
-    for i in range(1, n + 1):
-        integrand = integrand * series_I(order, gens, ell=f"l{i}")
+    parts = _face_parts(order)
+    marked = Series([GradedSeries(B_ONLY, n, n, {(0, (a,)): I_a[k] for a, I_a in parts.items()})
+                     for k in range(order + 1)], order, GradedSeries(B_ONLY, n, n))
+    integrand = marked ** n * power_one_plus_r(-1, -2, order, B_ONLY) \
+        * Fraction(1, factorial(n))
     anti = integrand.antiderivative()
     # only [z^(n-2)] of anti(J^{-1}(z)) is needed; J^{-1} has coefficients in
     # b alone, so its powers are cheap and each anti[k] is used once
-    jinv = series_J_inverse(n - 2, gens)
+    jinv = series_J_inverse(n - 2, B_ONLY)
     power = jinv
-    poly = anti[1] * jinv[n - 2]
+    total = anti[1] * jinv[n - 2]
     for k in range(2, n - 1):
         power = power * jinv
-        poly = poly + anti[k] * power[n - 2]
-    poly = poly * factorial(n - 2)
-    return CountPolynomial(0, n, gens, poly)
+        total = total + anti[k] * power[n - 2]
+    poly = total.coefficient(0, range(1, n + 1)) * factorial(n - 2)
+    return CountPolynomial(0, n, face_generators(n), poly)
 
 
 def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
@@ -323,8 +355,7 @@ def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
     R = solve_R_hat(ctx)
     moments = [moment_hat(ctx, p, R) for p in range(3 * genus - 2)]
     F = free_energy(genus, moments, ctx.cap)
-    poly = F.coefficient(0, frozenset(range(1, n + 1)))
-    return CountPolynomial(genus, n, ctx.gens, poly)
+    return CountPolynomial(genus, n, ctx.gens, F.coefficient(0, range(1, n + 1)))
 
 
 _NHAT_CACHE: dict[tuple[int, int], CountPolynomial] = {}
@@ -350,7 +381,7 @@ def nhat(genus: int, n: int) -> CountPolynomial:
 def m_lambda_poly(partition, n: int, gens) -> MultiPoly:
     """The monomial symmetric polynomial m_lambda in the squared generators.
 
-    m_(a1..ap)(l1..ln) = sum over distinct permutations beta of the padded
+    m_(a1..ap)(l1..ln) = sum over distinct rearrangements beta of the padded
     partition of prod_i l_i^(2 beta_i).
     """
     partition = tuple(partition)
@@ -360,7 +391,7 @@ def m_lambda_poly(partition, n: int, gens) -> MultiPoly:
     gens = tuple(gens)
     offset = gens.index("l1")
     terms = {}
-    for beta in set(permutations(padded)):
+    for beta in distinct_permutations(padded):
         exps = [0] * len(gens)
         for i, e in enumerate(beta):
             exps[offset + i] = 2 * e
@@ -465,11 +496,15 @@ def count_exact(genus: int, n: int, b: int, degrees,
     walks the polynomial once.  The cost is about (terms of N-hat) x n
     multiplications plus sum_i d_i table entries per moment, where
     evaluating at every point of the grid cost prod_i (d_i - b + 1) full
-    evaluations.
+    evaluations.  Half-degrees summing past ``MAX_DEGREE_ONE_SUM`` raise
+    SizeError before any work.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))
     if allow_degree_one:
+        if sum(degrees) > MAX_DEGREE_ONE_SUM:
+            raise SizeError(f"half-degrees summing to {sum(degrees)} exceed the "
+                            f"degree-one guard of {MAX_DEGREE_ONE_SUM}")
         faces = [[(p, w) for p in range(b, d + 1) if (w := a_transform_coeff(b, d, p))]
                  for d in degrees]
     else:
@@ -639,11 +674,11 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
     assembles the free energy (genus >= 1) or the two-face integral formula
     (genus 0), and reads off the coefficient of the requested face monomial.
     It shares the series families, the Q-operator application and
-    ``free_energy`` with the pipeline, but not the marker ring: one
-    variable per face degree replaces the nilpotent face markers, and the
-    solve, the moment series and the coefficient extraction are its own,
-    so agreement with ``count_exact`` (minus the planar correction) checks
-    the marker-ring route.
+    ``free_energy`` with the pipeline, but not the face-symmetric graded
+    ring: one variable per face degree replaces the face markers and their
+    exponent multisets, and the solve, the moment series and the
+    coefficient extraction are its own, so agreement with ``count_exact``
+    (minus the planar correction) checks the graded-ring route.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))

@@ -1,5 +1,6 @@
 """Exact arithmetic kernels: sparse multivariate polynomials over the
-rationals, truncated power series, and a graded ring with nilpotent markers.
+rationals, truncated power series, and a face-symmetric graded ring with
+nilpotent markers.
 
 Everything here is exact.  Scalars are ``fractions.Fraction`` (re-exported as
 ``Rational``); no floating point enters any computation.
@@ -16,8 +17,13 @@ Conventions
   GradedSeries, ...).
 * A :class:`GradedSeries` is a truncated series in a deformation variable
   ``t`` together with nilpotent markers ``e_1, ..., e_n`` (``e_i**2 = 0``),
-  graded by total degree ``deg t = deg e_i = 1`` and truncated at ``cap``.
-  Coefficients are :class:`MultiPoly` over a shared context.
+  one per face of half-degree ``l_i``, graded by total degree
+  ``deg t = deg e_i = 1`` and truncated at ``cap``.  It stores only the
+  part invariant under permuting the faces: one :class:`MultiPoly`
+  coefficient (in b alone, in practice) per t-exponent and sorted tuple of
+  l-exponents of the marked faces.  A product merges the tuples, and
+  ``coefficient`` expands back to monomials in (b, l1..ln) through
+  :func:`distinct_permutations`.
 * Power sums use the Bernoulli convention ``B_1 = +1/2``, so that
   ``power_sum_poly(m)`` evaluated at integer ``x >= 0`` equals
   ``sum(k**m for k in range(1, x + 1))``.  Both sign conventions circulate;
@@ -28,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from math import factorial, prod
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -570,61 +577,128 @@ def _require_no_constant(inner) -> None:
 
 
 # ============================================================
-# Graded series: deformation variable t with nilpotent markers
+# Graded series: deformation variable t with face-symmetric markers
 # ============================================================
 
 
-class GradedSeries:
-    """Truncated element of Q[b, l1..ln][t, e1..en] / (e_i^2, degree > cap).
+def distinct_permutations(items) -> Iterator[tuple]:
+    """Every distinct rearrangement of the multiset ``items``, once each, in
+    lexicographic order.
 
-    Keys are ``(t_exponent, frozenset of marker indices)`` with total degree
-    ``t_exponent + len(markers) <= cap``; values are MultiPoly coefficients
-    over the shared generator context.  Marker nilpotency is enforced
-    structurally: products of overlapping marker subsets vanish.
+    Steps from one rearrangement to the next in place (Knuth's Algorithm L),
+    so it yields len(items)! / prod(mult!) tuples where
+    ``set(permutations(items))`` builds all len(items)!.
+    """
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[k] <= a[j]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = reversed(a[j + 1:])
+
+
+class GradedSeries:
+    """Truncated face-symmetric element of Q[b][t, e1..en] / (e_i^2, degree > cap).
+
+    The face markers e_1..e_n (e_i**2 = 0) come with face half-degrees
+    l_1..l_n, and only elements invariant under permuting the faces are
+    stored.  Keys are ``(t_exponent, lam)``, ``lam`` a sorted tuple of
+    l-exponents, one per marked face; the key stands for t^t_exponent times
+    the augmented monomial
+
+        M_lam = sum over injective f: {1..k} -> {1..n} of
+                prod_j e_f(j) l_f(j)^lam_j.
+
+    Values are MultiPoly coefficients over a shared context (in practice b
+    alone).  In M_lam * M_mu the pairs of assignments whose marker sets
+    overlap vanish (e_i^2 = 0) and the rest are the injective assignments
+    of the joined tuple, so M_lam * M_mu = M_(lam + mu): a product merges
+    the two tuples.  Marker nilpotency is structural: M_lam vanishes once
+    len(lam) > n, and terms of total degree t_exponent + len(lam) > cap are
+    dropped.  :meth:`coefficient` expands back to explicit monomials in
+    (b, l1..ln).  The constructor sorts each ``lam`` and adds up the terms
+    that then share a key.
     """
 
-    __slots__ = ("gens", "cap", "terms")
+    __slots__ = ("gens", "cap", "nfaces", "terms")
 
-    def __init__(self, gens: Sequence[str], cap: int,
-                 terms: Mapping[tuple[int, frozenset], MultiPoly] | None = None):
+    def __init__(self, gens: Sequence[str], cap: int, nfaces: int,
+                 terms: Mapping[tuple[int, tuple], MultiPoly] | None = None):
         if cap < 0:
             raise TruncationError("cap must be nonnegative")
         self.gens = tuple(gens)
         self.cap = cap
-        clean: dict[tuple[int, frozenset], MultiPoly] = {}
+        self.nfaces = nfaces
+        clean: dict[tuple[int, tuple], MultiPoly] = {}
         if terms:
-            for (te, eps), coeff in terms.items():
-                if te + len(eps) > cap:
+            for (te, lam), coeff in terms.items():
+                if te + len(lam) > cap or len(lam) > nfaces:
                     continue
                 if coeff.gens != self.gens:
                     raise ContextError("coefficient context mismatch")
-                if not coeff.is_zero():
-                    clean[(te, frozenset(eps))] = coeff
+                key = (te, tuple(sorted(lam)))
+                if key in clean:
+                    coeff = clean[key] + coeff
+                if coeff.is_zero():
+                    clean.pop(key, None)
+                else:
+                    clean[key] = coeff
         self.terms = clean
 
     # ---------- constructors ----------
 
     @classmethod
-    def constant(cls, gens: Sequence[str], cap: int, value) -> "GradedSeries":
+    def constant(cls, gens: Sequence[str], cap: int, nfaces: int, value) -> "GradedSeries":
         gens = tuple(gens)
         if isinstance(value, (int, Fraction)):
             value = MultiPoly.constant(gens, value)
-        return cls(gens, cap, {(0, frozenset()): value})
+        return cls(gens, cap, nfaces, {(0, ()): value})
 
     @classmethod
-    def t_var(cls, gens: Sequence[str], cap: int) -> "GradedSeries":
-        one = MultiPoly.constant(gens, 1)
-        return cls(gens, cap, {(1, frozenset()): one})
+    def t_var(cls, gens: Sequence[str], cap: int, nfaces: int) -> "GradedSeries":
+        return cls(gens, cap, nfaces, {(1, ()): MultiPoly.constant(gens, 1)})
 
     @classmethod
-    def marker(cls, gens: Sequence[str], cap: int, i: int) -> "GradedSeries":
-        one = MultiPoly.constant(gens, 1)
-        return cls(gens, cap, {(0, frozenset([i])): one})
+    def marker(cls, gens: Sequence[str], cap: int, nfaces: int,
+               power: int = 0) -> "GradedSeries":
+        """E_power = sum_i e_i l_i^power."""
+        return cls(gens, cap, nfaces, {(0, (power,)): MultiPoly.constant(gens, 1)})
 
     # ---------- views ----------
 
     def coefficient(self, t_exp: int, markers: Iterable[int]) -> MultiPoly:
-        return self.terms.get((t_exp, frozenset(markers)), MultiPoly(self.gens))
+        """The coefficient of t^t_exp prod_{i in markers} e_i, expanded over
+        the context followed by l1..ln.
+
+        M_lam contributes to it every distinct rearrangement of lam over the
+        marked faces, each prod(mult!) times, the multiplicities being
+        those of the entries of lam.
+        """
+        faces = sorted(set(markers))
+        if any(not 1 <= i <= self.nfaces for i in faces):
+            raise ValueError(f"markers {faces} outside faces 1..{self.nfaces}")
+        out: dict[tuple, Fraction] = {}
+        for (te, lam), c in self.terms.items():
+            if te != t_exp or len(lam) != len(faces):
+                continue
+            weight = prod(factorial(lam.count(e)) for e in set(lam))
+            for beta in distinct_permutations(lam):
+                lexps = [0] * self.nfaces
+                for i, e in zip(faces, beta):
+                    lexps[i - 1] = e
+                tail = tuple(lexps)
+                for bexps, bc in c.terms.items():
+                    out[bexps + tail] = bc * weight
+        poly = MultiPoly(self.gens + tuple(f"l{i}" for i in range(1, self.nfaces + 1)))
+        poly.terms = out
+        return poly
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -632,21 +706,23 @@ class GradedSeries:
     def truncate(self, cap: int) -> "GradedSeries":
         if cap > self.cap:
             raise TruncationError(f"cannot extend truncated series ({self.cap} -> {cap})")
-        return GradedSeries(self.gens, cap,
-                            {k: v for k, v in self.terms.items() if k[0] + len(k[1]) <= cap})
+        return GradedSeries(self.gens, cap, self.nfaces, self.terms)
 
     # ---------- ring operations ----------
 
     def _coerce(self, other) -> "GradedSeries | None":
         if isinstance(other, GradedSeries):
-            if other.gens != self.gens:
+            if other.gens != self.gens or other.nfaces != self.nfaces:
                 raise ContextError("context mismatch")
             if other.cap != self.cap:
                 raise TruncationError(f"cap mismatch: {self.cap} vs {other.cap}")
             return other
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return GradedSeries.constant(self.gens, self.cap, other)
+            return GradedSeries.constant(self.gens, self.cap, self.nfaces, other)
         return None
+
+    def _empty(self) -> "GradedSeries":
+        return GradedSeries(self.gens, self.cap, self.nfaces)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -660,14 +736,14 @@ class GradedSeries:
                 terms.pop(key, None)
             else:
                 terms[key] = s
-        out = GradedSeries(self.gens, self.cap)
+        out = self._empty()
         out.terms = terms
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = GradedSeries(self.gens, self.cap)
+        out = self._empty()
         out.terms = {k: -v for k, v in self.terms.items()}
         return out
 
@@ -682,10 +758,7 @@ class GradedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            if isinstance(other, (int, Fraction)) and other == 0:
-                return GradedSeries(self.gens, self.cap)
-            out = GradedSeries(self.gens, self.cap)
-            out.terms = {}
+            out = self._empty()
             for k, v in self.terms.items():
                 p = v * other
                 if not p.is_zero():
@@ -694,25 +767,23 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         other = self._coerce(other)
-        cap = self.cap
-        prod: dict[tuple[int, frozenset], MultiPoly] = {}
-        for (t1, e1), c1 in self.terms.items():
-            d1 = t1 + len(e1)
-            for (t2, e2), c2 in other.terms.items():
-                if d1 + t2 + len(e2) > cap:
+        cap, n = self.cap, self.nfaces
+        prod_terms: dict[tuple[int, tuple], MultiPoly] = {}
+        for (t1, l1), c1 in self.terms.items():
+            d1, k1 = t1 + len(l1), len(l1)
+            for (t2, l2), c2 in other.terms.items():
+                if d1 + t2 + len(l2) > cap or k1 + len(l2) > n:
                     continue
-                if e1 & e2:
-                    continue  # marker nilpotency
-                key = (t1 + t2, e1 | e2)
+                key = (t1 + t2, tuple(sorted(l1 + l2)))
                 c = c1 * c2
-                s = prod.get(key)
+                s = prod_terms.get(key)
                 s = c if s is None else s + c
                 if s.is_zero():
-                    prod.pop(key, None)
+                    prod_terms.pop(key, None)
                 else:
-                    prod[key] = s
-        out = GradedSeries(self.gens, cap)
-        out.terms = prod
+                    prod_terms[key] = s
+        out = self._empty()
+        out.terms = prod_terms
         return out
 
     __rmul__ = __mul__
@@ -720,13 +791,14 @@ class GradedSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = GradedSeries.constant(self.gens, self.cap, 1)
+        result = GradedSeries.constant(self.gens, self.cap, self.nfaces, 1)
         for _ in range(n):
             result = result * self
         return result
 
     def __eq__(self, other):
-        if isinstance(other, GradedSeries) and other.cap != self.cap:
+        if isinstance(other, GradedSeries) and \
+                (other.cap, other.nfaces) != (self.cap, self.nfaces):
             return False
         other = self._coerce(other)
         if other is None:
@@ -739,25 +811,20 @@ class GradedSeries:
 
     def t_derivative(self) -> "GradedSeries":
         """Formal d/dt; exact one grading degree lower."""
-        out = GradedSeries(self.gens, max(self.cap - 1, 0))
-        terms: dict[tuple[int, frozenset], MultiPoly] = {}
-        for (te, eps), c in self.terms.items():
-            if te >= 1:
-                terms[(te - 1, eps)] = c * te
-        out.terms = terms
+        out = GradedSeries(self.gens, max(self.cap - 1, 0), self.nfaces)
+        out.terms = {(te - 1, lam): c * te for (te, lam), c in self.terms.items() if te >= 1}
         return out
 
     def valuation_positive(self) -> bool:
-        return (0, frozenset()) not in self.terms
+        return (0, ()) not in self.terms
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (te, eps), c in sorted(self.terms.items(),
-                                   key=lambda kv: (kv[0][0] + len(kv[0][1]), kv[0][0],
-                                                   tuple(sorted(kv[0][1])))):
-            mark = "".join(f"*e{i}" for i in sorted(eps))
+        for (te, lam), c in sorted(self.terms.items(),
+                                   key=lambda kv: (kv[0][0] + len(kv[0][1]), kv[0])):
+            mark = f"*M{lam}" if lam else ""
             tpart = f"*t^{te}" if te else ""
             bits.append(f"({c}){tpart}{mark}")
         return " + ".join(bits)

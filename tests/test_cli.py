@@ -71,6 +71,34 @@ def test_verify_oracle_skips_guarded_tuples_and_exits_zero(capsys, monkeypatch):
     assert out.count("[SKIP]") == 4
 
 
+def test_verify_oracle_at_ten_sides_checks_every_tuple(capsys):
+    # the face guard admits genus 2 with five faces, so nothing is skipped
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-2e", "10")
+    assert code == 0
+    assert out.startswith("suite oracle: PASS\n")
+    assert "[SKIP]" not in out
+    assert out.count("[PASS]") == 2 * len(list(sweep_tuples(10, 3))) == 208
+
+
+def test_count_with_degree_one_beyond_the_guard_fails_fast(capsys, monkeypatch):
+    # three faces of half-degree 2600 would take seconds and give an answer
+    # too long to print; the guard refuses them before any polynomial work
+    def refuse(*args):
+        raise AssertionError("nhat reached past the guard")
+
+    monkeypatch.setattr(pipeline, "nhat", refuse)
+    code, out, err = run(capsys, "count", "--genus", "0", "--degrees",
+                         "2600,2600,2600", "--with-deg-one")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: half-degrees summing to 7800 exceed the degree-one "
+                   f"guard of {pipeline.MAX_DEGREE_ONE_SUM}\n")
+    # without degree-one vertices the count is one evaluation: no guard
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "count", "--genus", "0", "--degrees", "2600,2600,2600")
+    assert code == 0 and out == "formula: 1\n"
+
+
 def test_count_with_degree_one_walks_the_polynomial_once(capsys, monkeypatch):
     # five faces of half-degree 30 span a grid of 31^5 points; evaluating the
     # polynomial at each of them would never finish, so every walk over its
@@ -146,9 +174,10 @@ def test_sweep_csv(capsys):
     assert any(line.startswith("1,1,1,2,1,4,") for line in lines)
 
 
-def test_sweep_skips_tuples_beyond_the_face_guard(capsys):
-    # at 10 sides the sweep reaches genus 2 with five faces, which the nhat
-    # face guard refuses: one stderr line each, every other tuple a CSV row
+def test_sweep_skips_tuples_beyond_the_face_guard(capsys, monkeypatch):
+    # at 10 sides the sweep reaches genus 2 with five faces, which a genus-2
+    # face guard of 4 refuses: one stderr line each, every other tuple a CSV row
+    monkeypatch.setitem(pipeline.MAX_FACES, 2, 4)
     code, out, err = run(capsys, "sweep", "--max-2e", "10", "--method", "formula")
     assert code == 0
     guard = "5 faces exceed the genus-2 guard of 4"

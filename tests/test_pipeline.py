@@ -52,8 +52,8 @@ def test_moment_at_b_one_is_trivial():
     R = solve_R_hat(ctx)
     m0 = moment_hat(ctx, 0, R)
     # at b = 1 the fundamental series is t and the zeroth moment is 1
-    for (te, eps), coeff in m0.terms.items():
-        want = 1 if (te, eps) == (0, frozenset()) else 0
+    for (te, lam), coeff in m0.terms.items():
+        want = 1 if (te, lam) == (0, ()) else 0
         assert coeff.evaluate({"b": 1}).as_fraction() == want
 
 

@@ -80,13 +80,13 @@ def series_inners(draw):
 @st.composite
 def graded_inners(draw):
     cap = draw(st.integers(0, 4))
-    keys = [(te, frozenset(eps)) for te in range(cap + 1)
-            for eps in ((), (1,), (2,), (1, 2)) if 0 < te + len(eps) <= cap]
+    keys = [(te, lam) for te in range(cap + 1)
+            for lam in ((), (0,), (2,), (0, 2), (2, 2)) if 0 < te + len(lam) <= cap]
     bvar = MultiPoly.variable(GENS, "b")
     terms = {}
     for key in draw(st.lists(st.sampled_from(keys), unique=True)) if keys else ():
         terms[key] = bvar * draw(fractions) + draw(fractions)
-    return GradedSeries(GENS, cap, terms)
+    return GradedSeries(GENS, cap, 2, terms)
 
 
 def assert_same(got, want):

@@ -1,8 +1,8 @@
 """The degree-by-degree solvers against the full-cap routes they replaced.
 
-``full_cap_R_hat`` is the earlier fixed-point loop for R: every round
-recomposes the whole graded series at the context cap until a round changes
-nothing.  ``horner_genus0`` composes the whole antiderivative with J^{-1}
+``full_cap_R_hat`` is the earlier fixed-point loop for R, here in the
+face-symmetric ring: every round recomposes the whole graded series at the
+context cap until a round changes nothing.  ``horner_genus0`` composes the whole antiderivative with J^{-1}
 and reads off one coefficient.  Both are kept here only as references.
 """
 
@@ -12,22 +12,22 @@ import pytest
 
 from irrmaps.families import (ConsistencyError, power_one_plus_r, series_I,
                               series_J_inverse)
-from irrmaps.pipeline import (face_generators, make_context, nhat_genus0,
-                              solve_R_hat)
+from irrmaps.pipeline import (B_ONLY, _face_parts, face_generators, make_context,
+                              nhat_genus0, solve_R_hat)
 from irrmaps.ring import GradedSeries
 
 
 def full_cap_R_hat(ctx):
-    gens, cap, n = ctx.gens, ctx.cap, ctx.nfaces
-    jinv = series_J_inverse(max(cap, 1), gens)
-    eyes = [series_I(cap, gens, ell=f"l{i}") for i in range(1, n + 1)]
-    t = GradedSeries.t_var(gens, cap)
-    eps = [GradedSeries.marker(gens, cap, i) for i in range(1, n + 1)]
-    R = GradedSeries(gens, cap)
+    cap, n = ctx.cap, ctx.nfaces
+    jinv = series_J_inverse(max(cap, 1), B_ONLY)
+    parts = _face_parts(cap) if n else {}
+    t = GradedSeries.t_var(B_ONLY, cap, n)
+    eps = {a: GradedSeries.marker(B_ONLY, cap, n, a) for a in parts}
+    R = GradedSeries(B_ONLY, cap, n)
     for _ in range(cap + 3):
         X = t
-        for e_i, I_i in zip(eps, eyes):
-            X = X + e_i * I_i.compose(R)
+        for a, I_a in parts.items():
+            X = X + eps[a] * I_a.compose(R)
         R_next = jinv.compose(X)
         if R_next == R:
             return R

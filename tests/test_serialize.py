@@ -1,4 +1,9 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
+
+import pytest
 
 from irrmaps.pipeline import nhat
 from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json,
@@ -43,3 +48,29 @@ def test_csv_rows():
     assert lines[0] == CSV_HEADER
     assert lines[1] == "0,4,1,2 2 2 2,9,1,formula"
     assert lines[2] == "2,1,1,4,21,8,brute"
+
+
+def _load_workloads():
+    # the benchmark's workload module, read from its file: it imports no part
+    # of irrmaps at import time and is not changed here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up here
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+GOLDEN = WORKLOADS.load_golden()["symbolic_sha256"]
+
+
+@pytest.mark.parametrize("genus,n", WORKLOADS.SYMBOLIC_GRID)
+def test_canonical_json_matches_the_recorded_digest(genus, n):
+    text = emit_polynomial_json(nhat(genus, n))
+    assert WORKLOADS.sha256(text) == GOLDEN[f"{genus},{n}"]
+
+
+def test_every_symbolic_grid_entry_has_a_recorded_digest():
+    assert len(WORKLOADS.SYMBOLIC_GRID) == 13
+    assert sorted(GOLDEN) == sorted(f"{g},{n}" for g, n in WORKLOADS.SYMBOLIC_GRID)
