@@ -17,15 +17,16 @@ import sys
 from fractions import Fraction
 
 from .families import series_I, series_J, series_J_inverse
-from .oracle import GluingSpec, OracleError, SizeError, brute_count
+from .oracle import GluingSpec, OracleError, SizeError, brute_count, check_sides
 from .pipeline import DomainError, count_exact, nhat, to_m_basis
 from .serialize import count_csv_rows, emit_polynomial_json
 from .verify import (SUITES, cross_verify_counts, sweep_tuples, verify_dilaton,
                      verify_string)
 
-#: largest ``series --order`` per series: each takes at most 2.1 s on a
-#: 2-vCPU Xeon VM with Python 3.11 (Jinv 15: 0.5-0.7 s, I 60: 1.5-2.1 s,
-#: J 60: 0.1 s); the reversion behind Jinv takes 2.6-3.2 s at order 20
+#: largest ``series --order`` per series, set when the reversion behind
+#: Jinv took 2.6-3.2 s at order 20; with the integer-numerator kernel, in a
+#: fresh process on a 2-vCPU Xeon VM with Python 3.11, each takes at most
+#: 0.5 s (Jinv 15: 0.2 s, I 60: 0.44-0.46 s, J 60: 0.09 s) and Jinv 20 0.6 s
 MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
 
 
@@ -72,6 +73,8 @@ def cmd_nhat(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.method in ("brute", "both"):
+        check_sides(args.max_2e)
     rows = []
     mismatched = False
     for genus, n, b, degs in sweep_tuples(args.max_2e, args.b_max):
@@ -86,8 +89,7 @@ def cmd_sweep(args) -> int:
                 print(f"skip: {genus} {n} {b} {degrees}: {exc}", file=sys.stderr)
                 continue
         if args.method in ("brute", "both"):
-            spec = GluingSpec(genus, degs, b, allow_degree_one=args.with_deg_one,
-                              guard_sides=max(args.max_2e, 18))
+            spec = GluingSpec(genus, degs, b, allow_degree_one=args.with_deg_one)
             values["brute"] = brute_count(spec)
         if args.method == "both" and values["formula"] != values["brute"]:
             mismatched = True

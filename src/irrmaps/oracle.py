@@ -84,6 +84,12 @@ class OracleError(ValueError):
     """Inadmissible oracle request."""
 
 
+def check_sides(sides: int, guard_sides: int = DEFAULT_GUARD_SIDES) -> None:
+    """Raise SizeError when ``sides`` polygon sides exceed the guard."""
+    if sides > guard_sides:
+        raise SizeError(f"{sides} sides exceed the guard of {guard_sides}")
+
+
 @dataclass(frozen=True)
 class GluingSpec:
     """What to enumerate: genus, face half-degrees, and the constraint."""
@@ -121,9 +127,7 @@ class GluingSpec:
                 raise OracleError("girth mode needs half-degrees at least b")
         else:
             raise OracleError(f"unknown constraint {self.constraint!r}")
-        if self.total_sides > self.guard_sides:
-            raise SizeError(
-                f"{self.total_sides} sides exceed the guard of {self.guard_sides}")
+        check_sides(self.total_sides, self.guard_sides)
 
 
 # ============================================================
@@ -142,8 +146,7 @@ def enumerate_matchings(degrees, visitor=None,
     S = sum(2 * l for l in degrees)
     if S % 2:
         raise OracleError("odd number of sides")
-    if S > guard_sides:
-        raise SizeError(f"{S} sides exceed the guard of {guard_sides}")
+    check_sides(S, guard_sides)
     partner = [-1] * S
     pairs: list[tuple[int, int]] = []
     count = 0

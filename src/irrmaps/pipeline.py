@@ -35,17 +35,19 @@ from .ring import (GradedSeries, MultiPoly, Series, distinct_permutations,
 
 SUPPORTED_GENERA = (0, 1, 2)
 
-#: largest face count per genus that ``nhat`` computes: with the m-basis,
-#: each takes at most 5 s and 140 MB on a 2-vCPU Xeon VM with Python 3.11
-#: ((0, 11) 4.1 s and 138 MB, (1, 7) 2.4 s, (2, 6) 4.7 s), where one face
-#: more takes 14 s and 504 MB at genus 0, 7.9 s at genus 1, 13 s at genus 2
+#: largest face count per genus that ``nhat`` computes, set when each took
+#: at most 5 s with the m-basis; with the integer-numerator kernel, in a
+#: fresh process on a 2-vCPU Xeon VM with Python 3.11, (0, 11) takes
+#: 1.4-1.9 s and 120 MB, (1, 7) 0.6-1.0 s and (2, 6) 0.8-1.4 s, where one
+#: face more takes 8.3 s and 434 MB at genus 0, 2.1-2.6 s at genus 1 and
+#: 2.9-3.5 s at genus 2
 MAX_FACES = {0: 11, 1: 7, 2: 6}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
 #: answer has about 0.6 digits per unit of the sum (2,420 digits at 4000,
 #: inside Python's 4,300-digit limit on printing an int), and one face of
-#: half-degree 4000 takes 4.1 s on the VM above, the cost growing with the
-#: square of the largest half-degree
+#: half-degree 4000 takes 3.4-3.9 s on the VM above, the cost growing with
+#: the square of the largest half-degree
 MAX_DEGREE_ONE_SUM = 4000
 
 
@@ -307,10 +309,10 @@ class CountPolynomial:
         points = {"b": ((b, 1),)}
         points.update((f"l{i}", face) for i, face in enumerate(faces, start=1))
         tables = [_Moments(points[g]) for g in self.gens]
-        total = Fraction(0)
-        for exps, c in self.poly.terms.items():
+        total = 0
+        for exps, c in self.poly.num.items():
             total += c * prod(t[e] for t, e in zip(tables, exps))
-        return total
+        return Fraction(total, self.poly.den)
 
     def m_basis(self) -> dict[tuple[int, ...], MultiPoly]:
         return to_m_basis(self)
@@ -409,21 +411,21 @@ def to_m_basis(count: CountPolynomial) -> dict[tuple[int, ...], MultiPoly]:
     n, gens, poly = count.nfaces, count.gens, count.poly
     offset = gens.index("l1") if n else len(gens)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], MultiPoly]] = {}
-    for exps, _ in poly.terms.items():
+    for exps in poly.num:
         lpart = exps[offset:offset + n]
         if any(e % 2 for e in lpart):
             raise InvariantViolation(f"odd power of a face generator in {count.genus=} {n=}")
     by_l = {}
-    for exps, c in poly.terms.items():
+    for exps, c in poly.num.items():
         lpart = exps[offset:offset + n]
         bexps = exps[:offset]
         by_l.setdefault(lpart, {})[bexps] = c
     bgens = gens[:offset]
-    for lpart, bterms in by_l.items():
+    for lpart, bnum in by_l.items():
         halves = tuple(sorted((e // 2 for e in lpart), reverse=True))
         lam = tuple(e for e in halves if e)
         beta = tuple(e // 2 for e in lpart)
-        groups.setdefault(lam, {})[beta] = MultiPoly(bgens, bterms)
+        groups.setdefault(lam, {})[beta] = MultiPoly.from_numerators(bgens, bnum, poly.den)
     out: dict[tuple[int, ...], MultiPoly] = {}
     for lam, betas in groups.items():
         # every beta rearranges lam padded with zeros: the orbit is complete
@@ -544,10 +546,8 @@ class TruncatedPoly:
     __slots__ = ("poly", "cap")
 
     def __init__(self, poly: MultiPoly, cap: int):
-        terms = {e: c for e, c in poly.terms.items() if sum(e) <= cap}
-        p = MultiPoly(poly.gens)
-        p.terms = terms
-        self.poly = p
+        self.poly = MultiPoly.from_numerators(
+            poly.gens, {e: c for e, c in poly.num.items() if sum(e) <= cap}, poly.den)
         self.cap = cap
 
     def _wrap(self, poly: MultiPoly) -> "TruncatedPoly":
@@ -606,18 +606,17 @@ class TruncatedPoly:
         return self.poly.terms.get(tuple(exps), Fraction(0))
 
     def valuation_positive(self) -> bool:
-        return (0,) * len(self.poly.gens) not in self.poly.terms
+        return (0,) * len(self.poly.gens) not in self.poly.num
 
     def derivative_in(self, name: str) -> "TruncatedPoly":
         i = self.poly.gens.index(name)
-        terms = {}
-        for exps, c in self.poly.terms.items():
+        num = {}
+        for exps, c in self.poly.num.items():
             if exps[i]:
                 key = list(exps)
                 key[i] -= 1
-                terms[tuple(key)] = c * exps[i]
-        p = MultiPoly(self.poly.gens)
-        p.terms = terms
+                num[tuple(key)] = c * exps[i]
+        p = MultiPoly.from_numerators(self.poly.gens, num, self.poly.den)
         return TruncatedPoly(p, self.cap - 1)
 
 

@@ -9,8 +9,11 @@ Conventions
 -----------
 * A :class:`MultiPoly` lives over a fixed ordered tuple of generator names
   (its *context*).  Two polynomials interoperate only if their contexts are
-  identical; terms are stored sparsely as ``{exponent tuple: coefficient}``
-  with no zero coefficients, so equality is structural.
+  identical.  It is stored as integer numerators over one common
+  denominator, ``num = {exponent tuple: nonzero int}`` and ``den > 0`` with
+  no factor common to ``den`` and every numerator, so the form is canonical
+  and equality is structural.  ``terms`` is the read-only
+  ``{exponent tuple: Fraction}`` view of the coefficients.
 * A :class:`Series` is a truncated power series in one formal variable,
   exact through ``order`` inclusive.  Coefficients may be any commutative
   ring element supporting ``+``, ``-``, ``*`` (Fractions, MultiPoly,
@@ -32,10 +35,12 @@ Conventions
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import factorial, gcd, lcm, prod
+from operator import add
+from typing import Union
 
 Rational = Fraction
 
@@ -58,6 +63,15 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
+def _num_den(x: Scalar) -> tuple[int, int]:
+    """An exact scalar as (numerator, positive denominator) in lowest terms."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+
+
 # ============================================================
 # Sparse multivariate polynomials
 # ============================================================
@@ -66,48 +80,79 @@ def _as_fraction(x: Scalar) -> Fraction:
 class MultiPoly:
     """Sparse polynomial over the rationals in named generators.
 
-    ``terms`` maps exponent tuples (one entry per generator of ``gens``) to
-    nonzero Fractions.  Instances are treated as immutable.
+    Stored as integer numerators over one common denominator: ``num`` maps
+    exponent tuples (one entry per generator of ``gens``) to nonzero ints,
+    and the polynomial is ``sum(c * x**exps for exps, c in num.items()) /
+    den``.  The form is canonical: ``den > 0`` and ``gcd(den, *numerators)
+    == 1``, so ``den`` is the least common denominator of the coefficients,
+    equal polynomials have equal ``(gens, num, den)`` and equality and
+    hashing are structural.  Every operation works on the integers and
+    reduces its result by one gcd.
+
+    ``terms`` is the read-only view ``{exps: Fraction}`` of the
+    coefficients; its Fractions are built on the first read of a value.
+    Instances are treated as immutable.
     """
 
-    __slots__ = ("gens", "terms")
+    __slots__ = ("gens", "num", "den", "_terms")
 
     def __init__(self, gens: Sequence[str], terms: Mapping[tuple, Scalar] | None = None):
         self.gens = tuple(gens)
-        clean: dict[tuple, Fraction] = {}
+        self._terms = None
+        parts = []
         if terms:
             width = len(self.gens)
             for exps, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c == 0:
+                p, q = _num_den(coeff)
+                if p == 0:
                     continue
                 if len(exps) != width:
                     raise ContextError(
                         f"exponent tuple {exps} does not match context of width {width}")
-                clean[tuple(exps)] = c
-        self.terms = clean
+                parts.append((tuple(exps), p, q))
+        # the lcm of denominators in lowest terms leaves no common factor
+        self.den = lcm(*(q for _, _, q in parts))
+        self.num = {exps: p * (self.den // q) for exps, p, q in parts}
 
     # ---------- constructors ----------
 
     @classmethod
+    def from_numerators(cls, gens: Sequence[str], num: dict[tuple, int],
+                        den: int) -> "MultiPoly":
+        """The polynomial ``num / den`` for a positive int ``den`` and int
+        numerators keyed by exponent tuples of the context's width.
+
+        Zero numerators are dropped and the common factor of ``den`` and
+        the numerators is divided out, both in place: ``num`` is taken
+        over, not copied.
+        """
+        if 0 in num.values():
+            for e in [e for e, c in num.items() if not c]:
+                del num[e]
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                for e in num:
+                    num[e] //= g
+        return _canonical(tuple(gens), num, den)
+
+    @classmethod
     def constant(cls, gens: Sequence[str], value: Scalar) -> "MultiPoly":
         gens = tuple(gens)
-        v = _as_fraction(value)
-        if v == 0:
-            return cls(gens)
-        return cls(gens, {(0,) * len(gens): v})
+        p, q = _num_den(value)
+        return _canonical(gens, {(0,) * len(gens): p} if p else {}, q)
 
     @classmethod
     def variable(cls, gens: Sequence[str], name: str) -> "MultiPoly":
         gens = tuple(gens)
         if name not in gens:
             raise ContextError(f"unknown generator {name!r} in context {gens}")
-        exps = tuple(1 if g == name else 0 for g in gens)
-        return cls(gens, {exps: Fraction(1)})
+        return _canonical(gens, {tuple(1 if g == name else 0 for g in gens): 1}, 1)
 
     @property
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self.gens)
+        return _canonical(self.gens, {}, 1)
 
     @property
     def one(self) -> "MultiPoly":
@@ -115,14 +160,21 @@ class MultiPoly:
 
     # ---------- predicates / views ----------
 
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only ``{exps: Fraction}`` view of the nonzero coefficients."""
+        if self._terms is None:
+            self._terms = _TermsView(self.num, self.den)
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(not any(exps) for exps in self.num)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.gens), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.gens), 0), self.den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -132,14 +184,14 @@ class MultiPoly:
     def degree_in(self, name: str) -> int:
         """Degree in one generator; -1 for the zero polynomial."""
         i = self._index(name)
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(exps[i] for exps in self.terms)
+        return max(exps[i] for exps in self.num)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self.num)
 
     def _index(self, name: str) -> int:
         try:
@@ -161,61 +213,68 @@ class MultiPoly:
             return MultiPoly.constant(self.gens, other)
         return None
 
+    def _plus(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other, over the least common denominator."""
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.num)
+            m2, den = sign, d1
+        else:
+            g = gcd(d1, d2)
+            m1, m2, den = d2 // g, sign * (d1 // g), d1 * (d2 // g)
+            out = {e: c * m1 for e, c in self.num.items()}
+        get = out.get
+        for e, c in other.num.items():
+            out[e] = get(e, 0) + c * m2
+        return MultiPoly.from_numerators(self.gens, out, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        out = MultiPoly(self.gens)
-        out.terms = terms
-        return out
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.gens)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _canonical(self.gens, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+            p, q = _num_den(other)
+            if p == 0:
                 return self.zero
-            out = MultiPoly(self.gens)
-            out.terms = {e: v * c for e, v in self.terms.items()}
-            return out
+            return MultiPoly.from_numerators(
+                self.gens, {e: c * p for e, c in self.num.items()}, self.den * q)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        prod: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = prod.get(key)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s == 0:
-                    prod.pop(key, None)
-                else:
-                    prod[key] = s
-        out = MultiPoly(self.gens)
-        out.terms = prod
-        return out
+        out: dict[tuple, int] = {}
+        get = out.get
+        if len(self.gens) == 1:
+            for (a,), c1 in self.num.items():
+                for (b,), c2 in other.num.items():
+                    key = (a + b,)
+                    out[key] = get(key, 0) + c1 * c2
+        else:
+            for e1, c1 in self.num.items():
+                for e2, c2 in other.num.items():
+                    key = tuple(map(add, e1, e2))
+                    out[key] = get(key, 0) + c1 * c2
+        return MultiPoly.from_numerators(self.gens, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -236,13 +295,13 @@ class MultiPoly:
             return self.is_constant() and self.constant_term() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.gens == other.gens and self.terms == other.terms
+        return self.gens == other.gens and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # a constant equals its Fraction value, so it must hash like it
         if self.is_constant():
             return hash(self.constant_term())
-        return hash((self.gens, frozenset(self.terms.items())))
+        return hash((self.gens, self.den, frozenset(self.num.items())))
 
     # ---------- substitution / evaluation ----------
 
@@ -250,44 +309,42 @@ class MultiPoly:
         """Substitute rational values for some generators.
 
         The result keeps the full context; fully assigned polynomials come
-        out constant (use :meth:`as_fraction` to unwrap).
+        out constant (use :meth:`as_fraction` to unwrap).  A value p/q
+        enters a term of degree e as p**e * q**(top - e), top the largest
+        degree present, and the common denominator takes q**top.
         """
-        idx = {self._index(name): _as_fraction(v) for name, v in assignment.items()}
-        out: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
-            val = c
+        den = self.den
+        plan = []
+        for name, v in assignment.items():
+            i = self._index(name)
+            p, q = _num_den(v)
+            top = max((exps[i] for exps in self.num), default=0)
+            den *= q ** top
+            plan.append((i, [p ** e * q ** (top - e) for e in range(top + 1)]))
+        out: dict[tuple, int] = {}
+        get = out.get
+        for exps, c in self.num.items():
             new = list(exps)
-            for i, v in idx.items():
-                val *= v ** exps[i]
+            for i, weights in plan:
+                c *= weights[exps[i]]
                 new[i] = 0
             key = tuple(new)
-            s = out.get(key, Fraction(0)) + val
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = MultiPoly(self.gens)
-        res.terms = out
-        return res
+            out[key] = get(key, 0) + c
+        return MultiPoly.from_numerators(self.gens, out, den)
 
     def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial (over the same context) for a generator."""
         self._check(value)
         i = self._index(name)
-        powers: dict[int, MultiPoly] = {0: self.one}
-
-        def pw(k: int) -> MultiPoly:
-            if k not in powers:
-                powers[k] = pw(k - 1) * value
-            return powers[k]
-
+        powers = [self.one]
         acc = self.zero
-        for exps, c in self.terms.items():
-            rest = list(exps)
-            k = rest[i]
-            rest[i] = 0
-            mono = MultiPoly(self.gens, {tuple(rest): c})
-            acc = acc + mono * pw(k)
+        for exps, c in self.num.items():
+            k = exps[i]
+            while len(powers) <= k:
+                powers.append(powers[-1] * value)
+            mono = MultiPoly.from_numerators(
+                self.gens, {exps[:i] + (0,) + exps[i + 1:]: c}, self.den)
+            acc = acc + mono * powers[k]
         return acc
 
     def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
@@ -296,18 +353,11 @@ class MultiPoly:
         Coefficients keep the full context with the chosen generator absent.
         """
         i = self._index(name)
-        out: dict[int, dict[tuple, Fraction]] = {}
-        for exps, c in self.terms.items():
-            rest = list(exps)
-            k = rest[i]
-            rest[i] = 0
-            out.setdefault(k, {})[tuple(rest)] = c
-        result = {}
-        for k, terms in out.items():
-            p = MultiPoly(self.gens)
-            p.terms = terms
-            result[k] = p
-        return result
+        groups: dict[int, dict[tuple, int]] = {}
+        for exps, c in self.num.items():
+            groups.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
+        return {k: MultiPoly.from_numerators(self.gens, num, self.den)
+                for k, num in groups.items()}
 
     def with_context(self, gens: Sequence[str]) -> "MultiPoly":
         """Re-express over another context containing all used generators."""
@@ -317,32 +367,24 @@ class MultiPoly:
             if g in gens:
                 mapping.append(gens.index(g))
             else:
-                if any(exps[i] for exps in self.terms):
+                if any(exps[i] for exps in self.num):
                     raise ContextError(f"generator {g!r} in use but absent from {gens}")
                 mapping.append(None)
-        out: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
+        # the used generators map one to one, so no two terms merge
+        num: dict[tuple, int] = {}
+        for exps, c in self.num.items():
             key = [0] * len(gens)
             for i, e in enumerate(exps):
                 if e:
                     key[mapping[i]] = e
-            k = tuple(key)
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        res = MultiPoly(gens)
-        res.terms = out
-        return res
+            num[tuple(key)] = c
+        return _canonical(gens, num, self.den)
 
     def rename(self, table: Mapping[str, str]) -> "MultiPoly":
         gens = tuple(table.get(g, g) for g in self.gens)
         if len(set(gens)) != len(gens):
             raise ContextError(f"renaming collides: {gens}")
-        out = MultiPoly(gens)
-        out.terms = dict(self.terms)
-        return out
+        return _canonical(gens, self.num, self.den)
 
     # ---------- display ----------
 
@@ -351,7 +393,7 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -370,6 +412,56 @@ class MultiPoly:
         return text.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+class _TermsView(Mapping):
+    """Read-only ``{exps: Fraction}`` view of a MultiPoly's coefficients.
+
+    Keys, length and membership are read from the numerators; the Fractions
+    are built on the first read of a value and kept.
+    """
+
+    __slots__ = ("_num", "_den", "_fractions")
+
+    def __init__(self, num: dict[tuple, int], den: int):
+        self._num, self._den, self._fractions = num, den, None
+
+    def _values(self) -> dict[tuple, Fraction]:
+        if self._fractions is None:
+            den = self._den
+            self._fractions = {e: Fraction(c, den) for e, c in self._num.items()}
+        return self._fractions
+
+    def __getitem__(self, exps):
+        return self._values()[exps]
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __contains__(self, exps):
+        return exps in self._num
+
+    def items(self):
+        return self._values().items()
+
+    def values(self):
+        return self._values().values()
+
+    def __repr__(self):
+        return repr(self._values())
+
+
+def _canonical(gens: tuple, num: dict[tuple, int], den: int) -> MultiPoly:
+    """A MultiPoly from numerators and a denominator already in canonical form."""
+    out = object.__new__(MultiPoly)
+    out.gens = gens
+    out.num = num
+    out.den = den
+    out._terms = None
+    return out
 
 
 # ============================================================
@@ -684,21 +776,21 @@ class GradedSeries:
         faces = sorted(set(markers))
         if any(not 1 <= i <= self.nfaces for i in faces):
             raise ValueError(f"markers {faces} outside faces 1..{self.nfaces}")
-        out: dict[tuple, Fraction] = {}
-        for (te, lam), c in self.terms.items():
-            if te != t_exp or len(lam) != len(faces):
-                continue
-            weight = prod(factorial(lam.count(e)) for e in set(lam))
+        picked = [(lam, c) for (te, lam), c in self.terms.items()
+                  if te == t_exp and len(lam) == len(faces)]
+        den = lcm(*(c.den for _, c in picked))
+        num: dict[tuple, int] = {}
+        for lam, c in picked:
+            weight = prod(factorial(lam.count(e)) for e in set(lam)) * (den // c.den)
             for beta in distinct_permutations(lam):
                 lexps = [0] * self.nfaces
                 for i, e in zip(faces, beta):
                     lexps[i - 1] = e
                 tail = tuple(lexps)
-                for bexps, bc in c.terms.items():
-                    out[bexps + tail] = bc * weight
-        poly = MultiPoly(self.gens + tuple(f"l{i}" for i in range(1, self.nfaces + 1)))
-        poly.terms = out
-        return poly
+                for bexps, bc in c.num.items():
+                    num[bexps + tail] = bc * weight
+        gens = self.gens + tuple(f"l{i}" for i in range(1, self.nfaces + 1))
+        return MultiPoly.from_numerators(gens, num, den)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .families import qpoly_table
-from .oracle import GluingSpec, SizeError, brute_count
+from .oracle import GluingSpec, SizeError, brute_count, check_sides
 from .pipeline import (a_transform_coeff, b_transform_coeff, count_exact,
                        make_context, moment_hat, moment_hat_via_T, nhat,
                        solve_R_hat, to_m_basis)
@@ -387,7 +387,10 @@ def cross_verify_counts(max_sides: int = 8, b_max: int = 3) -> VerificationRepor
     ``max_sides // 2``, so from 12 sides on the single faces of genus 1
     and 2 with half-degree 6 and more are checked too.  A tuple whose
     polynomial the ``nhat`` face guard refuses is reported as skipped.
+    A ``max_sides`` beyond the oracle's side guard raises SizeError before
+    any work.
     """
+    check_sides(max_sides)
     report = VerificationReport("oracle")
     for g, n, b, degs in sweep_tuples(max_sides, b_max):
         for allow in (False, True):
@@ -398,8 +401,7 @@ def cross_verify_counts(max_sides: int = 8, b_max: int = 3) -> VerificationRepor
             except SizeError as exc:
                 report.skip(description, str(exc))
                 continue
-            got = brute_count(GluingSpec(g, degs, b, allow_degree_one=allow,
-                                         guard_sides=max(max_sides, 18)))
+            got = brute_count(GluingSpec(g, degs, b, allow_degree_one=allow))
             report.add(description, want == got, f"formula {want} vs brute {got}")
     return report
 

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import irrmaps.cli as cli
 import irrmaps.pipeline as pipeline
+import irrmaps.verify as verify
 from irrmaps.cli import main
+from irrmaps.oracle import DEFAULT_GUARD_SIDES
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import sweep_tuples
 
@@ -78,6 +81,41 @@ def test_verify_oracle_at_ten_sides_checks_every_tuple(capsys):
     assert out.startswith("suite oracle: PASS\n")
     assert "[SKIP]" not in out
     assert out.count("[PASS]") == 2 * len(list(sweep_tuples(10, 3))) == 208
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started past the side guard")
+
+
+def test_verify_oracle_beyond_the_side_guard_exits_2_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "count_exact", refuse)
+    monkeypatch.setattr(verify, "brute_count", refuse)
+    sides = DEFAULT_GUARD_SIDES + 2
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-2e", str(sides))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {sides} sides exceed the guard of {DEFAULT_GUARD_SIDES}\n"
+
+
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_sweep_with_the_oracle_beyond_the_side_guard_exits_2_before_any_work(
+        capsys, monkeypatch, method):
+    monkeypatch.setattr(cli, "count_exact", refuse)
+    monkeypatch.setattr(cli, "brute_count", refuse)
+    sides = DEFAULT_GUARD_SIDES + 2
+    code, out, err = run(capsys, "sweep", "--max-2e", str(sides), "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {sides} sides exceed the guard of {DEFAULT_GUARD_SIDES}\n"
+
+
+def test_sweep_by_formula_is_not_bound_by_the_side_guard(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_exact", lambda *args, **kwargs: 0)
+    monkeypatch.setattr(cli, "brute_count", refuse)
+    sides = DEFAULT_GUARD_SIDES + 2
+    code, out, _ = run(capsys, "sweep", "--max-2e", str(sides), "--method", "formula")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + len(list(sweep_tuples(sides, 3)))
 
 
 def test_count_with_degree_one_beyond_the_guard_fails_fast(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,61 @@ def test_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert 0 not in p.num.values()
+    assert gcd(p.den, *p.num.values()) == 1
+    assert len(p.terms) == len(p.num)
+    assert all(p.terms[e] == Fraction(c, p.den) for e, c in p.num.items())
+
+
+def test_cancelling_routes_land_in_one_canonical_form():
+    x = MultiPoly.variable(("x",), "x")
+    half = (x * Fraction(1, 2) + Fraction(1, 2)) * 2 - 1
+    assert half == x and hash(half) == hash(x)
+    assert (half.num, half.den) == (x.num, x.den) == ({(1,): 1}, 1)
+    # sums over different denominators reduce: 1/6 x + 1/3 x = 1/2 x
+    sixth = x * Fraction(1, 6) + x * Fraction(1, 3)
+    assert (sixth.num, sixth.den) == ({(1,): 1}, 2)
+    # the numerators carry the content the denominator cannot cancel
+    p = x * Fraction(2, 3) + Fraction(4, 3)
+    assert (p.num, p.den) == ({(1,): 2, (0,): 4}, 3)
+    for q in (half, sixth, p, p * p, p.evaluate({"x": Fraction(3, 2)})):
+        assert_canonical(q)
+
+
+def test_zero_and_constants_are_canonical():
+    x = MultiPoly.variable(G, "b")
+    p = x * Fraction(3, 7) - Fraction(5, 11)
+    for zero in (p - p, p * 0, p + (-p), MultiPoly(G), MultiPoly(G, {(1, 0): 0})):
+        assert zero.is_zero() and zero.num == {} and zero.den == 1
+        assert zero == MultiPoly(G) and zero == 0 and hash(zero) == hash(0)
+        assert len(zero.terms) == 0
+    c = MultiPoly.constant(G, Fraction(-6, 4))
+    assert (c.num, c.den) == ({(0, 0): -3}, 2)
+    assert c == Fraction(-3, 2) and hash(c) == hash(Fraction(-3, 2))
+    assert MultiPoly.constant(G, 4) == 4 and hash(MultiPoly.constant(G, 4)) == hash(4)
+
+
+def test_terms_is_a_read_only_view():
+    p = var("b") * Fraction(1, 2)
+    assert p.terms == {(1, 0): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = Fraction(1)
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.integers(0, 3))
+def test_every_result_is_canonical(p, q, k):
+    assert_canonical(p)
+    for r in (p + q, p - q, p * q, -p, p ** k, p * Fraction(-4, 6), p - p,
+              p.evaluate({"j": Fraction(2, 3)}), p.substitute("b", q),
+              p.with_context(("j", "b", "x")), *p.coefficients_in("j").values()):
+        assert_canonical(r)
 
 
 def scalar_series(coeffs, order):
