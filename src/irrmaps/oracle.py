@@ -45,22 +45,23 @@ the matching under those rotations, and keep the least result.  Rotating
 any polygon of the input changes none of these walks, so every rotation of
 a gluing has the same code; and the code is itself a rotation of the
 gluing, so equal codes mean the same face-labeled map with its sides
-relabeled, which is accepted exactly when the original is.  The cover-ball
-and cycle checks thus run once per rotation orbit of the leaves the search
-reaches.  With b = 0 every leaf passes, and no code is built.
+relabeled, which is accepted exactly when the original is.  The cycle
+checks thus run once per rotation orbit of the leaves the search reaches.
+With b = 0 every leaf passes, and no code is built.
 
-Essential irreducibility of a higher-genus map is decided on finite balls
-of its universal cover, developed face by face around a lift of each
-vertex: the rotation around a cover vertex is zipped shut exactly when it
-matches the full base rotation, so every vertex within the requested radius
-of the base lift ends up with a complete star and complete incident faces.
-A simple cycle of length at most 2b through the base lift stays within
-distance b of it, so radius b suffices to test both the length bound and
-the bounding-face condition.  The ball is built incrementally: forced zips
-and dart identifications are settled from a worklist of the darts each
-step touched, walking only the rotations through them, and each round
-grows only the open rotations that a breadth-first search from the base
-lift, stopped at the radius, reaches.
+Essential irreducibility of a higher-genus map is decided on the simple
+cycles of its universal cover, without building any part of it.  A
+tree-cotree decomposition labels every dart by a word in the 2g generators
+of the fundamental group, and a closed walk lifts to a closed walk exactly
+when its word is trivial: at genus 1 the group is Z^2 and exponent sums
+decide, at genus >= 2 the one relator is C'(1/6) and Dehn's algorithm
+decides.  The cycles of length at most 2b are walked once each up to deck
+transformations, comparing the lifts of their prefixes exactly, so no
+radius has to be chosen.  ``CoverBall`` builds finite balls of the
+universal cover, face by face around a lift of a vertex; the leaf check
+does not use it, because a ball identifies two lifts of a vertex only once
+it has developed the disk between them, and no radius fixed by b is known
+to suffice.
 """
 
 from __future__ import annotations
@@ -395,10 +396,11 @@ def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bo
     Planar maps are checked directly: no simple cycle shorter than 2b, and
     every simple 2b-cycle equals the contour of a face of degree 2b (edge-set
     equality; a contour that repeats an edge is not a simple cycle and cannot
-    certify).  For genus >= 1 the same two tests run on radius-b balls of the
-    universal cover around a lift of every vertex; a cycle of length <= 2b
-    through the base lift stays within distance b, so the ball decides it.
-    With ``girth_only`` the bounding-face condition is skipped.
+    certify).  For genus >= 1 the same two tests run on the simple cycles of
+    the universal cover, found as closed walks of length <= 2b whose lifts
+    are simple, with lifts compared exactly by words in the fundamental
+    group (``Pi1Words``); a 2b-cycle passes when the walk goes once around a
+    face.  With ``girth_only`` the bounding-face condition is skipped.
     """
     if b == 0:
         return True
@@ -408,17 +410,246 @@ def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bo
         contours = {c for (deg, c) in hmap.face_contours()
                     if deg == two_b and c is not None}
         return _cycles_ok(cycles, two_b, contours, girth_only)
-    for v in range(hmap.num_vertices):
-        if len(hmap.vertices[v]) < 2:
-            continue  # no cycle passes through a degree-1 vertex
-        # completeness within distance b-1 suffices: every edge of a cycle of
-        # length <= 2b through the lift has an endpoint within distance b-1,
-        # and the bounding face (if any) is incident to such a vertex too.
-        ball = CoverBall(hmap, v, b - 1)
-        cycles = simple_cycles_up_to(ball.cycle_graph(), two_b, through=ball.base_lift)
-        contours = {c for (deg, c) in ball.face_contours()
-                    if deg == two_b and c is not None}
-        if not _cycles_ok(cycles, two_b, contours, girth_only):
+    return _cover_cycles_ok(hmap, b, girth_only)
+
+
+# ============================================================
+# Contractibility by words in the fundamental group
+# ============================================================
+
+
+def _reduce(word) -> list[int]:
+    """Free reduction of a sequence of letters (+-i stands for a_i^{+-1})."""
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def _inverse(word) -> list[int]:
+    return [-x for x in reversed(word)]
+
+
+class Pi1Words:
+    """Words in generators of the fundamental group on the darts of a map.
+
+    A breadth-first spanning tree T of the vertices and a spanning tree C of
+    the dual on the edges outside T leave 2g edges, the generators: edge i
+    carries a_i on its smaller dart and a_i^-1 on the other.  Tree darts
+    carry the empty word, and cotree darts are solved leaves first so that
+    every face but the root face (face 0) reads the empty word after free
+    reduction.  The root face then reads, up to conjugation, the relator r
+    of the one-vertex, one-face map left by contracting T and deleting C, so
+    pi_1 = <a_1..a_2g | r> with r of length 4g using each letter once with
+    each sign.  A walk lifts to a closed walk of the universal cover exactly
+    when it is closed and its word is trivial.
+    """
+
+    def __init__(self, hmap: HalfEdgeMap):
+        if hmap.genus < 1:
+            raise OracleError("fundamental group words are for genus >= 1 maps")
+        S, nxt, partner, vertex_of = hmap.S, hmap.nxt, hmap.partner, hmap.vertex_of
+        poly_of, offsets = hmap.poly_of, polygon_layout(hmap.degrees)[3]
+        self.genus = g = hmap.genus
+
+        in_tree = [False] * S
+        reached = [False] * hmap.num_vertices
+        reached[0] = True
+        queue = [0]
+        for v in queue:                       # grows while it is walked
+            for d in hmap.vertices[v]:
+                w = vertex_of[partner[d]]
+                if not reached[w]:
+                    reached[w] = True
+                    in_tree[d] = in_tree[partner[d]] = True
+                    queue.append(w)
+
+        def face_walk(d):
+            yield d
+            e = nxt[d]
+            while e != d:
+                yield e
+                e = nxt[e]
+
+        word: list = [() if t else None for t in in_tree]
+        up = [-1] * len(hmap.degrees)         # a face's dart on its cotree edge
+        order = [0]
+        for p in order:
+            for d in face_walk(offsets[p]):
+                q = poly_of[partner[d]]
+                if word[d] is None and q != 0 and up[q] == -1:
+                    up[q] = partner[d]
+                    order.append(q)
+        cotree = {up[q] for q in order[1:]}
+        cotree |= {partner[d] for d in cotree}
+        letters = 0
+        for d in range(S):
+            if word[d] is None and d not in cotree and d < partner[d]:
+                letters += 1
+                word[d], word[partner[d]] = (letters,), (-letters,)
+        if letters != 2 * g:
+            raise ConsistencyError(f"{letters} generators for a genus-{g} map")
+        for q in reversed(order[1:]):
+            e = up[q]
+            rest = _reduce(x for d in face_walk(e) if d != e for x in word[d])
+            word[e], word[partner[e]] = tuple(_inverse(rest)), tuple(rest)
+
+        r = _reduce(x for d in face_walk(0) for x in word[d])
+        while len(r) > 1 and r[0] == -r[-1]:
+            r = r[1:-1]
+        if sorted(r) != [x for x in range(-2 * g, 2 * g + 1) if x]:
+            raise ConsistencyError(f"root face relator {r} of a genus-{g} map")
+        self.word = word
+        self.relator = tuple(r)
+        # the letter after x in r and in r^-1, read cyclically
+        n = len(r)
+        at = {x: i for i, x in enumerate(r)}
+        self._succ = ({x: r[(i + 1) % n] for x, i in at.items()},
+                      {x: -r[(at[-x] - 1) % n] for x in at})
+
+        self._ends = [(vertex_of[d], vertex_of[partner[d]]) for d in range(S)]
+        self._nv = hmap.num_vertices
+
+    def steps(self, length: int) -> list[int]:
+        """Each dart's step in the homology cover, for walks of <= ``length`` darts.
+
+        The exponent-sum vector h of a word is packed into the integer
+        H(h) = sum_i h_i B^i, with B more than twice the largest exponent sum
+        such a walk can reach, so H is injective on them.  A walk from base
+        vertex v0 then ends at vertex v with homology h exactly when
+        v0 + (sum of its steps) = H(h) V + v, V the number of vertices.
+        """
+        B = 2 * length * max(map(len, self.word)) + 1
+        out = []
+        for w, (tail, head) in zip(self.word, self._ends):
+            h = sum(B ** (x - 1) if x > 0 else -B ** (-x - 1) for x in w)
+            out.append(h * self._nv + head - tail)
+        return out
+
+    def is_trivial(self, word) -> bool:
+        """Whether a word in the generators is the identity of pi_1.
+
+        Genus 1: pi_1 is Z^2, so the exponent sums decide.  Genus >= 2: the
+        face word r of a one-vertex map of degree 4g > 2 never holds both xy
+        and y^-1 x^-1, so its pieces have length 1 and <a | r> is C'(1/6).
+        Dehn's algorithm then decides: a nonempty freely reduced word is
+        trivial only if it holds more than half (2g + 1 letters) of a cyclic
+        conjugate u v of r^+-1, and replacing u by v^-1 shortens it.
+        """
+        w = _reduce(word)
+        g = self.genus
+        if g == 1:
+            return all(sum(1 if x == a else -1 for x in w if abs(x) == a) == 0
+                       for a in (1, 2))
+        half = 2 * g
+        while w:
+            if len(w) <= half:
+                return False
+            for succ in self._succ:
+                run = 1
+                for i in range(1, len(w)):
+                    run = run + 1 if succ[w[i - 1]] == w[i] else 1
+                    if run > half:
+                        v = [succ[w[i]]]
+                        while len(v) < half - 1:
+                            v.append(succ[v[-1]])
+                        w = _reduce(w[:i - half] + _inverse(v) + w[i + 1:])
+                        break
+                else:
+                    continue
+                break
+            else:
+                return False
+        return True
+
+
+def _follows_face(walk, nxt, partner) -> bool:
+    """Whether a closed walk goes once around a face, either way round."""
+    return (all(nxt[walk[i - 1]] == walk[i] for i in range(len(walk)))
+            or all(nxt[partner[walk[i]]] == partner[walk[i - 1]]
+                   for i in range(len(walk))))
+
+
+def _cover_cycles_ok(hmap: HalfEdgeMap, b: int, girth_only: bool) -> bool:
+    """The irreducibility tests on the simple cycles of the universal cover.
+
+    Each cover cycle of length <= 2b is walked once up to deck
+    transformations, from its least dart d0 (d0 < partner[d0], and every
+    later dart and its partner at least d0).  The lifts of the walk's
+    prefixes are compared exactly: two prefixes end at one cover vertex when
+    they end at one homology-cover vertex (``Pi1Words.steps``; exact at genus
+    1) and the word of the walk between them is trivial.  A step onto an
+    earlier lift is refused unless it closes the cycle at the start;
+    breadth-first distances in the homology cover, which bound those of the
+    universal cover from below, prune walks that could not come back in time.
+    """
+    two_b = 2 * b
+    words = Pi1Words(hmap)
+    nxt, partner, out = hmap.nxt, hmap.partner, hmap.vertices
+    step, word = words.steps(two_b), words.word
+    V = hmap.num_vertices
+    exact = hmap.genus == 1
+    path: list[int] = []
+    keys: list[int] = []   # keys[i]: the homology-cover vertex after path[:i]
+
+    def same_lift(i: int, d: int) -> bool:
+        return exact or words.is_trivial([x for e in path[i:] + [d] for x in word[e]])
+
+    def walk(key: int, darts, d0: int, dist: dict[int, int]) -> bool:
+        """Extend the path from the lift ``key`` along each of ``darts``;
+        False as soon as a cycle fails."""
+        j = len(path) + 1
+        for d in darts:
+            if d < d0 or partner[d] < d0:
+                continue
+            nk = key + step[d]
+            if nk in keys:
+                i = next((i for i, k in enumerate(keys)
+                          if k == nk and same_lift(i, d)), None)
+                if i == 0 and not (j == 2 and d == partner[d0]):
+                    # back at the start lift: a simple cycle of length j
+                    if j < two_b or not (girth_only
+                                         or _follows_face(path + [d], nxt, partner)):
+                        return False
+                    continue
+                if i is not None:
+                    continue
+            if j >= two_b or j + dist.get(nk, b + 1) > two_b:
+                continue
+            path.append(d)
+            keys.append(nk)
+            ok = walk(nk, out[nk % V], d0, dist)
+            path.pop()
+            keys.pop()
+            if not ok:
+                return False
+        return True
+
+    dists: dict[int, dict[int, int]] = {}
+    for d0 in range(hmap.S):
+        if partner[d0] < d0:
+            continue
+        v0 = hmap.vertex_of[d0]
+        dist = dists.get(v0)
+        if dist is None:
+            dist = dists[v0] = {v0: 0}
+            ring = [v0]
+            for r in range(1, b + 1):
+                new = []
+                for key in ring:
+                    for d in out[key % V]:
+                        nk = key + step[d]
+                        if nk not in dist:
+                            dist[nk] = r
+                            new.append(nk)
+                ring = new
+        keys.append(v0)
+        ok = walk(v0, (d0,), d0, dist)
+        keys.pop()
+        if not ok:
             return False
     return True
 

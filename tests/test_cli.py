@@ -83,6 +83,17 @@ def test_verify_oracle_at_ten_sides_checks_every_tuple(capsys):
     assert out.count("[PASS]") == 2 * len(list(sweep_tuples(10, 3))) == 208
 
 
+def test_verify_oracle_at_twelve_sides_passes(capsys):
+    # the first sides at which genus-1 maps with a contractible 2-cycle
+    # around far faces occur: (1, 2, 3) at b = 1
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-2e", "12")
+    assert code == 0
+    assert out.startswith("suite oracle: PASS\n")
+    assert "[FAIL]" not in out and "[SKIP]" not in out
+    assert out.count("[PASS]") == 2 * len(list(sweep_tuples(12, 3))) == 350
+    assert "[PASS] genus 1 degrees (1, 2, 3) b=1 without degree-one vertices" in out
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("work started past the side guard")
 

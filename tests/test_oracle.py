@@ -12,6 +12,7 @@ from irrmaps.oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError,
                             enumerate_matchings, polygon_layout,
                             simple_cycles_up_to)
 from irrmaps.pipeline import count_exact, girth_count
+from test_reference_cover import ball_verdict
 
 F = Fraction
 
@@ -193,33 +194,15 @@ def test_girth_oracle_matches_formula():
     assert brute_count(spec) == girth_count(1, 2, 2, (2, 2))
 
 
-def test_radius_reduction_matches_radius_b():
-    # exhaustive check that the b-1 ball decides like a full radius-b ball
-    for degs in [(2,), (1, 2)]:
-        maps = []
-        enumerate_matchings(degs, lambda m, d=degs: maps.append(HalfEdgeMap(d, m)))
-        for hm in maps:
-            if not hm.connected or hm.genus < 1:
+def test_word_test_matches_large_cover_balls():
+    # the exact word test against the ball route, on one gluing per map
+    for degs in [(2,), (1, 2), (3,), (1, 1, 2), (4,)]:
+        for partner in _orbit_representatives(degs):
+            hm = HalfEdgeMap(degs, partner)
+            if hm.genus < 1:
                 continue
-            for b in (1, 2):
-                fast = check_irreducible(hm, b)
-                slow = _radius_b_check(hm, b)
-                assert fast == slow
-
-
-def _radius_b_check(hmap, b):
-    two_b = 2 * b
-    for v in range(hmap.num_vertices):
-        ball = CoverBall(hmap, v, b)
-        cycles = simple_cycles_up_to(ball.cycle_graph(), two_b, through=ball.base_lift)
-        contours = {c for (deg, c) in ball.face_contours()
-                    if deg == two_b and c is not None}
-        for cyc in cycles:
-            if len(cyc) < two_b:
-                return False
-            if len(cyc) == two_b and cyc not in contours:
-                return False
-    return True
+            for b in (1, 2, 3):
+                assert check_irreducible(hm, b) == ball_verdict(hm, b), (partner, b)
 
 
 def test_enumerate_matchings_guard():
@@ -252,8 +235,16 @@ def test_brute_vs_formula_spot_checks_medium():
 
 
 def _naive_count(spec):
-    """Accepted matchings by a filter over the full canonical enumeration."""
+    """Accepted matchings by a filter over the full canonical enumeration.
+
+    Higher-genus maps are decided by large cover balls (``ball_verdict``),
+    which share no code with the oracle's word test; each map's verdict is
+    kept under the least of its polygon rotations.
+    """
     hits = 0
+    girth_only = spec.constraint == "girth"
+    shifts = list(product(*(range(2 * l) for l in spec.degrees)))
+    verdicts = {}
 
     def visit(matching):
         nonlocal hits
@@ -262,9 +253,15 @@ def _naive_count(spec):
             return
         if not spec.allow_degree_one and hm.min_degree() < 2:
             return
-        if spec.b and not check_irreducible(
-                hm, spec.b, girth_only=(spec.constraint == "girth")):
-            return
+        if spec.b and hm.genus == 0:
+            if not check_irreducible(hm, spec.b, girth_only=girth_only):
+                return
+        elif spec.b:
+            orbit = min(tuple(_rotate(spec.degrees, hm.partner, s)) for s in shifts)
+            if orbit not in verdicts:
+                verdicts[orbit] = ball_verdict(hm, spec.b, girth_only)
+            if not verdicts[orbit]:
+                return
         hits += 1
 
     enumerate_matchings(spec.degrees, visit)
@@ -375,6 +372,13 @@ def _rotate(degrees, partner, shifts):
     for d, e in enumerate(partner):
         rotated[moved(d)] = moved(e)
     return rotated
+
+
+def _orbit_representatives(degrees):
+    """One connected gluing per rotation orbit: one per face-labeled map."""
+    shifts = list(product(*(range(2 * l) for l in degrees)))
+    return sorted({min(tuple(_rotate(degrees, p, s)) for s in shifts)
+                   for p in _connected_partners(degrees)})
 
 
 @st.composite

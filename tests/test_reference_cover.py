@@ -1,4 +1,5 @@
-"""Incremental universal-cover balls against the whole-ball construction.
+"""Universal-cover balls: the incremental construction against whole-ball
+rescans, and the ball-based leaf check kept as a test-only route.
 
 ``ReferenceCoverBall`` keeps the earlier construction of ``CoverBall``:
 every settle pass rebuilds all sigma-chains of the ball and applies the
@@ -7,16 +8,24 @@ distances by a breadth-first search over the whole ball, and face contours
 are walked once from every dart.  It is kept here only as a reference.
 Both constructions must yield isomorphic balls, compared through the
 invariants below, and the same irreducibility verdicts.
+
+``ball_verdict`` is the higher-genus leaf check the oracle made before it
+compared lifts by words in the fundamental group: the simple cycles through
+the base lift of a cover ball around every vertex.  A ball identifies two
+lifts of a vertex only once it has developed the disk between them, so a
+small radius misses contractible cycles (radius b - 1 accepted maps with
+contractible 2-cycles at genus 1, b = 1, from 12 sides on).  Other tests
+use it with a large radius as a contractibility route that shares no code
+with the word test.
 """
 
 from collections import Counter, deque
 
 import pytest
 
-from irrmaps import oracle
 from irrmaps.families import ConsistencyError
-from irrmaps.oracle import (CoverBall, HalfEdgeMap, check_irreducible,
-                            enumerate_matchings, simple_cycles_up_to)
+from irrmaps.oracle import (CoverBall, HalfEdgeMap, enumerate_matchings,
+                            simple_cycles_up_to)
 
 
 class ReferenceCoverBall(CoverBall):
@@ -165,6 +174,32 @@ class ReferenceCoverBall(CoverBall):
                    if dist.get(i, self.radius + 1) <= self.radius)
 
 
+def ball_verdict(hmap, b, girth_only=False, radius=None, ball=CoverBall):
+    """Essential 2b-irreducibility of a genus >= 1 map from cover balls.
+
+    Every simple cycle of length <= 2b through the base lift of a ball
+    around each vertex of degree >= 2 must have length 2b and, unless
+    ``girth_only``, bound a face of the ball.  The default radius is 2b at
+    genus 1; at genus >= 2 the balls grow exponentially (a radius-4 ball
+    of an octagon map has 19,609 faces), so it is b + 1 there.
+    """
+    if radius is None:
+        radius = 2 * b if hmap.genus == 1 else b + 1
+    two_b = 2 * b
+    for v in range(hmap.num_vertices):
+        if len(hmap.vertices[v]) < 2:
+            continue  # no cycle passes through a degree-1 vertex
+        cb = ball(hmap, v, radius)
+        contours = {c for (deg, c) in cb.face_contours()
+                    if deg == two_b and c is not None}
+        for cyc in simple_cycles_up_to(cb, two_b, through=cb.base_lift):
+            if len(cyc) < two_b:
+                return False
+            if not girth_only and cyc not in contours:
+                return False
+    return True
+
+
 def higher_genus_maps(degrees):
     maps = []
     enumerate_matchings(degrees, lambda m: maps.append(HalfEdgeMap(degrees, m)))
@@ -219,11 +254,11 @@ def test_rotations_around_degree_one_vertices_are_always_zipped():
 
 
 @pytest.mark.parametrize("degrees", [(2,), (3,), (1, 2), (3, 1), (2, 2)])
-def test_irreducibility_verdicts_match_whole_ball_rescans(degrees, monkeypatch):
-    maps = higher_genus_maps(degrees)
-    got = [[check_irreducible(hm, b, girth_only=g) for b in (1, 2) for g in (False, True)]
-           for hm in maps]
-    monkeypatch.setattr(oracle, "CoverBall", ReferenceCoverBall)
-    want = [[check_irreducible(hm, b, girth_only=g) for b in (1, 2) for g in (False, True)]
-            for hm in maps]
-    assert got == want
+def test_irreducibility_verdicts_match_whole_ball_rescans(degrees):
+    for hm in higher_genus_maps(degrees):
+        for b in (1, 2):
+            for radius in (b - 1, b):
+                for girth_only in (False, True):
+                    got = ball_verdict(hm, b, girth_only, radius)
+                    want = ball_verdict(hm, b, girth_only, radius, ReferenceCoverBall)
+                    assert got == want, (hm.partner, b, radius, girth_only)
