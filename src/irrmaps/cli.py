@@ -159,7 +159,8 @@ def cmd_series(args) -> int:
     if args.ell is not None:
         assign["l"] = Fraction(args.ell)
     var = "z" if args.name == "Jinv" else "r"
-    for k, coeff in enumerate(ser.coeffs):
+    # J and Jinv are built at order at least 1; print only k <= order
+    for k, coeff in enumerate(ser.coeffs[:args.order + 1]):
         value = coeff.evaluate(assign) if assign else coeff
         text = str(value.as_fraction()) if value.is_constant() else str(value)
         print(f"[{var}^{k}] {text}")

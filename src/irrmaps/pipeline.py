@@ -4,9 +4,12 @@ The pipeline solves a fixed-point equation for a fundamental series R in a
 graded ring (deformation variable t = weight of the smallest admissible face
 degree, one nilpotent marker per labeled face), builds moment series out of
 it, assembles the genus-1 and genus-2 free energies, and extracts the
-counting polynomial as the coefficient of t^0 * e_1 ... e_n.  Genus 0 has a
-closed integral formula; it forms the product over the faces in the same
-ring.
+counting polynomial as the coefficient of t^0 * e_1 ... e_n.  Setting t = 0
+is a ring map that commutes with composition, the unit log and inverse and
+the Q operator, so ``nhat`` solves R and the moments at t = 0 from the
+start; only the moment-route check keeps t, to differentiate in it.  Genus
+0 has a closed integral formula; it forms the product over the faces in the
+same ring.
 
 R, the moments and the free energy are symmetric under permuting the faces,
 so the ring keeps one coefficient per multiset of face exponents, a
@@ -14,6 +17,8 @@ polynomial in b alone (see ``ring.GradedSeries``): the series families
 enter split by powers of l as b-only series, I(b, l; r) = sum_a l^a I_a(r),
 and each face marker e_i comes as E_a = sum_i e_i l_i^a.  The explicit
 monomials in l1..ln appear only when the final coefficient is expanded.
+The graded keys of that coefficient already are the monomial symmetric
+basis, so each ``CountPolynomial`` from ``nhat`` carries its m-basis.
 
 Everything is symbolic in the irreducibility parameter b and the face
 half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
@@ -23,7 +28,7 @@ on top of the symbolic polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -35,13 +40,13 @@ from .ring import (GradedSeries, MultiPoly, Series, distinct_permutations,
 
 SUPPORTED_GENERA = (0, 1, 2)
 
-#: largest face count per genus that ``nhat`` computes, set when each took
-#: at most 5 s with the m-basis; with the integer-numerator kernel, in a
-#: fresh process on a 2-vCPU Xeon VM with Python 3.11, (0, 11) takes
-#: 1.4-1.9 s and 120 MB, (1, 7) 0.6-1.0 s and (2, 6) 0.8-1.4 s, where one
-#: face more takes 8.3 s and 434 MB at genus 0, 2.1-2.6 s at genus 1 and
-#: 2.9-3.5 s at genus 2
-MAX_FACES = {0: 11, 1: 7, 2: 6}
+#: largest face count per genus that ``nhat`` computes: the largest that
+#: takes at most 5 s with canonical JSON and m-basis, in a fresh process on
+#: a 2-vCPU Xeon VM with Python 3.11.  (0, 11) takes 1.1 s and 187 MB,
+#: (1, 10) 3.6-3.7 s and 486 MB, (2, 8) 1.8 s and 255 MB; one face more
+#: takes 4.9-5.0 s and 698 MB at genus 0, which leaves no margin, 16 s
+#: and 1.9 GB at genus 1 and 7.6 s and 929 MB at genus 2
+MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
 #: answer has about 0.6 digits per unit of the sum (2,420 digits at 4000,
@@ -108,8 +113,11 @@ def _face_parts(order: int) -> dict[int, Series]:
     return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
 
 
-def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
+def solve_R_hat(ctx: PipelineContext, *, keep_t: bool = True) -> GradedSeries:
     """Solve J(b; R) = t + sum_i e_i I(b, l_i; R) for R in the graded ring.
+
+    With ``keep_t=False`` the solve runs at t = 0: X starts from 0 instead
+    of t, and the result is the t^0 part of the full R.
 
     In face-symmetric form the right-hand side is X = t + sum_a E_a I_a(R),
     with E_a = sum_i e_i l_i^a and I_a the l^a-part of I (see
@@ -126,7 +134,7 @@ def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
     parts = _face_parts(max(cap - 1, 0)) if n else {}
     R = GradedSeries(B_ONLY, 0, n)
     for k in range(1, cap + 1):
-        X = GradedSeries.t_var(B_ONLY, k, n)
+        X = GradedSeries.t_var(B_ONLY, k, n) if keep_t else GradedSeries(B_ONLY, k, n)
         for a, I_a in parts.items():
             I_R = I_a.truncate(k - 1).compose(R)
             X = X + GradedSeries(B_ONLY, k, n, {(te, lam + (a,)): c
@@ -138,8 +146,9 @@ def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
     return R
 
 
-def _zhat_series(ctx: PipelineContext, order: int) -> Series:
-    """The series J(b; r) - t - sum_a E_a I_a(b; r) in r, graded coefficients."""
+def _zhat_series(ctx: PipelineContext, order: int, keep_t: bool) -> Series:
+    """The series J(b; r) - t - sum_a E_a I_a(b; r) in r, graded coefficients;
+    without the -t term unless ``keep_t``."""
     cap, n = ctx.cap, ctx.nfaces
     jser = series_J(max(order, 1), B_ONLY)
     parts = _face_parts(order) if n else {}
@@ -147,7 +156,7 @@ def _zhat_series(ctx: PipelineContext, order: int) -> Series:
     for k in range(order + 1):
         terms = {(0, (a,)): -I_a[k] for a, I_a in parts.items()}
         terms[0, ()] = jser[k]
-        if k == 0:
+        if k == 0 and keep_t:
             terms[1, ()] = MultiPoly.constant(B_ONLY, -1)
         coeffs.append(GradedSeries(B_ONLY, cap, n, terms))
     return Series(coeffs, order, GradedSeries(B_ONLY, cap, n))
@@ -171,17 +180,20 @@ def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
     return acc
 
 
-def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries:
+def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries, *,
+               keep_t: bool = True) -> GradedSeries:
     """Moment series: Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r), evaluated at r = R.
 
     Exact to the context cap; the intermediate r-order is raised by p + 1
-    because each application of (1+r) d/dr consumes one order.
+    because each application of (1+r) d/dr consumes one order.  With
+    ``keep_t=False``, Z drops its -t term and ``rhat`` must be the R solved
+    at t = 0: the result is the t^0 part of the moment.
     """
     table = qpoly_table()
     if p > table.p_max:
         raise DomainError(f"moment index {p} beyond the available Q table")
     order = ctx.cap + p + 1
-    w = _zhat_series(ctx, order) * power_one_plus_r(0, -1, order, B_ONLY)
+    w = _zhat_series(ctx, order, keep_t) * power_one_plus_r(0, -1, order, B_ONLY)
     by_j = {e: c.with_context(B_ONLY) for e, c in table[p].coefficients_in("j").items()}
     m = _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, B_ONLY))
     return m.compose(rhat)
@@ -220,19 +232,19 @@ def t_weight(p: int, b, r: list):
     raise DomainError(f"T_{p} is not available (moment weights stop at p = 3)")
 
 
-def moment_hat_via_T(ctx: PipelineContext, p: int) -> GradedSeries:
+def moment_hat_via_T(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries:
     """Independent route to the moment series via t-derivatives of R.
 
     Computes (1+R)^(1-b) (dR/dt)^(-(2p+1)) T_p(b, 1+R, dR/dt, ..., d^{p+1}R/dt^{p+1})
     with the grading cap raised by p + 1 to absorb the derivatives, then
-    truncated back to the context cap.
+    truncated back to the context cap.  ``rhat`` is R solved with t kept at
+    a cap of at least ctx.cap + p + 1, so that one solve at the largest
+    such cap serves every p.
     """
     if p > 3:
         raise DomainError(f"moment index {p} beyond the available T weights")
     cap = ctx.cap
-    raised = make_context(ctx.genus, ctx.nfaces, cap + p + 1)
-    R = solve_R_hat(raised)
-    derivs = [R]
+    derivs = [rhat.truncate(cap + p + 1)]
     for _ in range(p + 1):
         derivs.append(derivs[-1].t_derivative())
     rs = [(derivs[0] + 1).truncate(cap)] + [d.truncate(cap) for d in derivs[1:]]
@@ -284,12 +296,20 @@ class _Moments(dict):
 
 @dataclass(frozen=True)
 class CountPolynomial:
-    """A finished counting polynomial with its index data."""
+    """A finished counting polynomial with its index data.
+
+    ``mlambda`` is the polynomial in the monomial symmetric basis, as
+    :func:`to_m_basis` returns it, when the producer read it off the graded
+    keys (``nhat`` does); None for a polynomial parsed from JSON or built
+    by hand.  It takes no part in equality or hashing.
+    """
 
     genus: int
     nfaces: int
     gens: tuple[str, ...]
     poly: MultiPoly
+    mlambda: dict[tuple[int, ...], MultiPoly] | None = field(
+        default=None, compare=False, repr=False)
 
     def evaluate(self, b, degrees) -> Fraction:
         return self.weighted_sum(b, [((d, 1),) for d in degrees])
@@ -344,7 +364,8 @@ def nhat_genus0(n: int) -> CountPolynomial:
         power = power * jinv
         total = total + anti[k] * power[n - 2]
     poly = total.coefficient(0, range(1, n + 1)) * factorial(n - 2)
-    return CountPolynomial(0, n, face_generators(n), poly)
+    return CountPolynomial(0, n, face_generators(n), poly,
+                           _graded_m_basis(total, factorial(n - 2)))
 
 
 def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
@@ -354,10 +375,11 @@ def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
     if n < 1:
         raise DomainError("need at least one face")
     ctx = make_context(genus, n)
-    R = solve_R_hat(ctx)
-    moments = [moment_hat(ctx, p, R) for p in range(3 * genus - 2)]
+    R = solve_R_hat(ctx, keep_t=False)
+    moments = [moment_hat(ctx, p, R, keep_t=False) for p in range(3 * genus - 2)]
     F = free_energy(genus, moments, ctx.cap)
-    return CountPolynomial(genus, n, ctx.gens, F.coefficient(0, range(1, n + 1)))
+    return CountPolynomial(genus, n, ctx.gens, F.coefficient(0, range(1, n + 1)),
+                           _graded_m_basis(F))
 
 
 _NHAT_CACHE: dict[tuple[int, int], CountPolynomial] = {}
@@ -401,13 +423,39 @@ def m_lambda_poly(partition, n: int, gens) -> MultiPoly:
     return MultiPoly(gens, terms)
 
 
+def _graded_m_basis(series: GradedSeries, scale: int = 1) -> dict[tuple[int, ...], MultiPoly]:
+    """The m-basis of ``scale`` times the t^0 e_1...e_n coefficient of
+    ``series``, read off its keys.
+
+    A key (0, lam) with len(lam) = n puts c_lam prod(mult!) on every
+    rearrangement of lam over the n faces (see ``GradedSeries.coefficient``),
+    so it is c_lam prod(mult!) m_lambda, lambda the sorted nonzero halves of
+    lam.  Distinct keys give distinct partitions.  An odd entry of lam
+    raises InvariantViolation.
+    """
+    n = series.nfaces
+    out = {}
+    for (te, lam), c in series.terms.items():
+        if te or len(lam) != n:
+            continue
+        if any(e % 2 for e in lam):
+            raise InvariantViolation(f"odd power of a face generator in key {lam}")
+        part = tuple(sorted((e // 2 for e in lam if e), reverse=True))
+        out[part] = c * (scale * prod(factorial(lam.count(e)) for e in set(lam)))
+    return out
+
+
 def to_m_basis(count: CountPolynomial) -> dict[tuple[int, ...], MultiPoly]:
     """Decompose into the monomial symmetric basis of squared half-degrees.
 
     Returns a map from partitions (tuples, weakly decreasing, no zeros) to
-    coefficient polynomials in b alone.  Raises InvariantViolation if the
-    polynomial is not even and symmetric in the face generators.
+    coefficient polynomials in b alone: a copy of ``count.mlambda`` when the
+    polynomial carries its basis, else regrouped from the expanded
+    monomials.  Regrouping raises InvariantViolation if the polynomial is
+    not even and symmetric in the face generators.
     """
+    if count.mlambda is not None:
+        return dict(count.mlambda)
     n, gens, poly = count.nfaces, count.gens, count.poly
     offset = gens.index("l1") if n else len(gens)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], MultiPoly]] = {}

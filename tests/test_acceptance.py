@@ -125,7 +125,8 @@ def test_criterion_8_moment_crosscheck():
     ctx = make_context(1, 0, cap=5)
     R = solve_R_hat(ctx)
     for p in range(4):
-        agree = moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p)
+        raised = solve_R_hat(make_context(1, 0, cap=5 + p + 1))
+        agree = moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p, raised)
         report(f"criterion 8: moment routes agree for p={p} at symbolic b, t-order 5",
                agree)
 

@@ -195,7 +195,18 @@ def test_series_order_beyond_the_guard_exits_2(capsys):
         assert code == 2
         assert out == "" and "error:" in err
     code, out, _ = run(capsys, "series", "--name", "J", "--order", "0")
-    assert code == 0 and "[r^1] 1" in out
+    assert code == 0 and out == "[r^0] 0\n"
+
+
+@pytest.mark.parametrize("name,var,order", [("J", "r", 0), ("Jinv", "z", 0),
+                                            ("I", "r", 0), ("Jinv", "z", 3)])
+def test_series_prints_no_coefficient_beyond_the_order(capsys, name, var, order):
+    # J and Jinv are built at order at least 1, but [r^1] / [z^1] lies beyond
+    # a requested order of 0
+    code, out, _ = run(capsys, "series", "--name", name, "--order", str(order))
+    assert code == 0
+    assert [line.split("]")[0] for line in out.splitlines()] == \
+        [f"[{var}^{k}" for k in range(order + 1)]
 
 
 def test_domain_error_exits_two(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,7 +11,7 @@ from irrmaps.pipeline import (CountPolynomial, DomainError, InvariantViolation,
                               moment_hat_via_T, nhat, numeric_defining_residual,
                               numeric_series_crosscheck, planar_correction,
                               solve_R_hat, to_m_basis)
-from irrmaps.ring import GradedSeries, MultiPoly
+from irrmaps.ring import GradedSeries, MultiPoly, TruncationError
 
 F = Fraction
 
@@ -57,18 +58,37 @@ def test_moment_at_b_one_is_trivial():
         assert coeff.evaluate({"b": 1}).as_fraction() == want
 
 
+def raised_R(ctx, p):
+    """R solved with t at the cap the T route needs for moment p."""
+    return solve_R_hat(make_context(ctx.genus, ctx.nfaces, ctx.cap + p + 1))
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_moment_routes_agree_symbolic(p):
     ctx = make_context(1, 0, cap=5)
     R = solve_R_hat(ctx)
-    assert moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p)
+    assert moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p, raised_R(ctx, p))
 
 
 def test_moment_routes_agree_with_marker():
     ctx = make_context(1, 1, cap=3)
     R = solve_R_hat(ctx)
     for p in range(3):
-        assert moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p)
+        assert moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p, raised_R(ctx, p))
+    # an R solved below the raised cap is refused, not silently truncated
+    with pytest.raises(TruncationError):
+        moment_hat_via_T(ctx, 2, raised_R(ctx, 1))
+
+
+def test_moments_at_t_zero_are_the_t0_part():
+    # setting t = 0 commutes with the solve and the moment series
+    for genus, nfaces in [(1, 2), (2, 2)]:
+        ctx = make_context(genus, nfaces)
+        R, R0 = solve_R_hat(ctx), solve_R_hat(ctx, keep_t=False)
+        assert R0.terms == {key: c for key, c in R.terms.items() if key[0] == 0}
+        for p in range(3 * genus - 2):
+            full, at0 = moment_hat(ctx, p, R), moment_hat(ctx, p, R0, keep_t=False)
+            assert at0.terms == {key: c for key, c in full.terms.items() if key[0] == 0}
 
 
 def test_nhat_special_values():
@@ -86,12 +106,28 @@ def test_nhat_degree_bounds_and_symmetry():
         assert lsq_deg == n + 3 * g - 3
         # total degree bound 2n + 6g - 6, attained
         assert cp.poly.total_degree() == 2 * n + 6 * g - 6
-        # symmetric under permuting the face generators
-        basis = to_m_basis(cp)  # raises InvariantViolation if not
+        # symmetric under permuting the face generators: regrouping the
+        # expanded monomials raises InvariantViolation if not
+        basis = to_m_basis(dataclasses.replace(cp, mlambda=None))
         assert basis
     # one-face polynomials do not depend on b
     for g in (1, 2):
         assert nhat(g, 1).poly.degree_in("b") <= 0
+
+
+# the benchmark's symbolic grid and the large end of the face guard
+M_BASIS_GRID = ([(0, n) for n in range(3, 10)] + [(1, n) for n in range(1, 8)]
+                + [(2, n) for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("genus,n", M_BASIS_GRID)
+def test_carried_m_basis_equals_the_regrouped_monomials(genus, n):
+    cp = nhat(genus, n)
+    assert cp.mlambda is not None
+    carried = to_m_basis(cp)
+    assert carried == to_m_basis(dataclasses.replace(cp, mlambda=None))
+    carried.clear()  # callers get a copy
+    assert to_m_basis(cp) == cp.mlambda and cp.mlambda
 
 
 def test_m_basis_examples():
@@ -205,7 +241,7 @@ def test_free_energy_log_form():
     ctx = make_context(1, 1)
     R = solve_R_hat(ctx)
     via_q = log_unit(moment_hat(ctx, 0, R), ctx.cap) * Fraction(-1, 12)
-    via_t = log_unit(moment_hat_via_T(ctx, 0), ctx.cap) * Fraction(-1, 12)
+    via_t = log_unit(moment_hat_via_T(ctx, 0, raised_R(ctx, 0)), ctx.cap) * Fraction(-1, 12)
     assert via_q == via_t
 
 
