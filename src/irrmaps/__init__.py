@@ -2,7 +2,8 @@
 
 Counting polynomials for genus 0, 1, 2, their structural identities
 (string/dilaton, transform inversion, moment-route agreement), and an
-independent brute-force polygon-gluing oracle with universal-cover balls.
+independent brute-force polygon-gluing oracle whose leaf check tests
+contractibility exactly, by words in the fundamental group.
 """
 
 from .families import (ConsistencyError, QPolyTable, power_one_plus_r,
@@ -13,9 +14,9 @@ from .oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError, SizeError,
                      enumerate_matchings, simple_cycles_up_to)
 from .pipeline import (CountPolynomial, DomainError, InvariantViolation,
                        PipelineContext, UnsupportedGenusError, count_exact,
-                       girth_count, make_context, moment_hat, moment_hat_via_T,
-                       nhat, nhat_genus0, nhat_higher_genus,
-                       numeric_series_crosscheck, solve_R_hat, to_m_basis)
+                       girth_count, make_context, moment_hat, moment_hat_via_Q,
+                       moment_hat_via_T, nhat, nhat_genus0, nhat_higher_genus,
+                       solve_R_hat, to_m_basis)
 from .ring import (ContextError, GradedSeries, MultiPoly, Rational, Series,
                    TruncationError, bernoulli_plus, faulhaber_closed_sum,
                    power_sum_poly)

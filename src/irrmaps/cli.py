@@ -129,6 +129,13 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    given = [flag for flag, value in (("--genus", args.genus), ("--faces", args.faces))
+             if value is not None]
+    if given and suite not in ("string", "dilaton"):
+        raise ValueError(f"suite {suite} takes no --genus or --faces; "
+                         "only string and dilaton do")
+    if len(given) == 1:
+        raise ValueError("--genus and --faces go together: give both or neither")
     if suite in ("string", "dilaton"):
         fn = verify_string if suite == "string" else verify_dilaton
         report = fn(args.genus, args.faces)

@@ -1,15 +1,17 @@
 """Counting polynomials for essentially irreducible maps with even face degrees.
 
 The pipeline solves a fixed-point equation for a fundamental series R in a
-graded ring (deformation variable t = weight of the smallest admissible face
-degree, one nilpotent marker per labeled face), builds moment series out of
-it, assembles the genus-1 and genus-2 free energies, and extracts the
-counting polynomial as the coefficient of t^0 * e_1 ... e_n.  Setting t = 0
+graded ring (one nilpotent marker per labeled face), builds moment series
+out of it, assembles the genus-1 and genus-2 free energies, and extracts the
+counting polynomial as the coefficient of e_1 ... e_n.  The paper's
+equations carry a deformation variable t, the weight of the smallest
+admissible face degree, and the polynomial is the t^0 part; setting t = 0
 is a ring map that commutes with composition, the unit log and inverse and
-the Q operator, so ``nhat`` solves R and the moments at t = 0 from the
-start; only the moment-route check keeps t, to differentiate in it.  Genus
-0 has a closed integral formula; it forms the product over the faces in the
-same ring.
+the Q operator, so the solve and the moments run at t = 0 and the ring has
+no t.  Only the moment-route check at no faces keeps t: there R is
+J^{-1}(b; t), a plain series in t (``moment_hat_via_Q`` and
+``moment_hat_via_T``).  Genus 0 has a closed integral formula; it forms the
+product over the faces in the same ring.
 
 R, the moments and the free energy are symmetric under permuting the faces,
 so the ring keeps one coefficient per multiset of face exponents, a
@@ -22,8 +24,7 @@ basis, so each ``CountPolynomial`` from ``nhat`` carries its m-basis.
 
 Everything is symbolic in the irreducibility parameter b and the face
 half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
-(exact counts, girth counts, the independent finite-variable crosscheck) sit
-on top of the symbolic polynomials.
+(exact counts, girth counts) sit on top of the symbolic polynomials.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def face_generators(n: int) -> tuple[str, ...]:
 class PipelineContext:
     """Index data for one symbolic run: genus, labeled faces, grading cap.
 
-    ``gens`` is (b, l1..ln), the context of the expanded coefficients.
+    ``gens`` is (b, l1..ln), the context of the expanded coefficients, and
+    ``cap`` is the number of faces: no coefficient read marks more.
     """
 
     genus: int
@@ -89,12 +91,10 @@ class PipelineContext:
     cap: int
 
 
-def make_context(genus: int, nfaces: int, cap: int | None = None) -> PipelineContext:
+def make_context(genus: int, nfaces: int) -> PipelineContext:
     if nfaces < 0:
         raise DomainError("number of faces must be nonnegative")
-    if cap is None:
-        cap = max(nfaces, 1)
-    return PipelineContext(genus, nfaces, face_generators(nfaces), cap)
+    return PipelineContext(genus, nfaces, face_generators(nfaces), nfaces)
 
 
 # ============================================================
@@ -113,13 +113,11 @@ def _face_parts(order: int) -> dict[int, Series]:
     return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
 
 
-def solve_R_hat(ctx: PipelineContext, *, keep_t: bool = True) -> GradedSeries:
-    """Solve J(b; R) = t + sum_i e_i I(b, l_i; R) for R in the graded ring.
+def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
+    """Solve J(b; R) = sum_i e_i I(b, l_i; R) for R in the graded ring: the
+    t^0 part of the solution of J(b; R) = t + sum_i e_i I(b, l_i; R).
 
-    With ``keep_t=False`` the solve runs at t = 0: X starts from 0 instead
-    of t, and the result is the t^0 part of the full R.
-
-    In face-symmetric form the right-hand side is X = t + sum_a E_a I_a(R),
+    In face-symmetric form the right-hand side is X = sum_a E_a I_a(R),
     with E_a = sum_i e_i l_i^a and I_a the l^a-part of I (see
     ``_face_parts``); multiplying by E_a appends a to every key, and the
     ring drops what e_i^2 = 0 kills.  Degree by degree, as
@@ -129,16 +127,15 @@ def solve_R_hat(ctx: PipelineContext, *, keep_t: bool = True) -> GradedSeries:
     round must reproduce the previous one below its top degree; a mismatch
     is an internal error.
     """
-    cap, n = ctx.cap, ctx.nfaces
+    cap = ctx.cap
     jinv = series_J_inverse(max(cap, 1), B_ONLY)
-    parts = _face_parts(max(cap - 1, 0)) if n else {}
-    R = GradedSeries(B_ONLY, 0, n)
+    parts = _face_parts(max(cap - 1, 0))
+    R = GradedSeries(B_ONLY, 0)
     for k in range(1, cap + 1):
-        X = GradedSeries.t_var(B_ONLY, k, n) if keep_t else GradedSeries(B_ONLY, k, n)
+        X = GradedSeries(B_ONLY, k)
         for a, I_a in parts.items():
             I_R = I_a.truncate(k - 1).compose(R)
-            X = X + GradedSeries(B_ONLY, k, n, {(te, lam + (a,)): c
-                                                for (te, lam), c in I_R.terms.items()})
+            X = X + GradedSeries(B_ONLY, k, {lam + (a,): c for lam, c in I_R.terms.items()})
         R_next = jinv.truncate(k).compose(X)
         if R_next.truncate(k - 1) != R:
             raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
@@ -146,20 +143,18 @@ def solve_R_hat(ctx: PipelineContext, *, keep_t: bool = True) -> GradedSeries:
     return R
 
 
-def _zhat_series(ctx: PipelineContext, order: int, keep_t: bool) -> Series:
-    """The series J(b; r) - t - sum_a E_a I_a(b; r) in r, graded coefficients;
-    without the -t term unless ``keep_t``."""
-    cap, n = ctx.cap, ctx.nfaces
+def _zhat_series(ctx: PipelineContext, order: int) -> Series:
+    """The series J(b; r) - sum_a E_a I_a(b; r) in r, graded coefficients:
+    Z = J(b; r) - t - sum_a E_a I_a(b; r) at t = 0."""
+    cap = ctx.cap
     jser = series_J(max(order, 1), B_ONLY)
-    parts = _face_parts(order) if n else {}
+    parts = _face_parts(order)
     coeffs = []
     for k in range(order + 1):
-        terms = {(0, (a,)): -I_a[k] for a, I_a in parts.items()}
-        terms[0, ()] = jser[k]
-        if k == 0 and keep_t:
-            terms[1, ()] = MultiPoly.constant(B_ONLY, -1)
-        coeffs.append(GradedSeries(B_ONLY, cap, n, terms))
-    return Series(coeffs, order, GradedSeries(B_ONLY, cap, n))
+        terms = {(a,): -I_a[k] for a, I_a in parts.items()}
+        terms[()] = jser[k]
+        coeffs.append(GradedSeries(B_ONLY, cap, terms))
+    return Series(coeffs, order, GradedSeries(B_ONLY, cap))
 
 
 def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
@@ -180,23 +175,37 @@ def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
     return acc
 
 
-def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries, *,
-               keep_t: bool = True) -> GradedSeries:
-    """Moment series: Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r), evaluated at r = R.
-
-    Exact to the context cap; the intermediate r-order is raised by p + 1
-    because each application of (1+r) d/dr consumes one order.  With
-    ``keep_t=False``, Z drops its -t term and ``rhat`` must be the R solved
-    at t = 0: the result is the t^0 part of the moment.
-    """
+def _q_moment(p: int, f: Series) -> Series:
+    """Q_p(b, (1+r) d/dr) (1+r)^(-b) f(r) for an r-series ``f`` whose
+    coefficient ring absorbs b-only polynomials; exact to f.order - p - 1,
+    because each application of (1+r) d/dr consumes one order."""
     table = qpoly_table()
     if p > table.p_max:
         raise DomainError(f"moment index {p} beyond the available Q table")
-    order = ctx.cap + p + 1
-    w = _zhat_series(ctx, order, keep_t) * power_one_plus_r(0, -1, order, B_ONLY)
+    w = f * power_one_plus_r(0, -1, f.order, B_ONLY)
     by_j = {e: c.with_context(B_ONLY) for e, c in table[p].coefficients_in("j").items()}
-    m = _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, B_ONLY))
-    return m.compose(rhat)
+    return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, f.order, B_ONLY))
+
+
+def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries:
+    """Moment series: Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r), evaluated at r = R.
+
+    ``rhat`` is R from :func:`solve_R_hat` and Z is taken at t = 0, so the
+    result is the t^0 part of the moment, exact to the context cap.
+    """
+    return _q_moment(p, _zhat_series(ctx, ctx.cap + p + 1)).compose(rhat)
+
+
+def moment_hat_via_Q(p: int, R: Series, order: int) -> Series:
+    """The moment series with no faces, in t, by the Q-operator route.
+
+    With no faces Z = J(b; r) - t, and the -t term adds nothing:
+    (1+r) d/dr (1+r)^(-b) = -b (1+r)^(-b), and Q_p(b, j) has the factor
+    b + j.  So the moment is Q_p(b, (1+r) d/dr) (1+r)^(-b) J(b; r), a
+    b-only series in r, evaluated at r = R.  ``R`` is J^{-1}(b; t) exact to
+    at least ``order``; the result is exact to ``order``.
+    """
+    return _q_moment(p, series_J(order + p + 1, B_ONLY)).compose(R.truncate(order))
 
 
 # Moment weights T_p: fixed data, homogeneous of degree 2p in
@@ -232,26 +241,25 @@ def t_weight(p: int, b, r: list):
     raise DomainError(f"T_{p} is not available (moment weights stop at p = 3)")
 
 
-def moment_hat_via_T(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries:
-    """Independent route to the moment series via t-derivatives of R.
+def moment_hat_via_T(p: int, R: Series, order: int) -> Series:
+    """Independent route to the moment series with no faces, via
+    t-derivatives of R = J^{-1}(b; t).
 
     Computes (1+R)^(1-b) (dR/dt)^(-(2p+1)) T_p(b, 1+R, dR/dt, ..., d^{p+1}R/dt^{p+1})
-    with the grading cap raised by p + 1 to absorb the derivatives, then
-    truncated back to the context cap.  ``rhat`` is R solved with t kept at
-    a cap of at least ctx.cap + p + 1, so that one solve at the largest
-    such cap serves every p.
+    exact to ``order`` in t.  Each derivative consumes one order, so ``R``
+    must be exact to order + p + 1; one R at the largest such order serves
+    every p.
     """
     if p > 3:
         raise DomainError(f"moment index {p} beyond the available T weights")
-    cap = ctx.cap
-    derivs = [rhat.truncate(cap + p + 1)]
+    derivs = [R.truncate(order + p + 1)]
     for _ in range(p + 1):
-        derivs.append(derivs[-1].t_derivative())
-    rs = [(derivs[0] + 1).truncate(cap)] + [d.truncate(cap) for d in derivs[1:]]
+        derivs.append(derivs[-1].derivative())
+    rs = [(derivs[0] + 1).truncate(order)] + [d.truncate(order) for d in derivs[1:]]
     bpol = MultiPoly.variable(B_ONLY, "b")
     T = t_weight(p, bpol, rs)
-    pref = power_one_plus_r(1, -1, cap, B_ONLY).compose(derivs[0].truncate(cap))
-    dinv = power_one_plus_r(-(2 * p + 1), 0, cap, B_ONLY).compose(rs[1] - 1)
+    pref = power_one_plus_r(1, -1, order, B_ONLY).compose(derivs[0].truncate(order))
+    dinv = power_one_plus_r(-(2 * p + 1), 0, order, B_ONLY).compose(rs[1] - 1)
     return pref * dinv * T
 
 
@@ -350,8 +358,8 @@ def nhat_genus0(n: int) -> CountPolynomial:
         raise DomainError("the planar family needs at least 3 faces")
     order = n - 3
     parts = _face_parts(order)
-    marked = Series([GradedSeries(B_ONLY, n, n, {(0, (a,)): I_a[k] for a, I_a in parts.items()})
-                     for k in range(order + 1)], order, GradedSeries(B_ONLY, n, n))
+    marked = Series([GradedSeries(B_ONLY, n, {(a,): I_a[k] for a, I_a in parts.items()})
+                     for k in range(order + 1)], order, GradedSeries(B_ONLY, n))
     integrand = marked ** n * power_one_plus_r(-1, -2, order, B_ONLY) \
         * Fraction(1, factorial(n))
     anti = integrand.antiderivative()
@@ -363,7 +371,7 @@ def nhat_genus0(n: int) -> CountPolynomial:
     for k in range(2, n - 1):
         power = power * jinv
         total = total + anti[k] * power[n - 2]
-    poly = total.coefficient(0, range(1, n + 1)) * factorial(n - 2)
+    poly = total.coefficient(range(1, n + 1)) * factorial(n - 2)
     return CountPolynomial(0, n, face_generators(n), poly,
                            _graded_m_basis(total, factorial(n - 2)))
 
@@ -375,10 +383,10 @@ def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
     if n < 1:
         raise DomainError("need at least one face")
     ctx = make_context(genus, n)
-    R = solve_R_hat(ctx, keep_t=False)
-    moments = [moment_hat(ctx, p, R, keep_t=False) for p in range(3 * genus - 2)]
+    R = solve_R_hat(ctx)
+    moments = [moment_hat(ctx, p, R) for p in range(3 * genus - 2)]
     F = free_energy(genus, moments, ctx.cap)
-    return CountPolynomial(genus, n, ctx.gens, F.coefficient(0, range(1, n + 1)),
+    return CountPolynomial(genus, n, ctx.gens, F.coefficient(range(1, n + 1)),
                            _graded_m_basis(F))
 
 
@@ -424,19 +432,19 @@ def m_lambda_poly(partition, n: int, gens) -> MultiPoly:
 
 
 def _graded_m_basis(series: GradedSeries, scale: int = 1) -> dict[tuple[int, ...], MultiPoly]:
-    """The m-basis of ``scale`` times the t^0 e_1...e_n coefficient of
-    ``series``, read off its keys.
+    """The m-basis of ``scale`` times the e_1...e_n coefficient of
+    ``series``, n its cap, read off its keys.
 
-    A key (0, lam) with len(lam) = n puts c_lam prod(mult!) on every
+    A key lam with len(lam) = n puts c_lam prod(mult!) on every
     rearrangement of lam over the n faces (see ``GradedSeries.coefficient``),
     so it is c_lam prod(mult!) m_lambda, lambda the sorted nonzero halves of
     lam.  Distinct keys give distinct partitions.  An odd entry of lam
     raises InvariantViolation.
     """
-    n = series.nfaces
+    n = series.cap
     out = {}
-    for (te, lam), c in series.terms.items():
-        if te or len(lam) != n:
+    for lam, c in series.terms.items():
+        if len(lam) != n:
             continue
         if any(e % 2 for e in lam):
             raise InvariantViolation(f"odd power of a face generator in key {lam}")
@@ -581,206 +589,3 @@ def girth_count(genus: int, n: int, b: int, degrees, mode: str = "at-least") -> 
         _check_admissible(genus, n, b, degrees, b + 1)
         return nhat(genus, n).evaluate(b - 1, degrees) - nhat(genus, n).evaluate(b, degrees)
     raise DomainError(f"unknown girth mode {mode!r}")
-
-
-# ============================================================
-# Independent finite-variable crosscheck (numeric b)
-# ============================================================
-
-
-class TruncatedPoly:
-    """Multivariate series in x_lo..x_D truncated by total degree."""
-
-    __slots__ = ("poly", "cap")
-
-    def __init__(self, poly: MultiPoly, cap: int):
-        self.poly = MultiPoly.from_numerators(
-            poly.gens, {e: c for e, c in poly.num.items() if sum(e) <= cap}, poly.den)
-        self.cap = cap
-
-    def _wrap(self, poly: MultiPoly) -> "TruncatedPoly":
-        return TruncatedPoly(poly, self.cap)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedPoly):
-            return other.poly
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.poly.gens, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.poly + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.poly - o)
-
-    def __rsub__(self, other):
-        return (self - other) * Fraction(-1)
-
-    def __neg__(self):
-        return self._wrap(-self.poly)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._wrap(self.poly * other)
-        if isinstance(other, TruncatedPoly):
-            return self._wrap(self.poly * other.poly)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        acc = TruncatedPoly(MultiPoly.constant(self.poly.gens, 1), self.cap)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedPoly):
-            return self.poly == other.poly
-        return NotImplemented
-
-    __hash__ = None
-
-    def coefficient(self, exps) -> Fraction:
-        return self.poly.terms.get(tuple(exps), Fraction(0))
-
-    def valuation_positive(self) -> bool:
-        return (0,) * len(self.poly.gens) not in self.poly.num
-
-    def derivative_in(self, name: str) -> "TruncatedPoly":
-        i = self.poly.gens.index(name)
-        num = {}
-        for exps, c in self.poly.num.items():
-            if exps[i]:
-                key = list(exps)
-                key[i] -= 1
-                num[tuple(key)] = c * exps[i]
-        p = MultiPoly.from_numerators(self.poly.gens, num, self.poly.den)
-        return TruncatedPoly(p, self.cap - 1)
-
-
-def _numeric_series(sym: Series, assign) -> Series:
-    return Series([c.evaluate(assign).as_fraction() for c in sym.coeffs],
-                  sym.order, Fraction(0))
-
-
-def _numeric_setup(b: int, max_degree: int, cap: int):
-    lo = max(b, 1)
-    gens = tuple(f"x{l}" for l in range(lo, max_degree + 1))
-    zero = TruncatedPoly(MultiPoly(gens), cap)
-    xs = {l: TruncatedPoly(MultiPoly.variable(gens, f"x{l}"), cap)
-          for l in range(lo, max_degree + 1)}
-    return lo, gens, zero, xs
-
-
-def _numeric_R(b: int, max_degree: int, cap: int):
-    """Solve the defining equation in the truncated finite-variable ring."""
-    lo, gens, zero, xs = _numeric_setup(b, max_degree, cap)
-    jinv = _numeric_series(series_J_inverse(max(cap, 1), ("b",)), {"b": b})
-    eyes = {l: _numeric_series(series_I(cap, ("b", "l")), {"b": b, "l": l})
-            for l in range(lo, max_degree + 1)}
-    R = zero
-    for _ in range(cap + 3):
-        X = zero
-        for l in range(lo, max_degree + 1):
-            X = X + eyes[l].compose(R) * xs[l]
-        R_next = jinv.compose(X)
-        if R_next == R:
-            return R, xs, eyes
-        R = R_next
-    raise ConsistencyError("numeric fixed point did not stabilize")
-
-
-def numeric_defining_residual(b: int, ell: int, max_degree: int, cap: int) -> TruncatedPoly:
-    """Residual dR/dx_ell - I(b, ell; R) dR/dx_b of the defining identity."""
-    if b < 1:
-        raise DomainError("the residual check needs b >= 1")
-    if ell > max_degree:
-        raise DomainError("ell exceeds the variable range")
-    R, xs, eyes = _numeric_R(b, max_degree, cap)
-    lhs = R.derivative_in(f"x{ell}")
-    rhs = eyes[ell].compose(R) * R.derivative_in(f"x{b}")
-    return lhs - rhs
-
-
-def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
-                              max_degree: int | None = None,
-                              order: int | None = None) -> Fraction:
-    """Evaluate the counting polynomial from scratch in a finite-variable ring.
-
-    Solves the defining equation over x_max(b,1)..x_D with numeric b,
-    assembles the free energy (genus >= 1) or the two-face integral formula
-    (genus 0), and reads off the coefficient of the requested face monomial.
-    It shares the series families, the Q-operator application and
-    ``free_energy`` with the pipeline, but not the face-symmetric graded
-    ring: one variable per face degree replaces the face markers and their
-    exponent multisets, and the solve, the moment series and the
-    coefficient extraction are its own, so agreement with ``count_exact``
-    (minus the planar correction) checks the graded-ring route.
-    """
-    degrees = tuple(degrees)
-    _check_admissible(genus, n, b, degrees, max(b, 1))
-    D = max_degree if max_degree is not None else max(degrees)
-    if D < max(degrees):
-        raise DomainError("max_degree too small for the requested degrees")
-
-    if genus == 0:
-        cap = n - 2 if order is None else order
-        lo, gens, zero, xs = _numeric_setup(b, D, cap)
-        R, _, _ = _numeric_R(b, D, cap)
-        rest = sorted(degrees)[:-2] if n > 2 else []
-        l1, l2 = sorted(degrees)[-2:]
-        rod = max(cap, n - 3 + 1, 1)
-        integrand = _numeric_series(power_one_plus_r(-1, -2, rod, ("b",)), {"b": b})
-        integrand = integrand * _numeric_series(series_I(rod, ("b", "l")), {"b": b, "l": l1})
-        integrand = integrand * _numeric_series(series_I(rod, ("b", "l")), {"b": b, "l": l2})
-        cylinder = integrand.antiderivative().truncate(rod).compose(R)
-        exps = [0] * len(gens)
-        for d in rest:
-            exps[gens.index(f"x{d}")] += 1
-        mults = {d: rest.count(d) for d in set(rest)}
-        scale = 1
-        for m in mults.values():
-            scale *= factorial(m)
-        return cylinder.coefficient(exps) * scale
-
-    cap = n if order is None else order
-    lo, gens, zero, xs = _numeric_setup(b, D, cap)
-    R, _, eyes = _numeric_R(b, D, cap)
-    qt = qpoly_table()
-    moments = []
-    for p in range(3 * genus - 2):
-        rod = cap + p + 1
-        jser = _numeric_series(series_J(max(rod, 1), ("b",)), {"b": b})
-        pw = _numeric_series(power_one_plus_r(0, -1, rod, ("b",)), {"b": b})
-        eyes_hi = {l: _numeric_series(series_I(rod, ("b", "l")), {"b": b, "l": l})
-                   for l in range(lo, D + 1)}
-        coeffs = []
-        for k in range(rod + 1):
-            c = zero + (jser[k] if k <= jser.order else Fraction(0))
-            for l in range(lo, D + 1):
-                c = c - xs[l] * eyes_hi[l][k]
-            coeffs.append(c)
-        w = Series(coeffs, rod, zero) * pw
-        qp = qt[p].evaluate({"b": b})
-        by_j = {e: c.as_fraction() for e, c in qp.coefficients_in("j").items()}
-        one_plus = _numeric_series(power_one_plus_r(1, 0, rod, ("b",)), {"b": b})
-        moments.append(_apply_q_operator(by_j, w, one_plus).compose(R))
-    F = free_energy(genus, moments, cap)
-    exps = [0] * len(gens)
-    for d in degrees:
-        exps[gens.index(f"x{d}")] += 1
-    mults = {d: degrees.count(d) for d in set(degrees)}
-    scale = 1
-    for m in mults.values():
-        scale *= factorial(m)
-    return F.coefficient(exps) * scale

@@ -18,13 +18,12 @@ Conventions
   exact through ``order`` inclusive.  Coefficients may be any commutative
   ring element supporting ``+``, ``-``, ``*`` (Fractions, MultiPoly,
   GradedSeries, ...).
-* A :class:`GradedSeries` is a truncated series in a deformation variable
-  ``t`` together with nilpotent markers ``e_1, ..., e_n`` (``e_i**2 = 0``),
-  one per face of half-degree ``l_i``, graded by total degree
-  ``deg t = deg e_i = 1`` and truncated at ``cap``.  It stores only the
-  part invariant under permuting the faces: one :class:`MultiPoly`
-  coefficient (in b alone, in practice) per t-exponent and sorted tuple of
-  l-exponents of the marked faces.  A product merges the tuples, and
+* A :class:`GradedSeries` is a polynomial in nilpotent markers
+  ``e_1, ..., e_n`` (``e_i**2 = 0``), one per face of half-degree ``l_i``,
+  graded by the number of marked faces and truncated at ``cap`` = n.  It
+  stores only the part invariant under permuting the faces: one
+  :class:`MultiPoly` coefficient (in b alone, in practice) per sorted tuple
+  of l-exponents of the marked faces.  A product merges the tuples, and
   ``coefficient`` expands back to monomials in (b, l1..ln) through
   :func:`distinct_permutations`.
 * Power sums use the Bernoulli convention ``B_1 = +1/2``, so that
@@ -669,7 +668,7 @@ def _require_no_constant(inner) -> None:
 
 
 # ============================================================
-# Graded series: deformation variable t with face-symmetric markers
+# Graded series: face-symmetric nilpotent markers
 # ============================================================
 
 
@@ -697,13 +696,12 @@ def distinct_permutations(items) -> Iterator[tuple]:
 
 
 class GradedSeries:
-    """Truncated face-symmetric element of Q[b][t, e1..en] / (e_i^2, degree > cap).
+    """Truncated face-symmetric element of Q[b][e1..en] / (e_i^2), n = cap.
 
     The face markers e_1..e_n (e_i**2 = 0) come with face half-degrees
     l_1..l_n, and only elements invariant under permuting the faces are
-    stored.  Keys are ``(t_exponent, lam)``, ``lam`` a sorted tuple of
-    l-exponents, one per marked face; the key stands for t^t_exponent times
-    the augmented monomial
+    stored.  Keys are sorted tuples ``lam`` of l-exponents, one per marked
+    face; the key stands for the augmented monomial
 
         M_lam = sum over injective f: {1..k} -> {1..n} of
                 prod_j e_f(j) l_f(j)^lam_j.
@@ -712,30 +710,31 @@ class GradedSeries:
     alone).  In M_lam * M_mu the pairs of assignments whose marker sets
     overlap vanish (e_i^2 = 0) and the rest are the injective assignments
     of the joined tuple, so M_lam * M_mu = M_(lam + mu): a product merges
-    the two tuples.  Marker nilpotency is structural: M_lam vanishes once
-    len(lam) > n, and terms of total degree t_exponent + len(lam) > cap are
-    dropped.  :meth:`coefficient` expands back to explicit monomials in
-    (b, l1..ln).  The constructor sorts each ``lam`` and adds up the terms
-    that then share a key.
+    the two tuples.  The grading is the number of marked faces, len(lam),
+    and terms of degree above ``cap`` are dropped.  M_lam vanishes once
+    len(lam) > n, so for any n >= cap that one bound is also marker
+    nilpotency and the arithmetic does not depend on n: the series keeps no
+    face count, and :meth:`coefficient` expands back to explicit monomials
+    in (b, l1..l_cap).  The constructor sorts each ``lam`` and adds up the
+    terms that then share a key.
     """
 
-    __slots__ = ("gens", "cap", "nfaces", "terms")
+    __slots__ = ("gens", "cap", "terms")
 
-    def __init__(self, gens: Sequence[str], cap: int, nfaces: int,
-                 terms: Mapping[tuple[int, tuple], MultiPoly] | None = None):
+    def __init__(self, gens: Sequence[str], cap: int,
+                 terms: Mapping[tuple, MultiPoly] | None = None):
         if cap < 0:
             raise TruncationError("cap must be nonnegative")
         self.gens = tuple(gens)
         self.cap = cap
-        self.nfaces = nfaces
-        clean: dict[tuple[int, tuple], MultiPoly] = {}
+        clean: dict[tuple, MultiPoly] = {}
         if terms:
-            for (te, lam), coeff in terms.items():
-                if te + len(lam) > cap or len(lam) > nfaces:
+            for lam, coeff in terms.items():
+                if len(lam) > cap:
                     continue
                 if coeff.gens != self.gens:
                     raise ContextError("coefficient context mismatch")
-                key = (te, tuple(sorted(lam)))
+                key = tuple(sorted(lam))
                 if key in clean:
                     coeff = clean[key] + coeff
                 if coeff.is_zero():
@@ -747,49 +746,43 @@ class GradedSeries:
     # ---------- constructors ----------
 
     @classmethod
-    def constant(cls, gens: Sequence[str], cap: int, nfaces: int, value) -> "GradedSeries":
+    def constant(cls, gens: Sequence[str], cap: int, value) -> "GradedSeries":
         gens = tuple(gens)
         if isinstance(value, (int, Fraction)):
             value = MultiPoly.constant(gens, value)
-        return cls(gens, cap, nfaces, {(0, ()): value})
+        return cls(gens, cap, {(): value})
 
     @classmethod
-    def t_var(cls, gens: Sequence[str], cap: int, nfaces: int) -> "GradedSeries":
-        return cls(gens, cap, nfaces, {(1, ()): MultiPoly.constant(gens, 1)})
-
-    @classmethod
-    def marker(cls, gens: Sequence[str], cap: int, nfaces: int,
-               power: int = 0) -> "GradedSeries":
+    def marker(cls, gens: Sequence[str], cap: int, power: int = 0) -> "GradedSeries":
         """E_power = sum_i e_i l_i^power."""
-        return cls(gens, cap, nfaces, {(0, (power,)): MultiPoly.constant(gens, 1)})
+        return cls(gens, cap, {(power,): MultiPoly.constant(gens, 1)})
 
     # ---------- views ----------
 
-    def coefficient(self, t_exp: int, markers: Iterable[int]) -> MultiPoly:
-        """The coefficient of t^t_exp prod_{i in markers} e_i, expanded over
-        the context followed by l1..ln.
+    def coefficient(self, markers: Iterable[int]) -> MultiPoly:
+        """The coefficient of prod_{i in markers} e_i, expanded over the
+        context followed by l1..l_cap.
 
         M_lam contributes to it every distinct rearrangement of lam over the
         marked faces, each prod(mult!) times, the multiplicities being
         those of the entries of lam.
         """
         faces = sorted(set(markers))
-        if any(not 1 <= i <= self.nfaces for i in faces):
-            raise ValueError(f"markers {faces} outside faces 1..{self.nfaces}")
-        picked = [(lam, c) for (te, lam), c in self.terms.items()
-                  if te == t_exp and len(lam) == len(faces)]
+        if any(not 1 <= i <= self.cap for i in faces):
+            raise ValueError(f"markers {faces} outside faces 1..{self.cap}")
+        picked = [(lam, c) for lam, c in self.terms.items() if len(lam) == len(faces)]
         den = lcm(*(c.den for _, c in picked))
         num: dict[tuple, int] = {}
         for lam, c in picked:
             weight = prod(factorial(lam.count(e)) for e in set(lam)) * (den // c.den)
             for beta in distinct_permutations(lam):
-                lexps = [0] * self.nfaces
+                lexps = [0] * self.cap
                 for i, e in zip(faces, beta):
                     lexps[i - 1] = e
                 tail = tuple(lexps)
                 for bexps, bc in c.num.items():
                     num[bexps + tail] = bc * weight
-        gens = self.gens + tuple(f"l{i}" for i in range(1, self.nfaces + 1))
+        gens = self.gens + tuple(f"l{i}" for i in range(1, self.cap + 1))
         return MultiPoly.from_numerators(gens, num, den)
 
     def is_zero(self) -> bool:
@@ -798,23 +791,23 @@ class GradedSeries:
     def truncate(self, cap: int) -> "GradedSeries":
         if cap > self.cap:
             raise TruncationError(f"cannot extend truncated series ({self.cap} -> {cap})")
-        return GradedSeries(self.gens, cap, self.nfaces, self.terms)
+        return GradedSeries(self.gens, cap, self.terms)
 
     # ---------- ring operations ----------
 
     def _coerce(self, other) -> "GradedSeries | None":
         if isinstance(other, GradedSeries):
-            if other.gens != self.gens or other.nfaces != self.nfaces:
+            if other.gens != self.gens:
                 raise ContextError("context mismatch")
             if other.cap != self.cap:
                 raise TruncationError(f"cap mismatch: {self.cap} vs {other.cap}")
             return other
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return GradedSeries.constant(self.gens, self.cap, self.nfaces, other)
+            return GradedSeries.constant(self.gens, self.cap, other)
         return None
 
     def _empty(self) -> "GradedSeries":
-        return GradedSeries(self.gens, self.cap, self.nfaces)
+        return GradedSeries(self.gens, self.cap)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -859,14 +852,14 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         other = self._coerce(other)
-        cap, n = self.cap, self.nfaces
-        prod_terms: dict[tuple[int, tuple], MultiPoly] = {}
-        for (t1, l1), c1 in self.terms.items():
-            d1, k1 = t1 + len(l1), len(l1)
-            for (t2, l2), c2 in other.terms.items():
-                if d1 + t2 + len(l2) > cap or k1 + len(l2) > n:
+        cap = self.cap
+        prod_terms: dict[tuple, MultiPoly] = {}
+        for l1, c1 in self.terms.items():
+            k1 = len(l1)
+            for l2, c2 in other.terms.items():
+                if k1 + len(l2) > cap:
                     continue
-                key = (t1 + t2, tuple(sorted(l1 + l2)))
+                key = tuple(sorted(l1 + l2))
                 c = c1 * c2
                 s = prod_terms.get(key)
                 s = c if s is None else s + c
@@ -883,14 +876,13 @@ class GradedSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = GradedSeries.constant(self.gens, self.cap, self.nfaces, 1)
+        result = GradedSeries.constant(self.gens, self.cap, 1)
         for _ in range(n):
             result = result * self
         return result
 
     def __eq__(self, other):
-        if isinstance(other, GradedSeries) and \
-                (other.cap, other.nfaces) != (self.cap, self.nfaces):
+        if isinstance(other, GradedSeries) and other.cap != self.cap:
             return False
         other = self._coerce(other)
         if other is None:
@@ -899,26 +891,16 @@ class GradedSeries:
 
     __hash__ = None
 
-    # ---------- calculus ----------
-
-    def t_derivative(self) -> "GradedSeries":
-        """Formal d/dt; exact one grading degree lower."""
-        out = GradedSeries(self.gens, max(self.cap - 1, 0), self.nfaces)
-        out.terms = {(te - 1, lam): c * te for (te, lam), c in self.terms.items() if te >= 1}
-        return out
-
     def valuation_positive(self) -> bool:
-        return (0, ()) not in self.terms
+        return () not in self.terms
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (te, lam), c in sorted(self.terms.items(),
-                                   key=lambda kv: (kv[0][0] + len(kv[0][1]), kv[0])):
+        for lam, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
             mark = f"*M{lam}" if lam else ""
-            tpart = f"*t^{te}" if te else ""
-            bits.append(f"({c}){tpart}{mark}")
+            bits.append(f"({c}){mark}")
         return " + ".join(bits)
 
     __repr__ = __str__

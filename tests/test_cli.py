@@ -179,6 +179,37 @@ def test_verify_string_single_pair(capsys):
     assert code == 0
 
 
+def never_run(*args, **kwargs):
+    raise AssertionError("a suite ran despite a usage error")
+
+
+@pytest.mark.parametrize("suite", ["string", "dilaton"])
+@pytest.mark.parametrize("flag,value", [("--genus", "2"), ("--faces", "3")])
+def test_verify_equation_suite_needs_both_genus_and_faces(capsys, monkeypatch,
+                                                          suite, flag, value):
+    # one of the two used to run the six default pairs and exit 0
+    monkeypatch.setattr(cli, "verify_string", never_run)
+    monkeypatch.setattr(cli, "verify_dilaton", never_run)
+    code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --genus and --faces go together: give both or neither\n"
+
+
+@pytest.mark.parametrize("suite", ["table1", "tpoly", "oracle", "qpoly"])
+@pytest.mark.parametrize("flags", [("--genus", "1"), ("--faces", "2"),
+                                   ("--genus", "1", "--faces", "2")])
+def test_verify_suite_without_genus_or_faces_refuses_them(capsys, monkeypatch,
+                                                          suite, flags):
+    monkeypatch.setitem(cli.SUITES, suite, never_run)
+    monkeypatch.setattr(cli, "cross_verify_counts", never_run)
+    code, out, err = run(capsys, "verify", "--suite", suite, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: suite {suite} takes no --genus or --faces; "
+                   "only string and dilaton do\n")
+
+
 def test_series_command(capsys):
     code, out, _ = run(capsys, "series", "--name", "Jinv", "--order", "2")
     assert code == 0

@@ -4,39 +4,41 @@ from itertools import permutations
 
 import pytest
 
-from irrmaps.pipeline import (CountPolynomial, DomainError, InvariantViolation,
-                              UnsupportedGenusError, a_transform_coeff,
-                              b_transform_coeff, count_exact, girth_count,
-                              m_lambda_poly, make_context, moment_hat,
-                              moment_hat_via_T, nhat, numeric_defining_residual,
-                              numeric_series_crosscheck, planar_correction,
-                              solve_R_hat, to_m_basis)
-from irrmaps.ring import GradedSeries, MultiPoly, TruncationError
+from irrmaps.families import series_J_inverse
+from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _q_moment,
+                              InvariantViolation, UnsupportedGenusError,
+                              a_transform_coeff, b_transform_coeff, count_exact,
+                              girth_count, m_lambda_poly, make_context,
+                              moment_hat, moment_hat_via_Q, moment_hat_via_T,
+                              nhat, planar_correction, solve_R_hat, to_m_basis)
+from irrmaps.ring import MultiPoly, Series, TruncationError, log_unit
+
+from test_reference_graded import (expand, marker_moment, marker_moment_via_T,
+                                   marker_solve_R, t0_part)
 
 F = Fraction
 
 
 def test_solve_R_collapses_without_markers():
-    ctx = make_context(1, 0, cap=5)
-    R = solve_R_hat(ctx)
-    # with no markers, R is the compositional inverse series in t
-    from irrmaps.families import series_J_inverse
-    inv = series_J_inverse(5, ctx.gens)
-    for k in range(6):
-        assert R.coefficient(k, ()) == inv[k]
+    # with no markers the t^0 solve is zero: R is the compositional inverse
+    # series in t, J^{-1}(b; t), which has no constant term
+    assert solve_R_hat(make_context(1, 0)).is_zero()
+    inv = series_J_inverse(5, B_ONLY)
+    assert inv[0].is_zero() and inv[1] == MultiPoly.constant(B_ONLY, 1)
     # specializing b = 0 gives R = t
     for k in range(2, 6):
-        assert R.coefficient(k, ()).evaluate({"b": 0}).as_fraction() == 0
+        assert inv[k].evaluate({"b": 0}).as_fraction() == 0
 
 
 def test_solve_R_first_order_marker():
     ctx = make_context(1, 2)
     R = solve_R_hat(ctx)
     one = MultiPoly.constant(ctx.gens, 1)
-    assert R.coefficient(0, (1,)) == one
-    assert R.coefficient(0, (2,)) == one
-    assert R.coefficient(0, ()).is_zero()
-    assert R.coefficient(1, ()) == one
+    assert R.coefficient((1,)) == one
+    assert R.coefficient((2,)) == one
+    assert R.coefficient(()).is_zero()
+    # the t part lives in the series at no faces: R = t + O(t^2)
+    assert series_J_inverse(3, B_ONLY)[1] == MultiPoly.constant(B_ONLY, 1)
 
 
 def test_moment_constant_terms():
@@ -44,51 +46,62 @@ def test_moment_constant_terms():
     R = solve_R_hat(ctx)
     m0 = moment_hat(ctx, 0, R)
     m1 = moment_hat(ctx, 1, R)
-    assert m0.coefficient(0, ()) == MultiPoly.constant(ctx.gens, 1)
-    assert m1.coefficient(0, ()).is_zero()
+    assert m0.coefficient(()) == MultiPoly.constant(ctx.gens, 1)
+    assert m1.coefficient(()).is_zero()
 
 
 def test_moment_at_b_one_is_trivial():
-    ctx = make_context(1, 0, cap=4)
-    R = solve_R_hat(ctx)
-    m0 = moment_hat(ctx, 0, R)
+    m0 = moment_hat_via_Q(0, series_J_inverse(4, B_ONLY), 4)
     # at b = 1 the fundamental series is t and the zeroth moment is 1
-    for (te, lam), coeff in m0.terms.items():
-        want = 1 if (te, lam) == (0, ()) else 0
-        assert coeff.evaluate({"b": 1}).as_fraction() == want
+    assert m0.order == 4
+    for k, coeff in enumerate(m0.coeffs):
+        assert coeff.evaluate({"b": 1}).as_fraction() == (1 if k == 0 else 0)
 
 
-def raised_R(ctx, p):
-    """R solved with t at the cap the T route needs for moment p."""
-    return solve_R_hat(make_context(ctx.genus, ctx.nfaces, ctx.cap + p + 1))
+def test_the_t_term_of_Z_adds_nothing_to_a_moment():
+    # (1+r) d/dr (1+r)^(-b) = -b (1+r)^(-b), and Q_p(b, j) has the factor
+    # b + j, so the Q route with no faces may drop Z's -t term
+    one, zero = MultiPoly.constant(B_ONLY, 1), MultiPoly(B_ONLY)
+    for p in range(4):
+        w = _q_moment(p, Series([one], 8, zero))
+        assert w.order == 8 - p - 1
+        assert all(c.is_zero() for c in w.coeffs)
+
+
+def raised_R(order, p):
+    """R = J^{-1}(b; t) at the order the T route needs for moment p."""
+    return series_J_inverse(order + p + 1, B_ONLY)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_moment_routes_agree_symbolic(p):
-    ctx = make_context(1, 0, cap=5)
-    R = solve_R_hat(ctx)
-    assert moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p, raised_R(ctx, p))
+    R = series_J_inverse(5, B_ONLY)
+    via_q, via_t = moment_hat_via_Q(p, R, 5), moment_hat_via_T(p, raised_R(5, p), 5)
+    assert via_q.order == via_t.order == 5
+    assert via_q == via_t
 
 
 def test_moment_routes_agree_with_marker():
-    ctx = make_context(1, 1, cap=3)
+    # with a face the graded moment is the t^0 part of the T route, which
+    # the marker ring keeps t for
+    ctx = make_context(1, 1)
     R = solve_R_hat(ctx)
     for p in range(3):
-        assert moment_hat(ctx, p, R) == moment_hat_via_T(ctx, p, raised_R(ctx, p))
-    # an R solved below the raised cap is refused, not silently truncated
+        assert expand(moment_hat(ctx, p, R)) == t0_part(marker_moment_via_T(1, 3, p), 1)
+    # an R shorter than the T route needs is refused, not silently truncated
     with pytest.raises(TruncationError):
-        moment_hat_via_T(ctx, 2, raised_R(ctx, 1))
+        moment_hat_via_T(2, raised_R(3, 1), 3)
 
 
 def test_moments_at_t_zero_are_the_t0_part():
     # setting t = 0 commutes with the solve and the moment series
     for genus, nfaces in [(1, 2), (2, 2)]:
         ctx = make_context(genus, nfaces)
-        R, R0 = solve_R_hat(ctx), solve_R_hat(ctx, keep_t=False)
-        assert R0.terms == {key: c for key, c in R.terms.items() if key[0] == 0}
+        R, marker_R = solve_R_hat(ctx), marker_solve_R(nfaces, nfaces)
+        assert expand(R) == t0_part(marker_R)
         for p in range(3 * genus - 2):
-            full, at0 = moment_hat(ctx, p, R), moment_hat(ctx, p, R0, keep_t=False)
-            assert at0.terms == {key: c for key, c in full.terms.items() if key[0] == 0}
+            full = marker_moment(nfaces, nfaces, p, marker_R)
+            assert expand(moment_hat(ctx, p, R)) == t0_part(full)
 
 
 def test_nhat_special_values():
@@ -194,35 +207,6 @@ def test_girth_counts():
         girth_count(0, 4, 2, (2, 2, 2, 2), mode="exactly")
 
 
-def test_numeric_crosscheck_matches_formula():
-    cases = [
-        (1, 1, 1, (2,)),
-        (0, 3, 1, (1, 1, 1)),
-        (0, 4, 1, (2, 2, 2, 2)),
-        (0, 4, 0, (2, 3, 2, 2)),
-        (2, 1, 1, (4,)),
-        (1, 2, 2, (2, 2)),
-        (2, 2, 1, (3, 2)),
-        (1, 2, 0, (2, 2)),
-    ]
-    for g, n, b, degs in cases:
-        via_series = numeric_series_crosscheck(g, n, b, degs)
-        direct = nhat(g, n).evaluate(b, degs)
-        assert via_series == direct, (g, n, b, degs)
-
-
-def test_numeric_defining_residual_vanishes():
-    assert numeric_defining_residual(1, 2, 3, 3).poly.is_zero()
-    assert numeric_defining_residual(2, 3, 4, 3).poly.is_zero()
-
-
-def test_numeric_crosscheck_errors():
-    with pytest.raises(DomainError):
-        numeric_series_crosscheck(1, 1, 1, (3,), max_degree=2)
-    with pytest.raises(DomainError):
-        numeric_defining_residual(0, 2, 3, 3)
-
-
 def test_unsupported_genus_paths():
     from irrmaps.pipeline import nhat_higher_genus, UnsupportedGenusError
     with pytest.raises(UnsupportedGenusError):
@@ -236,13 +220,16 @@ def test_unsupported_genus_paths():
 
 def test_free_energy_log_form():
     # the genus-1 free energy equals -1/12 log of the zeroth moment computed
-    # through the derivative route as well
-    from irrmaps.ring import log_unit
-    ctx = make_context(1, 1)
-    R = solve_R_hat(ctx)
-    via_q = log_unit(moment_hat(ctx, 0, R), ctx.cap) * Fraction(-1, 12)
-    via_t = log_unit(moment_hat_via_T(ctx, 0, raised_R(ctx, 0)), ctx.cap) * Fraction(-1, 12)
+    # through the derivative route as well: with no faces on series in t,
+    # with a face against the t^0 part of the marker ring's T route
+    R = raised_R(5, 0)
+    via_q = log_unit(moment_hat_via_Q(0, R, 5), 5) * Fraction(-1, 12)
+    via_t = log_unit(moment_hat_via_T(0, R, 5), 5) * Fraction(-1, 12)
     assert via_q == via_t
+    ctx = make_context(1, 1)
+    via_q = log_unit(moment_hat(ctx, 0, solve_R_hat(ctx)), ctx.cap) * Fraction(-1, 12)
+    via_t = log_unit(marker_moment_via_T(1, 1, 0), 1) * Fraction(-1, 12)
+    assert expand(via_q) == t0_part(via_t)
 
 
 def test_girth_exactly_worked_value():

@@ -2,14 +2,19 @@
 
 ``MarkerGradedSeries`` is the earlier ``ring.GradedSeries``: one MultiPoly
 coefficient over (b, l1..ln) per t-exponent and subset of nilpotent
-markers.  ``marker_solve_R``, ``marker_zhat``, ``marker_moment`` and
-``marker_moment_via_T`` are the earlier solve and moment routes over it,
-and ``product_genus0`` is the earlier genus-0 route, which multiplied the
-series I(b, l_i; r) face by face over (b, l1..ln).  All of them are kept
-here only as references; ``expand`` maps the face-symmetric ring into the
-marker ring through ``GradedSeries.coefficient``.
+markers.  It keeps the deformation variable t, which the package's ring no
+longer has: the package solves at t = 0, and with no faces it works on
+plain series in t.  ``marker_solve_R``, ``marker_zhat``, ``marker_moment``
+and ``marker_moment_via_T`` are the earlier solve and moment routes over
+it, with t, and ``product_genus0`` is the earlier genus-0 route, which
+multiplied the series I(b, l_i; r) face by face over (b, l1..ln).  All of
+them are kept here only as references.  ``expand`` maps the face-symmetric
+ring into the t^0 part of the marker ring through
+``GradedSeries.coefficient``; ``t0_part`` and ``at_no_faces`` read the
+marker results the package's routes stand for.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -21,9 +26,10 @@ from hypothesis import strategies as st
 
 from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_table,
                               series_I, series_J, series_J_inverse)
-from irrmaps.pipeline import (_apply_q_operator, face_generators, free_energy,
-                              make_context, moment_hat, moment_hat_via_T,
-                              nhat_genus0, solve_R_hat, t_weight)
+from irrmaps.pipeline import (B_ONLY, _apply_q_operator, face_generators,
+                              free_energy, make_context, moment_hat,
+                              moment_hat_via_Q, moment_hat_via_T, nhat_genus0,
+                              solve_R_hat, t_weight)
 from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
                           TruncationError, distinct_permutations)
 
@@ -224,8 +230,8 @@ class MarkerGradedSeries:
 # ============================================================
 
 
-def marker_solve_R(ctx):
-    gens, cap, n = ctx.gens, ctx.cap, ctx.nfaces
+def marker_solve_R(n, cap):
+    gens = face_generators(n)
     jinv = series_J_inverse(max(cap, 1), gens)
     eyes = [series_I(max(cap - 1, 0), gens, ell=f"l{i}") for i in range(1, n + 1)]
     R = MarkerGradedSeries(gens, 0)
@@ -244,8 +250,8 @@ def marker_solve_R(ctx):
     return R
 
 
-def marker_zhat(ctx, order):
-    gens, cap, n = ctx.gens, ctx.cap, ctx.nfaces
+def marker_zhat(n, cap, order):
+    gens = face_generators(n)
     jser = series_J(max(order, 1), gens)
     eyes = [series_I(order, gens, ell=f"l{i}") for i in range(1, n + 1)]
     t = MarkerGradedSeries.t_var(gens, cap)
@@ -261,17 +267,17 @@ def marker_zhat(ctx, order):
     return Series(coeffs, order, MarkerGradedSeries(gens, cap))
 
 
-def marker_moment(ctx, p, R):
-    gens = ctx.gens
-    order = ctx.cap + p + 1
-    w = marker_zhat(ctx, order) * power_one_plus_r(0, -1, order, gens)
+def marker_moment(n, cap, p, R):
+    gens = face_generators(n)
+    order = cap + p + 1
+    w = marker_zhat(n, cap, order) * power_one_plus_r(0, -1, order, gens)
     by_j = {e: c.with_context(gens) for e, c in qpoly_table()[p].coefficients_in("j").items()}
     return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, gens)).compose(R)
 
 
-def marker_moment_via_T(ctx, p):
-    gens, cap = ctx.gens, ctx.cap
-    R = marker_solve_R(make_context(ctx.genus, ctx.nfaces, cap + p + 1))
+def marker_moment_via_T(n, cap, p):
+    gens = face_generators(n)
+    R = marker_solve_R(n, cap + p + 1)
     derivs = [R]
     for _ in range(p + 1):
         derivs.append(derivs[-1].t_derivative())
@@ -298,28 +304,54 @@ def product_genus0(n):
     return poly * factorial(n - 2)
 
 
-def expand(gs):
-    """The marker-ring element a face-symmetric one stands for."""
+def expand(gs, n=None):
+    """The marker-ring element, in n >= cap faces (cap by default), that a
+    face-symmetric one stands for: the same keys read at cap n, where
+    ``coefficient`` expands over all n faces, truncated back to the cap."""
+    n = gs.cap if n is None else n
+    lifted = GradedSeries(gs.gens, n, gs.terms)
     terms = {}
-    for te, lam in gs.terms:
-        for faces in combinations(range(1, gs.nfaces + 1), len(lam)):
-            terms[te, frozenset(faces)] = gs.coefficient(te, faces)
-    return MarkerGradedSeries(face_generators(gs.nfaces), gs.cap, terms)
+    for lam in gs.terms:
+        for faces in combinations(range(1, n + 1), len(lam)):
+            terms[0, frozenset(faces)] = lifted.coefficient(faces)
+    return MarkerGradedSeries(face_generators(n), gs.cap, terms)
+
+
+def t0_part(ms, cap=None):
+    """The t^0 part of a marker-ring element, truncated at ``cap``."""
+    cap = ms.cap if cap is None else cap
+    return MarkerGradedSeries(ms.gens, cap, {k: c for k, c in ms.terms.items() if k[0] == 0})
+
+
+def at_no_faces(ms):
+    """A marker-ring element with no faces as the series in t it is."""
+    return Series([ms.coefficient(k, ()) for k in range(ms.cap + 1)], ms.cap, MultiPoly(B_ONLY))
+
+
+def same_series(got, want):
+    return got.order == want.order and got.coeffs == want.coeffs
+
+
+def graded_context(genus, nfaces, cap):
+    """``make_context``, with the grading cap lowered to ``cap`` if given."""
+    ctx = make_context(genus, nfaces)
+    assert cap is None or cap <= nfaces
+    return ctx if cap is None else dataclasses.replace(ctx, cap=cap)
 
 
 def assignment_sum(gs):
     """The same element straight from the definition of M_lam: a sum over
     the injective assignments of the entries of lam to faces."""
-    gens = face_generators(gs.nfaces)
+    gens = face_generators(gs.cap)
     width = len(gens)
     out = MarkerGradedSeries(gens, gs.cap)
-    for (te, lam), c in gs.terms.items():
-        for faces in permutations(range(1, gs.nfaces + 1), len(lam)):
+    for lam, c in gs.terms.items():
+        for faces in permutations(range(1, gs.cap + 1), len(lam)):
             exps = [0] * width
             for i, e in zip(faces, lam):
                 exps[i] = e
             mono = MultiPoly(gens, {tuple(exps): 1}) * c.with_context(gens)
-            out = out + MarkerGradedSeries(gens, gs.cap, {(te, frozenset(faces)): mono})
+            out = out + MarkerGradedSeries(gens, gs.cap, {(0, frozenset(faces)): mono})
     return out
 
 
@@ -332,13 +364,12 @@ fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
-def symmetric_series(draw, cap, nfaces):
-    keys = [(te, lam) for te in range(cap + 1) for k in range(min(nfaces, cap - te) + 1)
-            for lam in {tuple(sorted(x)) for x in _tuples(k)}]
+def symmetric_series(draw, cap):
+    keys = [lam for k in range(cap + 1) for lam in {tuple(sorted(x)) for x in _tuples(k)}]
     bvar = MultiPoly.variable(B, "b")
     terms = {key: bvar * draw(fractions) + draw(fractions)
              for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=8))}
-    return GradedSeries(B, cap, nfaces, terms)
+    return GradedSeries(B, cap, terms)
 
 
 def _tuples(k):
@@ -347,8 +378,8 @@ def _tuples(k):
 
 @st.composite
 def symmetric_pairs(draw):
-    cap, nfaces = draw(st.integers(0, 4)), draw(st.integers(0, 3))
-    return draw(symmetric_series(cap, nfaces)), draw(symmetric_series(cap, nfaces))
+    cap = draw(st.integers(0, 4))
+    return draw(symmetric_series(cap)), draw(symmetric_series(cap))
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,7 +388,10 @@ def test_expansion_of_a_product_is_the_marker_product(pair):
     left, right = pair
     assert expand(left * right) == expand(left) * expand(right)
     assert expand(left + right) == expand(left) + expand(right)
-    assert expand(left.t_derivative()) == expand(left).t_derivative()
+    # below the face count the same keys stand for the truncated element
+    if left.cap:
+        low = left.truncate(left.cap - 1)
+        assert expand(low, left.cap) == expand(left).truncate(left.cap - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,21 +417,50 @@ CASES = [(1, 1, None), (1, 2, None), (1, 3, None), (2, 1, None), (2, 2, None),
 
 @pytest.mark.parametrize("genus,nfaces,cap", CASES)
 def test_R_moments_and_free_energy_match_the_marker_ring(genus, nfaces, cap):
-    ctx = make_context(genus, nfaces, cap)
-    R, marker_R = solve_R_hat(ctx), marker_solve_R(ctx)
-    assert expand(R) == marker_R
+    if nfaces == 0:
+        # with no faces R = J^{-1}(b; t) is a plain series in t, and the
+        # moments come from the Q route on series
+        marker_R = marker_solve_R(0, cap)
+        R = series_J_inverse(max(cap, 1), B_ONLY).truncate(cap)
+        assert same_series(R, at_no_faces(marker_R))
+        moments = [moment_hat_via_Q(p, R, cap) for p in range(3 * genus - 2)]
+        marker_moments = [marker_moment(0, cap, p, marker_R) for p in range(3 * genus - 2)]
+        assert all(same_series(m, at_no_faces(mm)) for m, mm in zip(moments, marker_moments))
+        F = free_energy(genus, moments, cap)
+        assert same_series(F, at_no_faces(free_energy(genus, marker_moments, cap)))
+        return
+    ctx = graded_context(genus, nfaces, cap)
+    R, marker_R = solve_R_hat(ctx), marker_solve_R(nfaces, ctx.cap)
+    assert expand(R, nfaces) == t0_part(marker_R)
     moments = [moment_hat(ctx, p, R) for p in range(3 * genus - 2)]
-    marker_moments = [marker_moment(ctx, p, marker_R) for p in range(3 * genus - 2)]
-    assert [expand(m) for m in moments] == marker_moments
+    marker_moments = [marker_moment(nfaces, ctx.cap, p, marker_R) for p in range(3 * genus - 2)]
+    assert [expand(m, nfaces) for m in moments] == [t0_part(m) for m in marker_moments]
     F = free_energy(genus, moments, ctx.cap)
-    assert expand(F) == free_energy(genus, marker_moments, ctx.cap)
+    assert expand(F, nfaces) == t0_part(free_energy(genus, marker_moments, ctx.cap))
 
 
 @pytest.mark.parametrize("nfaces,cap,p", [(1, 1, 1), (2, 2, 0), (0, 5, 3), (1, 3, 2)])
 def test_moments_via_T_match_the_marker_ring(nfaces, cap, p):
-    ctx = make_context(1, nfaces, cap)
-    raised = solve_R_hat(make_context(1, nfaces, cap + p + 1))
-    assert expand(moment_hat_via_T(ctx, p, raised)) == marker_moment_via_T(ctx, p)
+    marker = marker_moment_via_T(nfaces, cap, p)
+    if nfaces == 0:
+        R = series_J_inverse(cap + p + 1, B_ONLY)
+        assert same_series(moment_hat_via_T(p, R, cap), at_no_faces(marker))
+    else:
+        # the graded ring has no t to differentiate in: its moment is the
+        # t^0 part of the T route, read at the face count
+        ctx = make_context(1, nfaces)
+        assert expand(moment_hat(ctx, p, solve_R_hat(ctx))) == t0_part(marker, nfaces)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3))
+def test_series_routes_match_the_marker_ring_without_faces(order, p):
+    marker_R = marker_solve_R(0, order)
+    R = series_J_inverse(order + p + 1, B_ONLY)
+    assert same_series(R.truncate(order), at_no_faces(marker_R))
+    want = at_no_faces(marker_moment(0, order, p, marker_R))
+    assert same_series(moment_hat_via_Q(p, R, order), want)
+    assert same_series(moment_hat_via_T(p, R, order), want)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrmaps.families import series_J_inverse
+from irrmaps.families import series_J, series_J_inverse
 from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
                           TruncationError, bernoulli_plus, faulhaber_closed_sum,
                           inverse_unit, log_unit, power_sum_poly)
@@ -214,57 +214,57 @@ def test_series_truncation_commutes():
 def test_graded_nilpotent_markers():
     gens = ("b",)
     cap = 2
-    t = GradedSeries.t_var(gens, cap, 2)
-    e = GradedSeries.marker(gens, cap, 2)  # e1 + e2
-    el = GradedSeries.marker(gens, cap, 2, 1)  # e1 l1 + e2 l2
-    prod = (t + e) * (t + el)
+    e = GradedSeries.marker(gens, cap)  # e1 + e2
+    el = GradedSeries.marker(gens, cap, 1)  # e1 l1 + e2 l2
+    prod = (e + 1) * (el + 1)
     expanded = ("b", "l1", "l2")
     l1, l2 = MultiPoly.variable(expanded, "l1"), MultiPoly.variable(expanded, "l2")
-    assert prod.coefficient(2, ()) == MultiPoly.constant(expanded, 1)
-    assert prod.coefficient(1, (1,)) == l1 + 1
-    assert prod.coefficient(1, (2,)) == l2 + 1
+    assert prod.coefficient(()) == MultiPoly.constant(expanded, 1)
+    assert prod.coefficient((1,)) == l1 + 1
+    assert prod.coefficient((2,)) == l2 + 1
     # (e1 + e2)(e1 l1 + e2 l2) = e1 e2 (l1 + l2): e1^2 = e2^2 = 0
-    assert prod.coefficient(0, (1, 2)) == l1 + l2
-    assert (e * e).coefficient(0, (1, 2)) == MultiPoly.constant(expanded, 2)
-    one = GradedSeries.marker(gens, cap, 1)  # a single face: e1^2 = 0
+    assert prod.coefficient((1, 2)) == l1 + l2
+    assert (e * e).coefficient((1, 2)) == MultiPoly.constant(expanded, 2)
+    one = GradedSeries.marker(gens, 1)  # a single face: e1^2 = 0
     assert (one * one).is_zero()
+    with pytest.raises(ValueError):
+        prod.coefficient((3,))
 
 
 def test_graded_markers_past_the_face_count_vanish():
     gens = ("b",)
-    one = GradedSeries.marker(gens, 3, 1)
+    one = GradedSeries.marker(gens, 1)
     assert (one * one).is_zero()
-    two = GradedSeries.marker(gens, 3, 2, 2)
-    assert (two * two).terms == {(0, (2, 2)): MultiPoly.constant(gens, 1)}
+    two = GradedSeries.marker(gens, 2, 2)
+    assert (two * two).terms == {(2, 2): MultiPoly.constant(gens, 1)}
     assert (two * two * two).is_zero()
     with pytest.raises(ContextError):
-        _ = one + two
+        _ = two + GradedSeries.marker(("b", "c"), 2, 2)
     with pytest.raises(TruncationError):
-        _ = two + GradedSeries.marker(gens, 2, 2)
+        _ = one + two
 
 
 def test_graded_constructor_adds_terms_whose_sorted_keys_agree():
     gens = ("b",)
     one, two = MultiPoly.constant(gens, 1), MultiPoly.constant(gens, 2)
-    gs = GradedSeries(gens, 2, 2, {(0, (2, 0)): one, (0, (0, 2)): two, (1, (1,)): one,
-                                   (1, (1, 0)): one, (0, (0, 0, 0)): one})
-    assert gs.terms == {(0, (0, 2)): MultiPoly.constant(gens, 3), (1, (1,)): one}
-    assert GradedSeries(gens, 2, 2, {(0, (1, 0)): one, (0, (0, 1)): -one}).is_zero()
-    # three marked faces out of two vanish below the cap too
-    assert GradedSeries(gens, 3, 2, {(0, (0, 0, 0)): one}).is_zero()
+    gs = GradedSeries(gens, 2, {(2, 0): one, (0, 2): two, (1,): one, (1, 0, 0): one})
+    assert gs.terms == {(0, 2): MultiPoly.constant(gens, 3), (1,): one}
+    assert GradedSeries(gens, 2, {(1, 0): one, (0, 1): -one}).is_zero()
+    # three marked faces out of two vanish
+    assert GradedSeries(gens, 2, {(0, 0, 0): one}).is_zero()
 
 
 def test_graded_cap_mismatch():
     gens = ("b",)
     with pytest.raises(TruncationError):
-        _ = GradedSeries.t_var(gens, 2, 1) + GradedSeries.t_var(gens, 3, 1)
+        _ = GradedSeries.marker(gens, 2) + GradedSeries.marker(gens, 3)
 
 
 def test_graded_equality_across_caps_is_false():
     gens = ("b",)
-    assert GradedSeries(gens, 2, 1) != GradedSeries(gens, 3, 1)
-    assert not GradedSeries.t_var(gens, 2, 1) == GradedSeries.t_var(gens, 3, 1)
-    assert GradedSeries.t_var(gens, 3, 1).truncate(2) == GradedSeries.t_var(gens, 2, 1)
+    assert GradedSeries(gens, 2) != GradedSeries(gens, 3)
+    assert not GradedSeries.marker(gens, 2) == GradedSeries.marker(gens, 3)
+    assert GradedSeries.marker(gens, 3).truncate(2) == GradedSeries.marker(gens, 2)
 
 
 def test_constant_poly_hashes_like_its_value():
@@ -280,22 +280,23 @@ def test_constant_poly_hashes_like_its_value():
 
 def test_graded_truncation_commutes():
     gens = ("b",)
-    a = GradedSeries.t_var(gens, 4, 2) + GradedSeries.marker(gens, 4, 2) + 1
-    b = GradedSeries.t_var(gens, 4, 2) * 2 + GradedSeries.marker(gens, 4, 2, 2)
+    a = GradedSeries.marker(gens, 4, 1) + GradedSeries.marker(gens, 4) + 1
+    b = GradedSeries.marker(gens, 4, 1) * 2 + GradedSeries.marker(gens, 4, 2)
     hi = (a * b).truncate(2)
     lo = a.truncate(2) * b.truncate(2)
     assert hi == lo
 
 
-def test_graded_t_derivative():
+def test_t_derivative_of_the_inverse_series():
+    # with no faces R = J^{-1}(b; t) is a series in t, and the moment route
+    # through T differentiates it: J'(R) dR/dt = 1
     gens = ("b",)
-    t = GradedSeries.t_var(gens, 3, 1)
-    e1 = GradedSeries.marker(gens, 3, 1)
-    f = t * t * t + t * e1 * 5
-    df = f.t_derivative()
-    expanded = ("b", "l1")
-    assert df.coefficient(2, ()) == MultiPoly.constant(expanded, 3)
-    assert df.coefficient(0, (1,)) == MultiPoly.constant(expanded, 5)
+    R = series_J_inverse(6, gens)
+    dR = R.derivative()
+    assert dR.order == 5
+    assert dR[0] == MultiPoly.constant(gens, 1)
+    product = series_J(6, gens).derivative().compose(R.truncate(5)) * dR
+    assert product == Series([MultiPoly.constant(gens, 1)], 5, MultiPoly(gens))
 
 
 def test_bernoulli_convention():
@@ -349,13 +350,13 @@ def test_evaluate_unknown_generator():
        st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 def test_graded_ring_laws(a0, a1, a2, b0, b1, b2):
     gens = ("b",)
-    t = GradedSeries.t_var(gens, 3, 2)
-    e1 = GradedSeries.marker(gens, 3, 2)
-    e2 = GradedSeries.marker(gens, 3, 2, 2)
+    el = GradedSeries.marker(gens, 3, 1)
+    e1 = GradedSeries.marker(gens, 3)
+    e2 = GradedSeries.marker(gens, 3, 2)
     bvar = MultiPoly.variable(gens, "b")
-    p = t * a0 + e1 * a1 + t * t * (bvar * a2)
-    q = t * b0 + e2 * (bvar * b1) + b2
-    r = t * e1 * a1 + b0
+    p = el * a0 + e1 * a1 + el * el * (bvar * a2)
+    q = el * b0 + e2 * (bvar * b1) + b2
+    r = el * e1 * a1 + b0
     assert p + q == q + p
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
