@@ -136,11 +136,13 @@ def cmd_verify(args) -> int:
                          "only string and dilaton do")
     if len(given) == 1:
         raise ValueError("--genus and --faces go together: give both or neither")
+    if args.max_2e is not None and suite != "oracle":
+        raise ValueError(f"suite {suite} takes no --max-2e; only oracle does")
     if suite in ("string", "dilaton"):
         fn = verify_string if suite == "string" else verify_dilaton
         report = fn(args.genus, args.faces)
     elif suite == "oracle":
-        report = cross_verify_counts(max_sides=args.max_2e)
+        report = cross_verify_counts(max_sides=8 if args.max_2e is None else args.max_2e)
     else:
         report = SUITES[suite]()
     print(report.render())
@@ -214,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--faces", type=int, default=None)
-    p.add_argument("--max-2e", type=int, default=8,
-                   help="side bound for the oracle sweep")
+    p.add_argument("--max-2e", type=int, default=None,
+                   help="side bound for the oracle sweep (oracle suite only; default 8)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("series", help="print series coefficients")

@@ -27,6 +27,12 @@ The search prunes branches only on provably monotone grounds:
   * a component whose boundary is fully glued while others remain can never
     connect.
 
+Two of these rules are decided before a gluing is applied, so a refused
+candidate never touches the search state: a gluing across two boundary
+circles of one component once the handle budget is spent, and, without
+degree-one vertices, a gluing of two consecutive sides of one polygon
+(which closes a degree-1 vertex).
+
 It also searches each rotation of an untouched polygon once.  When the
 smallest unmatched side is glued into a polygon q other than its own that
 has no glued side yet, only q's first side is tried, and the subtree counts
@@ -35,15 +41,28 @@ at any side of q onto the one entered at its first side; the rotated map is
 the same map with q's sides relabeled, so it is accepted exactly when the
 original is.  The search runs serially in one process.
 
-Pinning never turns polygon 0, nor a polygon first entered from inside its
-own boundary, so a leaf is still reached once per rotation of those.  Each
-search therefore keeps its leaf verdicts in a dict keyed by a
-rotation-canonical code of the full matching: for every rotation of
-polygon 0, walk the polygons breadth-first from it, turn each newly reached
-polygon so that the side the walk enters first becomes its side 0, relabel
-the matching under those rotations, and keep the least result.  Rotating
-any polygon of the input changes none of these walks, so every rotation of
-a gluing has the same code; and the code is itself a rotation of the
+With n >= 2 polygons, polygon 0 is pinned by an orbit weight.  Its sides
+are matched first; side 0 goes to the first side of another polygon, the
+anchor, and no side of polygon 0 goes to a polygon numbered between 0 and
+the anchor.  Rotating polygon 0 acts freely on connected gluings: a turn
+that fixes a gluing fixes the partner of a side glued outside polygon 0,
+hence that side, hence every side.  The anchor, the least polygon next to
+polygon 0, is the same across an orbit, so an orbit holds exactly k
+gluings that meet the rule, k the number of polygon-0 sides glued to the
+anchor.  Each accepted leaf therefore counts 2*l_0 / k
+times; the leaves are summed per k in integers and divided once at the end.
+
+A polygon first entered from inside its own boundary is not pinned, so a
+leaf is still reached once per rotation of it (and of polygon 0 when n =
+1).  Each search therefore keeps its leaf verdicts in a dict keyed by a
+rotation-canonical code of the full matching: for each rotation of polygon
+0 that brings a side glued to its least other neighbour to side 0 (every
+rotation when n = 1), walk the polygons breadth-first from it, turn each
+newly reached polygon so that the side the walk enters first becomes its
+side 0, relabel the matching under those rotations, and keep the least
+result.  Rotating polygon 0 turns the set of tried rotations with it, and
+rotating any other polygon changes none of these walks, so every rotation
+of a gluing has the same code; and the code is itself a rotation of the
 gluing, so equal codes mean the same face-labeled map with its sides
 relabeled, which is accepted exactly when the original is.  The cycle
 checks thus run once per rotation orbit of the leaves the search reaches.
@@ -70,6 +89,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .families import ConsistencyError
 
@@ -966,16 +986,21 @@ def _leaf_passes(spec: GluingSpec, partner) -> bool:
 def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
     """The least partner list among the rotations of a connected gluing.
 
-    For each rotation of polygon 0, the polygons are walked breadth-first
-    from it, each newly reached one rotated so that the side the walk enters
-    first becomes its side 0, and ``partner`` is relabeled under those
-    rotations.  Rotating any polygon of the input changes no walk, so the
-    least relabeling is the same for every rotation of the gluing.
+    For each rotation of polygon 0 that brings to its side 0 a side glued
+    to the least-indexed other polygon next to it (any side when there is
+    none), the polygons are walked breadth-first from polygon 0, each newly
+    reached one rotated so that the side the walk enters first becomes its
+    side 0, and ``partner`` is relabeled under those rotations.  Rotating
+    polygon 0 turns the set of starts with it, and rotating any other
+    polygon changes neither that set nor any walk, so the least relabeling
+    is the same for every rotation of the gluing.
     """
     nxt, _, poly_of, offsets = polygon_layout(degrees)
     S = len(partner)
+    near = [poly_of[partner[d]] for d in range(2 * degrees[0])]
+    anchor = min((q for q in near if q), default=0)
     best = None
-    for r0 in range(2 * degrees[0]):
+    for r0 in (d for d, q in enumerate(near) if q == anchor):
         first = [-1] * len(degrees)   # the side that becomes each polygon's side 0
         first[0] = r0
         new = [0] * S
@@ -1001,7 +1026,13 @@ def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
 
 def _search(spec: GluingSpec) -> int:
     """Count accepted matchings, entering each untouched polygon at its first
-    dart and checking each rotation orbit of leaves once."""
+    dart, pinning polygon 0 by an orbit weight when n >= 2, and checking
+    each rotation orbit of leaves once.
+
+    At each node the boundary circle of the smallest unmatched dart is
+    walked once; candidates that would add a handle beyond the target genus
+    or close a degree-one vertex are skipped before any state changes.
+    """
     degrees = spec.degrees
     n = len(degrees)
     S = sum(2 * l for l in degrees)
@@ -1027,7 +1058,8 @@ def _search(spec: GluingSpec) -> int:
     singles = S
     genus_acc = 0
     ncomp = n
-    accepted = 0
+    n0 = 2 * degrees[0]
+    by_k: dict[int, int] = {}  # accepted weight per count k of anchor sides
     verdicts: dict[tuple[int, ...], bool] = {}  # rotation code -> leaf verdict
 
     def find(x: int) -> int:
@@ -1057,8 +1089,9 @@ def _search(spec: GluingSpec) -> int:
         trail.append((2, su, ev, (u, v, lu), d))
         return True
 
-    def glue(a: int, c: int, remaining: int):
-        """Apply the gluing; return (trail, ok)."""
+    def glue(a: int, c: int, remaining: int, same_circle: bool):
+        """Apply the gluing; return (trail, ok).  ``same_circle``: whether a
+        and c lie on one boundary circle."""
         nonlocal closedV, singles, genus_acc, ncomp
         trail = []
         partner[a] = c
@@ -1069,30 +1102,20 @@ def _search(spec: GluingSpec) -> int:
         # components and boundary circles
         ra = find(poly_of[a])
         rc = find(poly_of[c])
-        cur = bnx[a]
-        while cur != a and cur != c:
-            cur = bnx[cur]
-        same_circle = cur == c
-        ok = True
         if same_circle:
             trail.append((3, ra, popen[ra], 0, 0))
             popen[ra] -= 2
-            root = ra
         elif ra == rc:
             genus_acc += 1
             trail.append((4, ra, popen[ra], 0, 0))
             popen[ra] -= 2
-            root = ra
-            if genus_acc > g_target:
-                ok = False
         else:
             trail.append((5, rc, ra, popen[ra], popen[rc]))
             proot[rc] = ra
             popen[ra] = popen[ra] + popen[rc] - 2
             ncomp -= 1
-            root = ra
-        if ok and popen[root] == 0 and ncomp > 1:
-            ok = False  # sealed component can never connect to the rest
+        # a sealed component can never connect to the rest
+        ok = popen[ra] != 0 or ncomp == 1
 
         if ok:
             na, pa = bnx[a], bpv[a]
@@ -1176,7 +1199,6 @@ def _search(spec: GluingSpec) -> int:
         used[poly_of[c]] -= 1
 
     def rec(lo: int, matched: int, weight: int):
-        nonlocal accepted
         if matched == E:
             if ncomp == 1 and closedV == V_target:
                 if genus_acc != g_target:
@@ -1188,13 +1210,31 @@ def _search(spec: GluingSpec) -> int:
                         ok = verdicts[code] = _leaf_passes(spec, partner)
                     if not ok:
                         return
-                accepted += weight
+                k = n0
+                if n > 1:
+                    anchor = poly_of[partner[0]]
+                    k = sum(poly_of[partner[d]] == anchor for d in range(n0))
+                by_k[k] = by_k.get(k, 0) + weight
             return
         while partner[lo] != -1:
             lo += 1
         p = poly_of[lo]
+        if p or n == 1:
+            cands = range(lo + 1, S)
+        else:
+            # pin polygon 0: side 0 goes to the first side of another
+            # polygon, the anchor, and no side of polygon 0 to one below it
+            anchor = poly_of[partner[0]] if lo else 1
+            cands = chain(range(lo + 1 if lo else n0, n0), range(offsets[anchor], S))
+        circle = set()            # lo's boundary circle
+        cur = bnx[lo]
+        while cur != lo:
+            circle.add(cur)
+            cur = bnx[cur]
+        root = find(p)
+        no_handle = genus_acc == g_target
         remaining = E - matched - 1
-        for c in range(lo + 1, S):
+        for c in cands:
             if partner[c] != -1:
                 continue
             w = weight
@@ -1204,13 +1244,23 @@ def _search(spec: GluingSpec) -> int:
                 if c != offsets[q]:
                     continue
                 w *= 2 * degrees[q]
-            trail, ok = glue(lo, c, remaining)
+            if mindeg2 and (c == nxt[lo] or lo == nxt[c]):
+                continue  # a degree-one vertex
+            same_circle = c in circle
+            if no_handle and not same_circle and find(q) == root:
+                continue  # one handle too many
+            trail, ok = glue(lo, c, remaining, same_circle)
             if ok:
                 rec(lo + 1, matched + 1, w)
             unglue(lo, c, trail)
 
     rec(0, 0, 1)
-    return accepted
+    # a rotation orbit of polygon 0 holds exactly k leaves with side 0 on
+    # the anchor; n = 1 leaves count once (k = n0)
+    total = sum(Fraction(acc * n0, k) for k, acc in by_k.items())
+    if total.denominator != 1:
+        raise ConsistencyError(f"pinned leaf total {total} is not an integer")
+    return int(total)
 
 
 def brute_count(spec: GluingSpec, parallel: bool | None = None) -> Fraction:

@@ -210,6 +210,31 @@ def test_verify_suite_without_genus_or_faces_refuses_them(capsys, monkeypatch,
                    "only string and dilaton do\n")
 
 
+@pytest.mark.parametrize("suite", ["table1", "string", "dilaton", "tpoly", "qpoly"])
+def test_verify_max_2e_goes_only_to_the_oracle_suite(capsys, monkeypatch, suite):
+    # --max-2e used to be dropped silently: table1 ran and exited 0
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, never_run)
+    monkeypatch.setattr(cli, "verify_string", never_run)
+    monkeypatch.setattr(cli, "verify_dilaton", never_run)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-2e", "12")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: suite {suite} takes no --max-2e; only oracle does\n"
+
+
+def test_verify_oracle_sweeps_eight_sides_by_default(capsys, monkeypatch):
+    seen = []
+
+    def record(max_sides):
+        seen.append(max_sides)
+        return verify.VerificationReport("oracle")
+
+    monkeypatch.setattr(cli, "cross_verify_counts", record)
+    code, _, _ = run(capsys, "verify", "--suite", "oracle")
+    assert (code, seen) == (0, [8])
+
+
 def test_series_command(capsys):
     code, out, _ = run(capsys, "series", "--name", "Jinv", "--order", "2")
     assert code == 0

@@ -330,17 +330,23 @@ def _count_leaf_checks(monkeypatch):
 
 
 def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
-    # every rotation of an untouched polygon is searched once, not 2l times:
-    # 360 leaves where the unpinned search made 45,360 (35 leaf checks once
-    # the memo folds the rotations of polygon 0 too)
+    # every rotation of an untouched polygon is searched once, not 2l times,
+    # and polygon 0 turns only until a side glued to its least neighbour is
+    # its side 0: 160 leaves where the unpinned search made 45,360 and
+    # pinning all but polygon 0 made 360; the memo checks 35 orbits of them
     calls = _count_leaf_checks(monkeypatch)
+    leaves = []
+    rotation_code = oracle._rotation_code
+    monkeypatch.setattr(oracle, "_rotation_code",
+                        lambda d, p: leaves.append(p) or rotation_code(d, p))
     spec = GluingSpec(0, (3, 3, 3, 3), 2, constraint="girth", guard_sides=24)
     assert _search(spec) == 29 * 6 ** 4
-    assert len(calls) <= 1000
+    assert len(leaves) <= 160
+    assert len(calls) <= 35
 
 
 def test_memo_checks_one_leaf_per_rotation_orbit_of_a_single_face(monkeypatch):
-    # pinning never applies to polygon 0: one face of 10 sides reaches each
+    # a single face is never pinned: one face of 10 sides reaches each
     # genus-2 map once per rotation (273 leaves), the memo checks 32 orbits
     calls = _count_leaf_checks(monkeypatch)
     assert _search(GluingSpec(2, (5,), 2)) == 273
@@ -402,6 +408,19 @@ def _rotated_gluings(draw):
 def test_rotation_code_is_invariant_under_polygon_rotations(case):
     degrees, partner, rotated = case
     assert _rotation_code(degrees, rotated) == _rotation_code(degrees, partner)
+
+
+@pytest.mark.parametrize("degrees, partner", [
+    ((2, 1), [1, 0, 4, 5, 2, 3]),           # sides 0-1 of polygon 0 glued together
+    ((2, 2), [3, 6, 5, 0, 7, 2, 1, 4]),     # sides 0-3 of polygon 0 glued together
+    ((2, 1, 1), [2, 6, 0, 4, 3, 7, 1, 5]),  # 0-2 inside, one side each to 1 and 2
+])
+def test_rotation_code_is_invariant_when_polygon_0_is_glued_to_itself(degrees, partner):
+    # the code starts only from the sides of polygon 0 glued to its least
+    # neighbour; those move with polygon 0 past its self-glued sides
+    code = _rotation_code(degrees, partner)
+    for shifts in product(*(range(2 * l) for l in degrees)):
+        assert _rotation_code(degrees, _rotate(degrees, partner, shifts)) == code
 
 
 @pytest.mark.parametrize("degrees", [(4,), (2, 1), (1, 1, 2), (2, 2), (1, 1, 1, 1)])
