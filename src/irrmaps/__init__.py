@@ -13,10 +13,9 @@ from .oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError, SizeError,
                      assemble_map, brute_count, check_irreducible,
                      enumerate_matchings, simple_cycles_up_to)
 from .pipeline import (CountPolynomial, DomainError, InvariantViolation,
-                       PipelineContext, UnsupportedGenusError, count_exact,
-                       girth_count, make_context, moment_hat, moment_hat_via_Q,
-                       moment_hat_via_T, nhat, nhat_genus0, nhat_higher_genus,
-                       solve_R_hat, to_m_basis)
+                       UnsupportedGenusError, count_exact, girth_count, moment_hat,
+                       moment_hat_via_Q, moment_hat_via_T, nhat, nhat_genus0,
+                       nhat_higher_genus, solve_R_hat, to_m_basis)
 from .ring import (ContextError, GradedSeries, MultiPoly, Rational, Series,
                    TruncationError, bernoulli_plus, faulhaber_closed_sum,
                    power_sum_poly)

@@ -17,17 +17,24 @@ import sys
 from fractions import Fraction
 
 from .families import series_I, series_J, series_J_inverse
-from .oracle import GluingSpec, OracleError, SizeError, brute_count, check_sides
+from .oracle import (DEFAULT_GUARD_SIDES, GluingSpec, OracleError, SizeError, brute_count,
+                     check_sides)
 from .pipeline import DomainError, count_exact, nhat, to_m_basis
 from .serialize import count_csv_rows, emit_polynomial_json
-from .verify import (SUITES, cross_verify_counts, sweep_tuples, verify_dilaton,
-                     verify_string)
+from .verify import (DEFAULT_SWEEP_SIDES, SUITES, cross_verify_counts, sweep_tuples,
+                     verify_dilaton, verify_string)
 
-#: largest ``series --order`` per series, set when the reversion behind
-#: Jinv took 2.6-3.2 s at order 20; with the integer-numerator kernel, in a
-#: fresh process on a 2-vCPU Xeon VM with Python 3.11, each takes at most
-#: 0.5 s (Jinv 15: 0.2 s, I 60: 0.44-0.46 s, J 60: 0.09 s) and Jinv 20 0.6 s
+#: largest ``series --order`` per series: in a fresh process on a 2-vCPU
+#: Xeon VM with Python 3.11 each takes at most 0.5 s (Jinv 15: 0.2 s,
+#: I 60: 0.44-0.46 s, J 60: 0.09 s), and Jinv 20 takes 0.6 s
 MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
+
+#: largest ``sweep --max-2e`` by formula alone.  A fresh process on the VM
+#: above takes 2.2 s at 14 sides, 5.8 s at 16, 9.5 s at 18, 18.9 s at 20
+#: and 32.6 s at 22, with or without ``--with-deg-one``: a 5 s budget would
+#: stop at 14, but 20 keeps the sweep past the oracle's side guard of 18,
+#: where the formula is the only route
+MAX_FORMULA_SIDES = 20
 
 
 def _format_bpoly(poly) -> str:
@@ -75,6 +82,9 @@ def cmd_nhat(args) -> int:
 def cmd_sweep(args) -> int:
     if args.method in ("brute", "both"):
         check_sides(args.max_2e)
+    elif args.max_2e > MAX_FORMULA_SIDES:
+        raise SizeError(f"{args.max_2e} sides exceed the formula sweep guard of "
+                        f"{MAX_FORMULA_SIDES}")
     rows = []
     mismatched = False
     for genus, n, b, degs in sweep_tuples(args.max_2e, args.b_max):
@@ -142,7 +152,8 @@ def cmd_verify(args) -> int:
         fn = verify_string if suite == "string" else verify_dilaton
         report = fn(args.genus, args.faces)
     elif suite == "oracle":
-        report = cross_verify_counts(max_sides=8 if args.max_2e is None else args.max_2e)
+        sides = DEFAULT_SWEEP_SIDES if args.max_2e is None else args.max_2e
+        report = cross_verify_counts(max_sides=sides)
     else:
         report = SUITES[suite]()
     print(report.render())
@@ -157,7 +168,7 @@ def cmd_series(args) -> int:
                         f"{MAX_SERIES_ORDER[args.name]}")
     gens = ("b", "l")
     if args.name == "I":
-        ser = series_I(args.order, gens, ell="l")
+        ser = series_I(args.order, gens)
     elif args.name == "J":
         ser = series_J(max(args.order, 1), gens)
     else:
@@ -199,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("formula", "brute", "both"),
                    default="formula")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--max-sides", type=int, default=18,
+    p.add_argument("--max-sides", type=int, default=DEFAULT_GUARD_SIDES,
                    help="brute-force guard on the total side count")
     p.set_defaults(fn=cmd_count)
 
@@ -217,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--faces", type=int, default=None)
     p.add_argument("--max-2e", type=int, default=None,
-                   help="side bound for the oracle sweep (oracle suite only; default 8)")
+                   help="side bound for the oracle sweep (oracle suite only; "
+                        f"default {DEFAULT_SWEEP_SIDES})")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("series", help="print series coefficients")

@@ -38,7 +38,7 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; results cannot be trusted."""
 
 
-def series_I(order: int, gens, ell: str = "l", b: str = "b") -> Series:
+def series_I(order: int, gens, ell: str = "l") -> Series:
     """The series I(b, ell; r) truncated at ``order``.
 
     Coefficients are polynomials in b and ell^2; the coefficient of r^p has
@@ -47,7 +47,7 @@ def series_I(order: int, gens, ell: str = "l", b: str = "b") -> Series:
     if order < 0:
         raise ValueError("order must be nonnegative")
     gens = tuple(gens)
-    bp = MultiPoly.variable(gens, b)
+    bp = MultiPoly.variable(gens, "b")
     lp2 = MultiPoly.variable(gens, ell) ** 2
     zero = MultiPoly(gens)
     coeffs = [MultiPoly.constant(gens, 1)]
@@ -59,12 +59,12 @@ def series_I(order: int, gens, ell: str = "l", b: str = "b") -> Series:
     return Series(coeffs, order, zero)
 
 
-def series_J(order: int, gens, b: str = "b") -> Series:
+def series_J(order: int, gens) -> Series:
     """The series J(b; r) truncated at ``order`` (valuation 1, J'(0) = 1)."""
     if order < 1:
         raise ValueError("order must be at least 1")
     gens = tuple(gens)
-    bp = MultiPoly.variable(gens, b)
+    bp = MultiPoly.variable(gens, "b")
     zero = MultiPoly(gens)
     coeffs = [zero, MultiPoly.constant(gens, 1)]
     prod = MultiPoly.constant(gens, 1)
@@ -76,19 +76,19 @@ def series_J(order: int, gens, b: str = "b") -> Series:
     return Series(coeffs, order, zero)
 
 
-def series_J_inverse(order: int, gens, b: str = "b") -> Series:
+def series_J_inverse(order: int, gens) -> Series:
     """Compositional inverse of J: the unique g with J(b; g(z)) = z + O(z^order+1)."""
-    return series_J(order, gens, b).reverse(order)
+    return series_J(order, gens).reverse(order)
 
 
-def power_one_plus_r(c0: int, c1: int, order: int, gens, b: str = "b") -> Series:
+def power_one_plus_r(c0: int, c1: int, order: int, gens) -> Series:
     """(1 + r)^(c0 + c1*b) as a truncated binomial series.
 
     The exponent may be any integer-linear expression in the generator b;
     the coefficient of r^k is binom(c0 + c1*b, k) expanded as a polynomial.
     """
     gens = tuple(gens)
-    alpha = MultiPoly.constant(gens, c0) + MultiPoly.variable(gens, b) * c1
+    alpha = MultiPoly.constant(gens, c0) + MultiPoly.variable(gens, "b") * c1
     zero = MultiPoly(gens)
     coeffs = [MultiPoly.constant(gens, 1)]
     acc = MultiPoly.constant(gens, 1)

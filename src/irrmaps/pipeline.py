@@ -10,14 +10,17 @@ is a ring map that commutes with composition, the unit log and inverse and
 the Q operator, so the solve and the moments run at t = 0 and the ring has
 no t.  Only the moment-route check at no faces keeps t: there R is
 J^{-1}(b; t), a plain series in t (``moment_hat_via_Q`` and
-``moment_hat_via_T``).  Genus 0 has a closed integral formula; it forms the
-product over the faces in the same ring.
+``moment_hat_via_T``).  Genus 0 has a closed formula: by Lagrange-Buermann
+inversion, N_{0,n} = (n-3)! [r^(n-3)] prod_i I(b, l_i; r) (1+r)^(-2b-1)
+(r / J(b; r))^(n-2); it forms the product over the faces in the same ring.
 
 R, the moments and the free energy are symmetric under permuting the faces,
 so the ring keeps one coefficient per multiset of face exponents, a
-polynomial in b alone (see ``ring.GradedSeries``): the series families
-enter split by powers of l as b-only series, I(b, l; r) = sum_a l^a I_a(r),
-and each face marker e_i comes as E_a = sum_i e_i l_i^a.  The explicit
+polynomial in b alone (see ``ring.GradedSeries``).  The only index data is
+the face count n, which is also the grading cap: no coefficient read marks
+more faces.  The series families enter split by powers of l as b-only
+series, I(b, l; r) = sum_a l^a I_a(r), and each face marker e_i comes as
+E_a = sum_i e_i l_i^a.  The explicit
 monomials in l1..ln appear only when the final coefficient is expanded.
 The graded keys of that coefficient already are the monomial symmetric
 basis, so each ``CountPolynomial`` from ``nhat`` carries its m-basis.
@@ -36,8 +39,8 @@ from math import comb, factorial, prod
 from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
                        series_J, series_J_inverse)
 from .oracle import SizeError
-from .ring import (GradedSeries, MultiPoly, Series, distinct_permutations,
-                   inverse_unit, log_unit)
+from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutations,
+                   face_generators, inverse_unit, log_unit)
 
 SUPPORTED_GENERA = (0, 1, 2)
 
@@ -69,34 +72,6 @@ class InvariantViolation(RuntimeError):
     """A structural invariant (symmetry, evenness) failed to hold."""
 
 
-#: context of the graded coefficients and of the b-only series families
-B_ONLY = ("b",)
-
-
-def face_generators(n: int) -> tuple[str, ...]:
-    return B_ONLY + tuple(f"l{i}" for i in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class PipelineContext:
-    """Index data for one symbolic run: genus, labeled faces, grading cap.
-
-    ``gens`` is (b, l1..ln), the context of the expanded coefficients, and
-    ``cap`` is the number of faces: no coefficient read marks more.
-    """
-
-    genus: int
-    nfaces: int
-    gens: tuple[str, ...]
-    cap: int
-
-
-def make_context(genus: int, nfaces: int) -> PipelineContext:
-    if nfaces < 0:
-        raise DomainError("number of faces must be nonnegative")
-    return PipelineContext(genus, nfaces, face_generators(nfaces), nfaces)
-
-
 # ============================================================
 # The fundamental series R and the moment series
 # ============================================================
@@ -113,9 +88,11 @@ def _face_parts(order: int) -> dict[int, Series]:
     return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
 
 
-def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
-    """Solve J(b; R) = sum_i e_i I(b, l_i; R) for R in the graded ring: the
-    t^0 part of the solution of J(b; R) = t + sum_i e_i I(b, l_i; R).
+def solve_R_hat(cap: int) -> GradedSeries:
+    """Solve J(b; R) = sum_i e_i I(b, l_i; R) for R in the graded ring with
+    ``cap`` faces: the t^0 part of the solution of
+    J(b; R) = t + sum_i e_i I(b, l_i; R).  A cap below the face count gives
+    the same keys truncated to that cap.
 
     In face-symmetric form the right-hand side is X = sum_a E_a I_a(R),
     with E_a = sum_i e_i l_i^a and I_a the l^a-part of I (see
@@ -127,15 +104,16 @@ def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
     round must reproduce the previous one below its top degree; a mismatch
     is an internal error.
     """
-    cap = ctx.cap
+    if cap < 0:
+        raise DomainError("number of faces must be nonnegative")
     jinv = series_J_inverse(max(cap, 1), B_ONLY)
     parts = _face_parts(max(cap - 1, 0))
-    R = GradedSeries(B_ONLY, 0)
+    R = GradedSeries(0)
     for k in range(1, cap + 1):
-        X = GradedSeries(B_ONLY, k)
+        X = GradedSeries(k)
         for a, I_a in parts.items():
             I_R = I_a.truncate(k - 1).compose(R)
-            X = X + GradedSeries(B_ONLY, k, {lam + (a,): c for lam, c in I_R.terms.items()})
+            X = X + GradedSeries(k, {lam + (a,): c for lam, c in I_R.terms.items()})
         R_next = jinv.truncate(k).compose(X)
         if R_next.truncate(k - 1) != R:
             raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
@@ -143,18 +121,17 @@ def solve_R_hat(ctx: PipelineContext) -> GradedSeries:
     return R
 
 
-def _zhat_series(ctx: PipelineContext, order: int) -> Series:
-    """The series J(b; r) - sum_a E_a I_a(b; r) in r, graded coefficients:
-    Z = J(b; r) - t - sum_a E_a I_a(b; r) at t = 0."""
-    cap = ctx.cap
+def _zhat_series(cap: int, order: int) -> Series:
+    """The series J(b; r) - sum_a E_a I_a(b; r) in r, graded coefficients at
+    ``cap``: Z = J(b; r) - t - sum_a E_a I_a(b; r) at t = 0."""
     jser = series_J(max(order, 1), B_ONLY)
     parts = _face_parts(order)
     coeffs = []
     for k in range(order + 1):
         terms = {(a,): -I_a[k] for a, I_a in parts.items()}
         terms[()] = jser[k]
-        coeffs.append(GradedSeries(B_ONLY, cap, terms))
-    return Series(coeffs, order, GradedSeries(B_ONLY, cap))
+        coeffs.append(GradedSeries(cap, terms))
+    return Series(coeffs, order, GradedSeries(cap))
 
 
 def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
@@ -187,13 +164,14 @@ def _q_moment(p: int, f: Series) -> Series:
     return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, f.order, B_ONLY))
 
 
-def moment_hat(ctx: PipelineContext, p: int, rhat: GradedSeries) -> GradedSeries:
+def moment_hat(p: int, rhat: GradedSeries) -> GradedSeries:
     """Moment series: Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r), evaluated at r = R.
 
     ``rhat`` is R from :func:`solve_R_hat` and Z is taken at t = 0, so the
-    result is the t^0 part of the moment, exact to the context cap.
+    result is the t^0 part of the moment, exact to the cap of ``rhat``.
     """
-    return _q_moment(p, _zhat_series(ctx, ctx.cap + p + 1)).compose(rhat)
+    cap = rhat.cap
+    return _q_moment(p, _zhat_series(cap, cap + p + 1)).compose(rhat)
 
 
 def moment_hat_via_Q(p: int, R: Series, order: int) -> Series:
@@ -347,33 +325,30 @@ class CountPolynomial:
 
 
 def nhat_genus0(n: int) -> CountPolynomial:
-    """Planar counting polynomial from the closed integral formula.
+    """Planar counting polynomial from the closed formula.
 
-    (n-2)! [z^(n-2)] of the antiderivative of prod_i I(b, l_i; r) (1+r)^(-2b-1)
-    composed with J^{-1}(b; z).  The product over the faces is the
-    e_1...e_n coefficient of (sum_a E_a I_a(b; r))^n / n!, formed in the
-    graded ring with b-only coefficients.
+    The integral formula (n-2)! [z^(n-2)] A(J^{-1}(b; z)), A the
+    antiderivative of f(r) = prod_i I(b, l_i; r) (1+r)^(-2b-1), reads
+    (n-3)! [r^(n-3)] f(r) (r / J(b; r))^(n-2) by Lagrange-Buermann
+    inversion.  The product over the faces is the e_1...e_n coefficient of
+    (sum_a E_a I_a(b; r))^n / n!, formed in the graded ring with b-only
+    coefficients; the rest of f (r / J)^(n-2) is a b-only series.
     """
     if n < 3:
         raise DomainError("the planar family needs at least 3 faces")
     order = n - 3
     parts = _face_parts(order)
-    marked = Series([GradedSeries(B_ONLY, n, {(a,): I_a[k] for a, I_a in parts.items()})
-                     for k in range(order + 1)], order, GradedSeries(B_ONLY, n))
-    integrand = marked ** n * power_one_plus_r(-1, -2, order, B_ONLY) \
-        * Fraction(1, factorial(n))
-    anti = integrand.antiderivative()
-    # only [z^(n-2)] of anti(J^{-1}(z)) is needed; J^{-1} has coefficients in
-    # b alone, so its powers are cheap and each anti[k] is used once
-    jinv = series_J_inverse(n - 2, B_ONLY)
-    power = jinv
-    total = anti[1] * jinv[n - 2]
-    for k in range(2, n - 1):
-        power = power * jinv
-        total = total + anti[k] * power[n - 2]
-    poly = total.coefficient(range(1, n + 1)) * factorial(n - 2)
-    return CountPolynomial(0, n, face_generators(n), poly,
-                           _graded_m_basis(total, factorial(n - 2)))
+    marked = Series([GradedSeries(n, {(a,): I_a[k] for a, I_a in parts.items()})
+                     for k in range(order + 1)], order, GradedSeries(n))
+    faces = marked ** n
+    j_over_r = Series(series_J(order + 1, B_ONLY).coeffs[1:], order, MultiPoly(B_ONLY))
+    rest = power_one_plus_r(-1, -2, order, B_ONLY) \
+        * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(1, factorial(n))
+    # only [r^(n-3)] of faces * rest is needed
+    total = sum((faces[k] * rest[order - k] for k in range(order + 1)), GradedSeries(n))
+    scale = factorial(n - 3)
+    poly = total.coefficient(range(1, n + 1)) * scale
+    return CountPolynomial(0, n, face_generators(n), poly, _graded_m_basis(total, scale))
 
 
 def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
@@ -382,11 +357,10 @@ def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
         raise UnsupportedGenusError(f"genus {genus} is not supported here")
     if n < 1:
         raise DomainError("need at least one face")
-    ctx = make_context(genus, n)
-    R = solve_R_hat(ctx)
-    moments = [moment_hat(ctx, p, R) for p in range(3 * genus - 2)]
-    F = free_energy(genus, moments, ctx.cap)
-    return CountPolynomial(genus, n, ctx.gens, F.coefficient(range(1, n + 1)),
+    R = solve_R_hat(n)
+    moments = [moment_hat(p, R) for p in range(3 * genus - 2)]
+    F = free_energy(genus, moments, n)
+    return CountPolynomial(genus, n, face_generators(n), F.coefficient(range(1, n + 1)),
                            _graded_m_basis(F))
 
 
@@ -410,8 +384,9 @@ def nhat(genus: int, n: int) -> CountPolynomial:
 # ============================================================
 
 
-def m_lambda_poly(partition, n: int, gens) -> MultiPoly:
-    """The monomial symmetric polynomial m_lambda in the squared generators.
+def m_lambda_poly(partition, n: int) -> MultiPoly:
+    """The monomial symmetric polynomial m_lambda in the squared half-degrees,
+    over ``face_generators(n)``.
 
     m_(a1..ap)(l1..ln) = sum over distinct rearrangements beta of the padded
     partition of prod_i l_i^(2 beta_i).
@@ -420,15 +395,8 @@ def m_lambda_poly(partition, n: int, gens) -> MultiPoly:
     if len(partition) > n:
         raise DomainError(f"partition {partition} has more parts than faces")
     padded = partition + (0,) * (n - len(partition))
-    gens = tuple(gens)
-    offset = gens.index("l1")
-    terms = {}
-    for beta in distinct_permutations(padded):
-        exps = [0] * len(gens)
-        for i, e in enumerate(beta):
-            exps[offset + i] = 2 * e
-        terms[tuple(exps)] = Fraction(1)
-    return MultiPoly(gens, terms)
+    terms = {(0,) + tuple(2 * e for e in beta): 1 for beta in distinct_permutations(padded)}
+    return MultiPoly(face_generators(n), terms)
 
 
 def _graded_m_basis(series: GradedSeries, scale: int = 1) -> dict[tuple[int, ...], MultiPoly]:
@@ -493,7 +461,7 @@ def to_m_basis(count: CountPolynomial) -> dict[tuple[int, ...], MultiPoly]:
         ref = next(iter(betas.values()))
         if any(v != ref for v in betas.values()):
             raise InvariantViolation(f"partition {lam}: coefficients differ across the orbit")
-        out[lam] = ref.with_context(("b",))
+        out[lam] = ref.with_context(B_ONLY)
     return out
 
 
@@ -563,14 +531,19 @@ def count_exact(genus: int, n: int, b: int, degrees,
         if sum(degrees) > MAX_DEGREE_ONE_SUM:
             raise SizeError(f"half-degrees summing to {sum(degrees)} exceed the "
                             f"degree-one guard of {MAX_DEGREE_ONE_SUM}")
-        faces = [[(p, w) for p in range(b, d + 1) if (w := a_transform_coeff(b, d, p))]
-                 for d in degrees]
+        # d a(b, d, p) is an integer, so with the weights scaled by d the
+        # moments stay integers; the sum is divided by prod(d) at the end
+        faces = [[(p, int(d * w)) for p in range(b, d + 1)
+                  if (w := a_transform_coeff(b, d, p))] for d in degrees]
+        scale = prod(degrees)
     else:
         faces = [((d, 1),) for d in degrees]
+        scale = 1
     # the planar correction lives at the single point p = (b, ..., b); its
     # transform weight prod_i a(b, d_i, b) is 1 when every d_i = b and 0
     # otherwise, which is exactly when the correction at the degrees applies
-    return nhat(genus, n).weighted_sum(b, faces) + planar_correction(genus, n, b, degrees)
+    return nhat(genus, n).weighted_sum(b, faces) / scale \
+        + planar_correction(genus, n, b, degrees)
 
 
 def girth_count(genus: int, n: int, b: int, degrees, mode: str = "at-least") -> Fraction:

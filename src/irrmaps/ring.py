@@ -22,9 +22,10 @@ Conventions
   ``e_1, ..., e_n`` (``e_i**2 = 0``), one per face of half-degree ``l_i``,
   graded by the number of marked faces and truncated at ``cap`` = n.  It
   stores only the part invariant under permuting the faces: one
-  :class:`MultiPoly` coefficient (in b alone, in practice) per sorted tuple
-  of l-exponents of the marked faces.  A product merges the tuples, and
-  ``coefficient`` expands back to monomials in (b, l1..ln) through
+  :class:`MultiPoly` coefficient in b alone (context :data:`B_ONLY`) per
+  sorted tuple of l-exponents of the marked faces.  A product merges the
+  tuples, and ``coefficient`` expands back to monomials in
+  ``face_generators(cap)`` = (b, l1..l_cap) through
   :func:`distinct_permutations`.
 * Power sums use the Bernoulli convention ``B_1 = +1/2``, so that
   ``power_sum_poly(m)`` evaluated at integer ``x >= 0`` equals
@@ -566,13 +567,6 @@ class Series:
         return Series([self.coeffs[k] * k for k in range(1, self.order + 1)],
                       self.order - 1, self.zero)
 
-    def antiderivative(self) -> "Series":
-        """Integral from 0: x**k -> x**(k+1) / (k+1)."""
-        out = [self.zero]
-        for k in range(self.order + 1):
-            out.append(self.coeffs[k] * Fraction(1, k + 1))
-        return Series(out, self.order + 1, self.zero)
-
     def compose(self, inner):
         """Evaluate the series at ``inner`` as the sum of c_k * inner**k.
 
@@ -672,6 +666,14 @@ def _require_no_constant(inner) -> None:
 # ============================================================
 
 
+#: context of the graded coefficients: polynomials in b alone
+B_ONLY = ("b",)
+
+
+def face_generators(n: int) -> tuple[str, ...]:
+    return B_ONLY + tuple(f"l{i}" for i in range(1, n + 1))
+
+
 def distinct_permutations(items) -> Iterator[tuple]:
     """Every distinct rearrangement of the multiset ``items``, once each, in
     lexicographic order.
@@ -706,34 +708,33 @@ class GradedSeries:
         M_lam = sum over injective f: {1..k} -> {1..n} of
                 prod_j e_f(j) l_f(j)^lam_j.
 
-    Values are MultiPoly coefficients over a shared context (in practice b
-    alone).  In M_lam * M_mu the pairs of assignments whose marker sets
-    overlap vanish (e_i^2 = 0) and the rest are the injective assignments
-    of the joined tuple, so M_lam * M_mu = M_(lam + mu): a product merges
-    the two tuples.  The grading is the number of marked faces, len(lam),
-    and terms of degree above ``cap`` are dropped.  M_lam vanishes once
+    Values are MultiPoly coefficients in b alone, over :data:`B_ONLY`; the
+    constructor refuses any other context.  In M_lam * M_mu the pairs of
+    assignments whose marker sets overlap vanish (e_i^2 = 0) and the rest
+    are the injective assignments of the joined tuple, so
+    M_lam * M_mu = M_(lam + mu): a product merges the two tuples.  The
+    grading is the number of marked faces, len(lam), and terms of degree
+    above ``cap`` are dropped.  M_lam vanishes once
     len(lam) > n, so for any n >= cap that one bound is also marker
     nilpotency and the arithmetic does not depend on n: the series keeps no
     face count, and :meth:`coefficient` expands back to explicit monomials
-    in (b, l1..l_cap).  The constructor sorts each ``lam`` and adds up the
-    terms that then share a key.
+    in ``face_generators(cap)``.  The constructor sorts each ``lam`` and
+    adds up the terms that then share a key.
     """
 
-    __slots__ = ("gens", "cap", "terms")
+    __slots__ = ("cap", "terms")
 
-    def __init__(self, gens: Sequence[str], cap: int,
-                 terms: Mapping[tuple, MultiPoly] | None = None):
+    def __init__(self, cap: int, terms: Mapping[tuple, MultiPoly] | None = None):
         if cap < 0:
             raise TruncationError("cap must be nonnegative")
-        self.gens = tuple(gens)
         self.cap = cap
         clean: dict[tuple, MultiPoly] = {}
         if terms:
             for lam, coeff in terms.items():
                 if len(lam) > cap:
                     continue
-                if coeff.gens != self.gens:
-                    raise ContextError("coefficient context mismatch")
+                if coeff.gens != B_ONLY:
+                    raise ContextError(f"coefficient over {coeff.gens}, not {B_ONLY}")
                 key = tuple(sorted(lam))
                 if key in clean:
                     coeff = clean[key] + coeff
@@ -746,22 +747,21 @@ class GradedSeries:
     # ---------- constructors ----------
 
     @classmethod
-    def constant(cls, gens: Sequence[str], cap: int, value) -> "GradedSeries":
-        gens = tuple(gens)
+    def constant(cls, cap: int, value) -> "GradedSeries":
         if isinstance(value, (int, Fraction)):
-            value = MultiPoly.constant(gens, value)
-        return cls(gens, cap, {(): value})
+            value = MultiPoly.constant(B_ONLY, value)
+        return cls(cap, {(): value})
 
     @classmethod
-    def marker(cls, gens: Sequence[str], cap: int, power: int = 0) -> "GradedSeries":
+    def marker(cls, cap: int, power: int = 0) -> "GradedSeries":
         """E_power = sum_i e_i l_i^power."""
-        return cls(gens, cap, {(power,): MultiPoly.constant(gens, 1)})
+        return cls(cap, {(power,): MultiPoly.constant(B_ONLY, 1)})
 
     # ---------- views ----------
 
     def coefficient(self, markers: Iterable[int]) -> MultiPoly:
-        """The coefficient of prod_{i in markers} e_i, expanded over the
-        context followed by l1..l_cap.
+        """The coefficient of prod_{i in markers} e_i, expanded over
+        ``face_generators(cap)``.
 
         M_lam contributes to it every distinct rearrangement of lam over the
         marked faces, each prod(mult!) times, the multiplicities being
@@ -782,8 +782,7 @@ class GradedSeries:
                 tail = tuple(lexps)
                 for bexps, bc in c.num.items():
                     num[bexps + tail] = bc * weight
-        gens = self.gens + tuple(f"l{i}" for i in range(1, self.cap + 1))
-        return MultiPoly.from_numerators(gens, num, den)
+        return MultiPoly.from_numerators(face_generators(self.cap), num, den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -791,23 +790,21 @@ class GradedSeries:
     def truncate(self, cap: int) -> "GradedSeries":
         if cap > self.cap:
             raise TruncationError(f"cannot extend truncated series ({self.cap} -> {cap})")
-        return GradedSeries(self.gens, cap, self.terms)
+        return GradedSeries(cap, self.terms)
 
     # ---------- ring operations ----------
 
     def _coerce(self, other) -> "GradedSeries | None":
         if isinstance(other, GradedSeries):
-            if other.gens != self.gens:
-                raise ContextError("context mismatch")
             if other.cap != self.cap:
                 raise TruncationError(f"cap mismatch: {self.cap} vs {other.cap}")
             return other
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return GradedSeries.constant(self.gens, self.cap, other)
+            return GradedSeries.constant(self.cap, other)
         return None
 
     def _empty(self) -> "GradedSeries":
-        return GradedSeries(self.gens, self.cap)
+        return GradedSeries(self.cap)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -876,7 +873,7 @@ class GradedSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = GradedSeries.constant(self.gens, self.cap, 1)
+        result = GradedSeries.constant(self.cap, 1)
         for _ in range(n):
             result = result * self
         return result

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
 from .families import qpoly_table, series_J_inverse
@@ -368,21 +367,38 @@ def verify_harer_zagier() -> VerificationReport:
 # ============================================================
 
 
+def _bounded_tuples(n: int, low: int, budget: int):
+    """Weakly increasing n-tuples of integers >= ``low`` with sum at most
+    ``budget``, in lexicographic order; an entry d leaves n - 1 entries of
+    at least d, so d <= budget // n."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(low, budget // n + 1):
+        for rest in _bounded_tuples(n - 1, d, budget - d):
+            yield (d,) + rest
+
+
 def sweep_tuples(max_sides: int, b_max: int):
     """Every admissible (genus, n, b, half-degrees) with at most ``max_sides``
     polygon sides in all: genus 0..2, b = 0..b_max, weakly increasing
-    half-degrees from max(b, 1), each one at most ``max_sides // 2``."""
+    half-degrees from max(b, 1) in lexicographic order, generated within
+    the bound (a b above ``max_sides // 2`` admits none)."""
+    half = max_sides // 2
     for genus in (0, 1, 2):
         nmin = 3 if genus == 0 else 1
-        for n in range(nmin, max_sides // 2 + 1):
-            for b in range(0, b_max + 1):
-                for degs in combinations_with_replacement(
-                        range(max(b, 1), max_sides // 2 + 1), n):
-                    if sum(2 * d for d in degs) <= max_sides:
-                        yield genus, n, b, degs
+        for n in range(nmin, half + 1):
+            for b in range(0, min(b_max, half) + 1):
+                for degs in _bounded_tuples(n, max(b, 1), half):
+                    yield genus, n, b, degs
 
 
-def cross_verify_counts(max_sides: int = 8, b_max: int = 3) -> VerificationReport:
+#: side bound of the oracle cross-check when none is given
+DEFAULT_SWEEP_SIDES = 8
+
+
+def cross_verify_counts(max_sides: int = DEFAULT_SWEEP_SIDES,
+                        b_max: int = 3) -> VerificationReport:
     """Compare brute-force and polynomial counts, with and without
     degree-one vertices, on every tuple of :func:`sweep_tuples`.
 

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +132,32 @@ def test_sweep_by_formula_is_not_bound_by_the_side_guard(capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", "--max-2e", str(sides), "--method", "formula")
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + len(list(sweep_tuples(sides, 3)))
+
+
+@pytest.mark.parametrize("with_deg_one", [(), ("--with-deg-one",)])
+def test_sweep_by_formula_beyond_its_guard_exits_2_before_any_work(
+        capsys, monkeypatch, with_deg_one):
+    monkeypatch.setattr(cli, "count_exact", refuse)
+    sides = cli.MAX_FORMULA_SIDES + 1
+    code, out, err = run(capsys, "sweep", "--max-2e", str(sides), "--method", "formula",
+                         *with_deg_one)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {sides} sides exceed the formula sweep guard of " \
+        f"{cli.MAX_FORMULA_SIDES}\n"
+
+
+def test_large_formula_sweep_exits_2_within_a_second():
+    # the sweep used to build every multiset of half-degrees first: at 80
+    # sides it printed nothing for as long as it was left running
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "irrmaps.cli", "sweep", "--max-2e", "80",
+                           "--method", "formula"], capture_output=True, text=True, env=env)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceed the formula sweep guard" in proc.stderr
 
 
 def test_count_with_degree_one_beyond_the_guard_fails_fast(capsys, monkeypatch):

@@ -8,10 +8,10 @@ from irrmaps.families import series_J_inverse
 from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _q_moment,
                               InvariantViolation, UnsupportedGenusError,
                               a_transform_coeff, b_transform_coeff, count_exact,
-                              girth_count, m_lambda_poly, make_context,
-                              moment_hat, moment_hat_via_Q, moment_hat_via_T,
-                              nhat, planar_correction, solve_R_hat, to_m_basis)
-from irrmaps.ring import MultiPoly, Series, TruncationError, log_unit
+                              girth_count, m_lambda_poly, moment_hat,
+                              moment_hat_via_Q, moment_hat_via_T, nhat,
+                              planar_correction, solve_R_hat, to_m_basis)
+from irrmaps.ring import MultiPoly, Series, TruncationError, face_generators, log_unit
 
 from test_reference_graded import (expand, marker_moment, marker_moment_via_T,
                                    marker_solve_R, t0_part)
@@ -22,7 +22,7 @@ F = Fraction
 def test_solve_R_collapses_without_markers():
     # with no markers the t^0 solve is zero: R is the compositional inverse
     # series in t, J^{-1}(b; t), which has no constant term
-    assert solve_R_hat(make_context(1, 0)).is_zero()
+    assert solve_R_hat(0).is_zero()
     inv = series_J_inverse(5, B_ONLY)
     assert inv[0].is_zero() and inv[1] == MultiPoly.constant(B_ONLY, 1)
     # specializing b = 0 gives R = t
@@ -31,9 +31,8 @@ def test_solve_R_collapses_without_markers():
 
 
 def test_solve_R_first_order_marker():
-    ctx = make_context(1, 2)
-    R = solve_R_hat(ctx)
-    one = MultiPoly.constant(ctx.gens, 1)
+    R = solve_R_hat(2)
+    one = MultiPoly.constant(face_generators(2), 1)
     assert R.coefficient((1,)) == one
     assert R.coefficient((2,)) == one
     assert R.coefficient(()).is_zero()
@@ -41,12 +40,23 @@ def test_solve_R_first_order_marker():
     assert series_J_inverse(3, B_ONLY)[1] == MultiPoly.constant(B_ONLY, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_R_hat_at_a_lower_cap_is_the_truncated_solve(n):
+    full = solve_R_hat(n)
+    for cap in range(n + 1):
+        assert solve_R_hat(cap) == full.truncate(cap)
+
+
+def test_solve_R_hat_refuses_a_negative_face_count():
+    with pytest.raises(DomainError):
+        solve_R_hat(-1)
+
+
 def test_moment_constant_terms():
-    ctx = make_context(1, 1)
-    R = solve_R_hat(ctx)
-    m0 = moment_hat(ctx, 0, R)
-    m1 = moment_hat(ctx, 1, R)
-    assert m0.coefficient(()) == MultiPoly.constant(ctx.gens, 1)
+    R = solve_R_hat(1)
+    m0 = moment_hat(0, R)
+    m1 = moment_hat(1, R)
+    assert m0.coefficient(()) == MultiPoly.constant(face_generators(1), 1)
     assert m1.coefficient(()).is_zero()
 
 
@@ -84,10 +94,9 @@ def test_moment_routes_agree_symbolic(p):
 def test_moment_routes_agree_with_marker():
     # with a face the graded moment is the t^0 part of the T route, which
     # the marker ring keeps t for
-    ctx = make_context(1, 1)
-    R = solve_R_hat(ctx)
+    R = solve_R_hat(1)
     for p in range(3):
-        assert expand(moment_hat(ctx, p, R)) == t0_part(marker_moment_via_T(1, 3, p), 1)
+        assert expand(moment_hat(p, R)) == t0_part(marker_moment_via_T(1, 3, p), 1)
     # an R shorter than the T route needs is refused, not silently truncated
     with pytest.raises(TruncationError):
         moment_hat_via_T(2, raised_R(3, 1), 3)
@@ -96,12 +105,11 @@ def test_moment_routes_agree_with_marker():
 def test_moments_at_t_zero_are_the_t0_part():
     # setting t = 0 commutes with the solve and the moment series
     for genus, nfaces in [(1, 2), (2, 2)]:
-        ctx = make_context(genus, nfaces)
-        R, marker_R = solve_R_hat(ctx), marker_solve_R(nfaces, nfaces)
+        R, marker_R = solve_R_hat(nfaces), marker_solve_R(nfaces, nfaces)
         assert expand(R) == t0_part(marker_R)
         for p in range(3 * genus - 2):
             full = marker_moment(nfaces, nfaces, p, marker_R)
-            assert expand(moment_hat(ctx, p, R)) == t0_part(full)
+            assert expand(moment_hat(p, R)) == t0_part(full)
 
 
 def test_nhat_special_values():
@@ -145,7 +153,7 @@ def test_carried_m_basis_equals_the_regrouped_monomials(genus, n):
 
 def test_m_basis_examples():
     gens = ("b", "l1", "l2", "l3")
-    m11 = m_lambda_poly((1, 1), 3, gens)
+    m11 = m_lambda_poly((1, 1), 3)
     l1, l2, l3 = (MultiPoly.variable(gens, f"l{i}") for i in (1, 2, 3))
     assert m11 == l1 * l1 * l2 * l2 + l1 * l1 * l3 * l3 + l2 * l2 * l3 * l3
     # decomposition of N(0,4)
@@ -226,8 +234,7 @@ def test_free_energy_log_form():
     via_q = log_unit(moment_hat_via_Q(0, R, 5), 5) * Fraction(-1, 12)
     via_t = log_unit(moment_hat_via_T(0, R, 5), 5) * Fraction(-1, 12)
     assert via_q == via_t
-    ctx = make_context(1, 1)
-    via_q = log_unit(moment_hat(ctx, 0, solve_R_hat(ctx)), ctx.cap) * Fraction(-1, 12)
+    via_q = log_unit(moment_hat(0, solve_R_hat(1)), 1) * Fraction(-1, 12)
     via_t = log_unit(marker_moment_via_T(1, 1, 0), 1) * Fraction(-1, 12)
     assert expand(via_q) == t0_part(via_t)
 

@@ -8,13 +8,13 @@ plain series in t.  ``marker_solve_R``, ``marker_zhat``, ``marker_moment``
 and ``marker_moment_via_T`` are the earlier solve and moment routes over
 it, with t, and ``product_genus0`` is the earlier genus-0 route, which
 multiplied the series I(b, l_i; r) face by face over (b, l1..ln).  All of
-them are kept here only as references.  ``expand`` maps the face-symmetric
-ring into the t^0 part of the marker ring through
-``GradedSeries.coefficient``; ``t0_part`` and ``at_no_faces`` read the
-marker results the package's routes stand for.
+them are kept here only as references, with ``antiderivative``, which
+the genus-0 routes integrate by.  ``expand`` maps the face-symmetric ring
+into the t^0 part of the marker ring through ``GradedSeries.coefficient``;
+``t0_part`` and ``at_no_faces`` read the marker results the package's
+routes stand for.
 """
 
-import dataclasses
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_table,
                               series_I, series_J, series_J_inverse)
 from irrmaps.pipeline import (B_ONLY, _apply_q_operator, face_generators,
-                              free_energy, make_context, moment_hat,
+                              free_energy, moment_hat,
                               moment_hat_via_Q, moment_hat_via_T, nhat_genus0,
                               solve_R_hat, t_weight)
 from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
@@ -288,13 +288,26 @@ def marker_moment_via_T(n, cap, p):
     return pref * dinv * T
 
 
+def antiderivative(f):
+    """The integral from 0 of the series f: x**k -> x**(k+1) / (k+1)."""
+    return Series([f.zero] + [c * Fraction(1, k + 1) for k, c in enumerate(f.coeffs)],
+                  f.order + 1, f.zero)
+
+
+def test_series_antiderivative():
+    one = Series([Fraction(1)], 0, Fraction(0))
+    assert same_series(antiderivative(one), Series([0, 1], 1, Fraction(0)))
+    one_plus_2x = Series([Fraction(1), Fraction(2)], 1, Fraction(0))
+    assert same_series(antiderivative(one_plus_2x), Series([0, 1, 1], 2, Fraction(0)))
+
+
 def product_genus0(n):
     gens = face_generators(n)
     order = n - 3
     integrand = power_one_plus_r(-1, -2, order, gens)
     for i in range(1, n + 1):
         integrand = integrand * series_I(order, gens, ell=f"l{i}")
-    anti = integrand.antiderivative()
+    anti = antiderivative(integrand)
     jinv = series_J_inverse(n - 2, gens)
     power = jinv
     poly = anti[1] * jinv[n - 2]
@@ -309,7 +322,7 @@ def expand(gs, n=None):
     face-symmetric one stands for: the same keys read at cap n, where
     ``coefficient`` expands over all n faces, truncated back to the cap."""
     n = gs.cap if n is None else n
-    lifted = GradedSeries(gs.gens, n, gs.terms)
+    lifted = GradedSeries(n, gs.terms)
     terms = {}
     for lam in gs.terms:
         for faces in combinations(range(1, n + 1), len(lam)):
@@ -332,13 +345,6 @@ def same_series(got, want):
     return got.order == want.order and got.coeffs == want.coeffs
 
 
-def graded_context(genus, nfaces, cap):
-    """``make_context``, with the grading cap lowered to ``cap`` if given."""
-    ctx = make_context(genus, nfaces)
-    assert cap is None or cap <= nfaces
-    return ctx if cap is None else dataclasses.replace(ctx, cap=cap)
-
-
 def assignment_sum(gs):
     """The same element straight from the definition of M_lam: a sum over
     the injective assignments of the entries of lam to faces."""
@@ -359,17 +365,16 @@ def assignment_sum(gs):
 # the expansion
 # ============================================================
 
-B = ("b",)
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
 def symmetric_series(draw, cap):
     keys = [lam for k in range(cap + 1) for lam in {tuple(sorted(x)) for x in _tuples(k)}]
-    bvar = MultiPoly.variable(B, "b")
+    bvar = MultiPoly.variable(B_ONLY, "b")
     terms = {key: bvar * draw(fractions) + draw(fractions)
              for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=8))}
-    return GradedSeries(B, cap, terms)
+    return GradedSeries(cap, terms)
 
 
 def _tuples(k):
@@ -429,14 +434,15 @@ def test_R_moments_and_free_energy_match_the_marker_ring(genus, nfaces, cap):
         F = free_energy(genus, moments, cap)
         assert same_series(F, at_no_faces(free_energy(genus, marker_moments, cap)))
         return
-    ctx = graded_context(genus, nfaces, cap)
-    R, marker_R = solve_R_hat(ctx), marker_solve_R(nfaces, ctx.cap)
+    # a cap below the face count solves the truncated R
+    cap = nfaces if cap is None else cap
+    R, marker_R = solve_R_hat(cap), marker_solve_R(nfaces, cap)
     assert expand(R, nfaces) == t0_part(marker_R)
-    moments = [moment_hat(ctx, p, R) for p in range(3 * genus - 2)]
-    marker_moments = [marker_moment(nfaces, ctx.cap, p, marker_R) for p in range(3 * genus - 2)]
+    moments = [moment_hat(p, R) for p in range(3 * genus - 2)]
+    marker_moments = [marker_moment(nfaces, cap, p, marker_R) for p in range(3 * genus - 2)]
     assert [expand(m, nfaces) for m in moments] == [t0_part(m) for m in marker_moments]
-    F = free_energy(genus, moments, ctx.cap)
-    assert expand(F, nfaces) == t0_part(free_energy(genus, marker_moments, ctx.cap))
+    F = free_energy(genus, moments, cap)
+    assert expand(F, nfaces) == t0_part(free_energy(genus, marker_moments, cap))
 
 
 @pytest.mark.parametrize("nfaces,cap,p", [(1, 1, 1), (2, 2, 0), (0, 5, 3), (1, 3, 2)])
@@ -448,8 +454,7 @@ def test_moments_via_T_match_the_marker_ring(nfaces, cap, p):
     else:
         # the graded ring has no t to differentiate in: its moment is the
         # t^0 part of the T route, read at the face count
-        ctx = make_context(1, nfaces)
-        assert expand(moment_hat(ctx, p, solve_R_hat(ctx))) == t0_part(marker, nfaces)
+        assert expand(moment_hat(p, solve_R_hat(nfaces))) == t0_part(marker, nfaces)
 
 
 @settings(max_examples=30, deadline=None)
