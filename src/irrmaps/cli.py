@@ -29,11 +29,12 @@ from .verify import (DEFAULT_SWEEP_SIDES, SUITES, cross_verify_counts, sweep_tup
 #: I 60: 0.44-0.46 s, J 60: 0.09 s), and Jinv 20 takes 0.6 s
 MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
 
-#: largest ``sweep --max-2e`` by formula alone.  A fresh process on the VM
-#: above takes 2.2 s at 14 sides, 5.8 s at 16, 9.5 s at 18, 18.9 s at 20
-#: and 32.6 s at 22, with or without ``--with-deg-one``: a 5 s budget would
-#: stop at 14, but 20 keeps the sweep past the oracle's side guard of 18,
-#: where the formula is the only route
+#: largest ``sweep --max-2e`` by formula alone: 20 keeps the sweep past the
+#: oracle's side guard of 18, where the formula is the only route.  A fresh
+#: process on the VM above takes 4.0-4.8 s at 20 sides, 4.2-4.5 s with
+#: ``--with-deg-one``, inside the 5 s budget of ``pipeline.MAX_FACES``;
+#: most of it computes the polynomials.  22 sides take 4.5 s too, because
+#: the face guard skips the polynomials they would add
 MAX_FORMULA_SIDES = 20
 
 
@@ -80,6 +81,8 @@ def cmd_nhat(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.max_2e < 0 or args.b_max < 0:
+        raise DomainError("--max-2e and --b-max must be nonnegative")
     if args.method in ("brute", "both"):
         check_sides(args.max_2e)
     elif args.max_2e > MAX_FORMULA_SIDES:
@@ -110,6 +113,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.max_sides is not None and args.method == "formula":
+        raise ValueError("--max-sides bounds the brute-force search; "
+                         "--method formula takes none")
     degrees = _parse_degrees(args.degrees)
     n = len(degrees)
     rows = []
@@ -120,7 +126,8 @@ def cmd_count(args) -> int:
     if args.method in ("brute", "both"):
         spec = GluingSpec(args.genus, degrees, args.b,
                           allow_degree_one=args.with_deg_one,
-                          guard_sides=args.max_sides)
+                          guard_sides=DEFAULT_GUARD_SIDES if args.max_sides is None
+                          else args.max_sides)
         values["brute"] = brute_count(spec)
     for method, value in values.items():
         rows.append((args.genus, n, args.b, degrees, value, method))
@@ -148,6 +155,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--genus and --faces go together: give both or neither")
     if args.max_2e is not None and suite != "oracle":
         raise ValueError(f"suite {suite} takes no --max-2e; only oracle does")
+    if args.max_2e is not None and args.max_2e < 0:
+        raise DomainError("--max-2e must be nonnegative")
     if suite in ("string", "dilaton"):
         fn = verify_string if suite == "string" else verify_dilaton
         report = fn(args.genus, args.faces)
@@ -210,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("formula", "brute", "both"),
                    default="formula")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--max-sides", type=int, default=DEFAULT_GUARD_SIDES,
-                   help="brute-force guard on the total side count")
+    p.add_argument("--max-sides", type=int, default=None,
+                   help="brute-force guard on the total side count (brute and both "
+                        f"only; default {DEFAULT_GUARD_SIDES})")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("sweep", help="CSV export of counts over all small tuples")

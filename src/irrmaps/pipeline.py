@@ -20,10 +20,10 @@ polynomial in b alone (see ``ring.GradedSeries``).  The only index data is
 the face count n, which is also the grading cap: no coefficient read marks
 more faces.  The series families enter split by powers of l as b-only
 series, I(b, l; r) = sum_a l^a I_a(r), and each face marker e_i comes as
-E_a = sum_i e_i l_i^a.  The explicit
-monomials in l1..ln appear only when the final coefficient is expanded.
-The graded keys of that coefficient already are the monomial symmetric
-basis, so each ``CountPolynomial`` from ``nhat`` carries its m-basis.
+E_a = sum_i e_i l_i^a.  The graded
+keys of the final e_1...e_n coefficient are the monomial symmetric basis
+m_lambda(l_1^2, ..., l_n^2), and a ``CountPolynomial`` is that basis alone:
+the explicit monomials in l1..ln are expanded from it only when read.
 
 Everything is symbolic in the irreducibility parameter b and the face
 half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from functools import cached_property
+from math import comb, factorial, lcm, prod
 
 from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
                        series_J, series_J_inverse)
@@ -44,12 +45,14 @@ from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutation
 
 SUPPORTED_GENERA = (0, 1, 2)
 
-#: largest face count per genus that ``nhat`` computes: the largest that
-#: takes at most 5 s with canonical JSON and m-basis, in a fresh process on
-#: a 2-vCPU Xeon VM with Python 3.11.  (0, 11) takes 1.1 s and 187 MB,
-#: (1, 10) 3.6-3.7 s and 486 MB, (2, 8) 1.8 s and 255 MB; one face more
-#: takes 4.9-5.0 s and 698 MB at genus 0, which leaves no margin, 16 s
-#: and 1.9 GB at genus 1 and 7.6 s and 929 MB at genus 2
+#: largest face count per genus that ``nhat`` computes.  With canonical
+#: JSON, in a fresh process on a 2-vCPU Xeon VM with Python 3.11.7,
+#: (0, 11) takes 0.7-0.9 s and 80 MB, (1, 10) 2.4-2.8 s and 196 MB and
+#: (2, 8) 1.5-1.9 s and 102 MB, all within a 5 s budget.  One face more
+#: takes 9.7 s and 712 MB at genus 1, past it, but only 2.5 s and 273 MB
+#: at genus 0 and 4.7 s and 349 MB at genus 2: those two bounds stay where
+#: they are so that every guarded command and the 20-side formula sweep,
+#: which skips the genus-2 tuples of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
@@ -265,60 +268,73 @@ def free_energy(genus: int, moments: list, cap: int):
     raise UnsupportedGenusError(f"no free energy available for genus {genus}")
 
 
-class _Moments(dict):
-    """Exponent e -> sum of w p^e over the weighted points (p, w), each
-    entry computed on first lookup."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        super().__init__()
-        self.points = points
-
-    def __missing__(self, e):
-        value = self[e] = sum(w * p ** e for p, w in self.points)
-        return value
-
-
 @dataclass(frozen=True)
 class CountPolynomial:
-    """A finished counting polynomial with its index data.
-
-    ``mlambda`` is the polynomial in the monomial symmetric basis, as
-    :func:`to_m_basis` returns it, when the producer read it off the graded
-    keys (``nhat`` does); None for a polynomial parsed from JSON or built
-    by hand.  It takes no part in equality or hashing.
+    """A finished counting polynomial, sum_lambda c_lambda(b)
+    m_lambda(l_1^2, ..., l_n^2): ``mlambda`` maps each partition lambda
+    (weakly decreasing, no zeros) to c_lambda over ``B_ONLY``.  The hash
+    reads (genus, nfaces) alone, and ``poly`` is expanded on first read.
     """
 
     genus: int
     nfaces: int
-    gens: tuple[str, ...]
-    poly: MultiPoly
-    mlambda: dict[tuple[int, ...], MultiPoly] | None = field(
-        default=None, compare=False, repr=False)
+    mlambda: dict[tuple[int, ...], MultiPoly] = field(hash=False)
+
+    @property
+    def gens(self) -> tuple[str, ...]:
+        return face_generators(self.nfaces)
+
+    @cached_property
+    def poly(self) -> MultiPoly:
+        """The expanded polynomial over ``gens``."""
+        den = lcm(*(c.den for c in self.mlambda.values()))
+        num = {}
+        for lam, c in self.mlambda.items():
+            scale = den // c.den
+            for lexps in m_lambda_exponents(lam, self.nfaces):
+                for bexps, bc in c.num.items():
+                    num[bexps + lexps] = bc * scale
+        return MultiPoly.from_numerators(self.gens, num, den)
 
     def evaluate(self, b, degrees) -> Fraction:
         return self.weighted_sum(b, [((d, 1),) for d in degrees])
 
     def weighted_sum(self, b, faces) -> Fraction:
         """Sum of w_1 ... w_n N(b; p_1, ..., p_n) over one weighted point
-        (p_i, w_i) from each ``faces[i]``, in one pass over the terms.
+        (p_i, w_i) from each ``faces[i]``, read off the m-basis.
 
-        The sum factorizes face by face: a term c b^k prod_i l_i^(e_i)
-        contributes c b^k prod_i m_i[e_i] with the moment
-        m_i[e] = sum over (p, w) in faces[i] of w p^e.  Each moment (and
-        each power of b) is built once, the first time a term needs it.
-        Plain evaluation is the case of one point of weight 1 per face.
+        With the moment m_i[e] = sum over (p, w) in faces[i] of w p^e, the
+        sum is sum_lambda c_lambda(b) V_n(lambda), where V_i(mu) sums
+        prod_j m_j[2 beta_j] over the ways beta to put the parts of mu on
+        distinct faces among 1..i.  Face i takes no part or one of the
+        distinct parts a of mu: V_0(()) = 1 and
+        V_i(mu) = V_{i-1}(mu) m_i[0] + sum_a V_{i-1}(mu - a) m_i[2a] over
+        every sub-multiset mu of the partitions.  Plain evaluation is the
+        case of one point of weight 1 per face.
         """
         if len(faces) != self.nfaces:
             raise DomainError(f"expected {self.nfaces} degrees, got {len(faces)}")
-        points = {"b": ((b, 1),)}
-        points.update((f"l{i}", face) for i, face in enumerate(faces, start=1))
-        tables = [_Moments(points[g]) for g in self.gens]
-        total = 0
-        for exps, c in self.poly.num.items():
-            total += c * prod(t[e] for t, e in zip(tables, exps))
-        return Fraction(total, self.poly.den)
+        # each sub-multiset with its (2a, mu - a) for the distinct parts a
+        steps = {}
+        level = set(self.mlambda)
+        while level:
+            for mu in level:
+                steps[mu] = [(2 * a, mu[:j] + mu[j + 1:])
+                             for j, a in enumerate(mu) if j == 0 or mu[j - 1] != a]
+            level = {rest for mu in level for _, rest in steps[mu]} - steps.keys()
+        exps = {0} | {e for s in steps.values() for e, _ in s}
+        # longest first, so that V(mu - a) still holds the previous face
+        order = sorted(steps, key=len, reverse=True)
+        V = dict.fromkeys(order, 0)
+        V[()] = 1
+        for face in faces:
+            m = {e: sum(w * p ** e for p, w in face) for e in exps}
+            for mu in order:
+                V[mu] = V[mu] * m[0] + sum(V[rest] * m[e] for e, rest in steps[mu])
+        den = lcm(*(c.den for c in self.mlambda.values()))
+        total = sum(sum(bc * b ** k for (k,), bc in c.num.items()) * (den // c.den) * V[lam]
+                    for lam, c in self.mlambda.items())
+        return Fraction(total, den)
 
     def m_basis(self) -> dict[tuple[int, ...], MultiPoly]:
         return to_m_basis(self)
@@ -343,12 +359,10 @@ def nhat_genus0(n: int) -> CountPolynomial:
     faces = marked ** n
     j_over_r = Series(series_J(order + 1, B_ONLY).coeffs[1:], order, MultiPoly(B_ONLY))
     rest = power_one_plus_r(-1, -2, order, B_ONLY) \
-        * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(1, factorial(n))
+        * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(factorial(n - 3), factorial(n))
     # only [r^(n-3)] of faces * rest is needed
     total = sum((faces[k] * rest[order - k] for k in range(order + 1)), GradedSeries(n))
-    scale = factorial(n - 3)
-    poly = total.coefficient(range(1, n + 1)) * scale
-    return CountPolynomial(0, n, face_generators(n), poly, _graded_m_basis(total, scale))
+    return CountPolynomial(0, n, _graded_m_basis(total))
 
 
 def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
@@ -360,8 +374,7 @@ def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
     R = solve_R_hat(n)
     moments = [moment_hat(p, R) for p in range(3 * genus - 2)]
     F = free_energy(genus, moments, n)
-    return CountPolynomial(genus, n, face_generators(n), F.coefficient(range(1, n + 1)),
-                           _graded_m_basis(F))
+    return CountPolynomial(genus, n, _graded_m_basis(F))
 
 
 _NHAT_CACHE: dict[tuple[int, int], CountPolynomial] = {}
@@ -384,30 +397,23 @@ def nhat(genus: int, n: int) -> CountPolynomial:
 # ============================================================
 
 
-def m_lambda_poly(partition, n: int) -> MultiPoly:
-    """The monomial symmetric polynomial m_lambda in the squared half-degrees,
-    over ``face_generators(n)``.
-
-    m_(a1..ap)(l1..ln) = sum over distinct rearrangements beta of the padded
-    partition of prod_i l_i^(2 beta_i).
-    """
+def m_lambda_exponents(partition, n: int) -> list[tuple[int, ...]]:
+    """The l-exponents of the monomials of m_lambda(l_1^2, ..., l_n^2), in
+    lexicographic order."""
     partition = tuple(partition)
     if len(partition) > n:
         raise DomainError(f"partition {partition} has more parts than faces")
-    padded = partition + (0,) * (n - len(partition))
-    terms = {(0,) + tuple(2 * e for e in beta): 1 for beta in distinct_permutations(padded)}
-    return MultiPoly(face_generators(n), terms)
+    return list(distinct_permutations([2 * e for e in partition] + [0] * (n - len(partition))))
 
 
-def _graded_m_basis(series: GradedSeries, scale: int = 1) -> dict[tuple[int, ...], MultiPoly]:
-    """The m-basis of ``scale`` times the e_1...e_n coefficient of
-    ``series``, n its cap, read off its keys.
+def _graded_m_basis(series: GradedSeries) -> dict[tuple[int, ...], MultiPoly]:
+    """The m-basis of the e_1...e_n coefficient of ``series``, n its cap,
+    read off its keys.
 
-    A key lam with len(lam) = n puts c_lam prod(mult!) on every
-    rearrangement of lam over the n faces (see ``GradedSeries.coefficient``),
-    so it is c_lam prod(mult!) m_lambda, lambda the sorted nonzero halves of
-    lam.  Distinct keys give distinct partitions.  An odd entry of lam
-    raises InvariantViolation.
+    M_lam with len(lam) = n puts c_lam on every rearrangement of lam over
+    the n faces, prod(mult!) times each, so it is c_lam prod(mult!)
+    m_lambda, lambda the sorted nonzero halves of lam.  Distinct keys give
+    distinct partitions.  An odd entry of lam raises InvariantViolation.
     """
     n = series.cap
     out = {}
@@ -417,52 +423,15 @@ def _graded_m_basis(series: GradedSeries, scale: int = 1) -> dict[tuple[int, ...
         if any(e % 2 for e in lam):
             raise InvariantViolation(f"odd power of a face generator in key {lam}")
         part = tuple(sorted((e // 2 for e in lam if e), reverse=True))
-        out[part] = c * (scale * prod(factorial(lam.count(e)) for e in set(lam)))
+        out[part] = c * prod(factorial(lam.count(e)) for e in set(lam))
     return out
 
 
 def to_m_basis(count: CountPolynomial) -> dict[tuple[int, ...], MultiPoly]:
-    """Decompose into the monomial symmetric basis of squared half-degrees.
-
-    Returns a map from partitions (tuples, weakly decreasing, no zeros) to
-    coefficient polynomials in b alone: a copy of ``count.mlambda`` when the
-    polynomial carries its basis, else regrouped from the expanded
-    monomials.  Regrouping raises InvariantViolation if the polynomial is
-    not even and symmetric in the face generators.
-    """
-    if count.mlambda is not None:
-        return dict(count.mlambda)
-    n, gens, poly = count.nfaces, count.gens, count.poly
-    offset = gens.index("l1") if n else len(gens)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], MultiPoly]] = {}
-    for exps in poly.num:
-        lpart = exps[offset:offset + n]
-        if any(e % 2 for e in lpart):
-            raise InvariantViolation(f"odd power of a face generator in {count.genus=} {n=}")
-    by_l = {}
-    for exps, c in poly.num.items():
-        lpart = exps[offset:offset + n]
-        bexps = exps[:offset]
-        by_l.setdefault(lpart, {})[bexps] = c
-    bgens = gens[:offset]
-    for lpart, bnum in by_l.items():
-        halves = tuple(sorted((e // 2 for e in lpart), reverse=True))
-        lam = tuple(e for e in halves if e)
-        beta = tuple(e // 2 for e in lpart)
-        groups.setdefault(lam, {})[beta] = MultiPoly.from_numerators(bgens, bnum, poly.den)
-    out: dict[tuple[int, ...], MultiPoly] = {}
-    for lam, betas in groups.items():
-        # every beta rearranges lam padded with zeros: the orbit is complete
-        # when there are as many as the multinomial n! / prod(mult!)
-        padded = lam + (0,) * (n - len(lam))
-        orbit = factorial(n) // prod(factorial(padded.count(e)) for e in set(padded))
-        if len(betas) != orbit:
-            raise InvariantViolation(f"partition {lam}: orbit incomplete, not symmetric")
-        ref = next(iter(betas.values()))
-        if any(v != ref for v in betas.values()):
-            raise InvariantViolation(f"partition {lam}: coefficients differ across the orbit")
-        out[lam] = ref.with_context(B_ONLY)
-    return out
+    """The polynomial in the monomial symmetric basis of squared
+    half-degrees: a copy of ``count.mlambda``, partitions (weakly
+    decreasing, no zeros) to coefficient polynomials in b alone."""
+    return dict(count.mlambda)
 
 
 # ============================================================
@@ -519,11 +488,11 @@ def count_exact(genus: int, n: int, b: int, degrees,
     count at p.  The weight of face i depends on (d_i, p_i) alone, so the
     transform is applied face by face: ``CountPolynomial.weighted_sum``
     replaces each power l_i^e by the moment sum_p a(b, d_i, p) p^e and
-    walks the polynomial once.  The cost is about (terms of N-hat) x n
-    multiplications plus sum_i d_i table entries per moment, where
-    evaluating at every point of the grid cost prod_i (d_i - b + 1) full
-    evaluations.  Half-degrees summing past ``MAX_DEGREE_ONE_SUM`` raise
-    SizeError before any work.
+    reads the m-basis once.  The cost is about n x (sub-multisets of the
+    partitions of N-hat) x (their distinct parts) multiplications plus
+    sum_i d_i table entries per moment, where evaluating at every point of
+    the grid cost prod_i (d_i - b + 1) full evaluations.  Half-degrees
+    summing past ``MAX_DEGREE_ONE_SUM`` raise SizeError before any work.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))

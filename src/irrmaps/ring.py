@@ -24,9 +24,10 @@ Conventions
   stores only the part invariant under permuting the faces: one
   :class:`MultiPoly` coefficient in b alone (context :data:`B_ONLY`) per
   sorted tuple of l-exponents of the marked faces.  A product merges the
-  tuples, and ``coefficient`` expands back to monomials in
-  ``face_generators(cap)`` = (b, l1..l_cap) through
-  :func:`distinct_permutations`.
+  tuples.  The series is never expanded into monomials in
+  ``face_generators(cap)`` = (b, l1..l_cap): its top-degree keys are read
+  as the monomial symmetric basis, which :func:`distinct_permutations`
+  expands.
 * Power sums use the Bernoulli convention ``B_1 = +1/2``, so that
   ``power_sum_poly(m)`` evaluated at integer ``x >= 0`` equals
   ``sum(k**m for k in range(1, x + 1))``.  Both sign conventions circulate;
@@ -35,10 +36,10 @@ Conventions
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
 from typing import Union
 
@@ -717,9 +718,10 @@ class GradedSeries:
     above ``cap`` are dropped.  M_lam vanishes once
     len(lam) > n, so for any n >= cap that one bound is also marker
     nilpotency and the arithmetic does not depend on n: the series keeps no
-    face count, and :meth:`coefficient` expands back to explicit monomials
-    in ``face_generators(cap)``.  The constructor sorts each ``lam`` and
-    adds up the terms that then share a key.
+    face count.  The terms of degree n = cap are the e_1...e_n coefficient
+    in the monomial symmetric basis (see ``pipeline._graded_m_basis``).
+    The constructor sorts each ``lam`` and adds up the terms that then
+    share a key.
     """
 
     __slots__ = ("cap", "terms")
@@ -756,33 +758,6 @@ class GradedSeries:
     def marker(cls, cap: int, power: int = 0) -> "GradedSeries":
         """E_power = sum_i e_i l_i^power."""
         return cls(cap, {(power,): MultiPoly.constant(B_ONLY, 1)})
-
-    # ---------- views ----------
-
-    def coefficient(self, markers: Iterable[int]) -> MultiPoly:
-        """The coefficient of prod_{i in markers} e_i, expanded over
-        ``face_generators(cap)``.
-
-        M_lam contributes to it every distinct rearrangement of lam over the
-        marked faces, each prod(mult!) times, the multiplicities being
-        those of the entries of lam.
-        """
-        faces = sorted(set(markers))
-        if any(not 1 <= i <= self.cap for i in faces):
-            raise ValueError(f"markers {faces} outside faces 1..{self.cap}")
-        picked = [(lam, c) for lam, c in self.terms.items() if len(lam) == len(faces)]
-        den = lcm(*(c.den for _, c in picked))
-        num: dict[tuple, int] = {}
-        for lam, c in picked:
-            weight = prod(factorial(lam.count(e)) for e in set(lam)) * (den // c.den)
-            for beta in distinct_permutations(lam):
-                lexps = [0] * self.cap
-                for i, e in zip(faces, beta):
-                    lexps[i - 1] = e
-                tail = tuple(lexps)
-                for bexps, bc in c.num.items():
-                    num[bexps + tail] = bc * weight
-        return MultiPoly.from_numerators(face_generators(self.cap), num, den)
 
     def is_zero(self) -> bool:
         return not self.terms

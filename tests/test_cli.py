@@ -147,6 +147,43 @@ def test_sweep_by_formula_beyond_its_guard_exits_2_before_any_work(
         f"{cli.MAX_FORMULA_SIDES}\n"
 
 
+@pytest.mark.parametrize("flag,value", [("--max-2e", "-4"), ("--b-max", "-1")])
+def test_sweep_with_a_negative_bound_exits_2(capsys, monkeypatch, flag, value):
+    # a negative bound used to print the CSV header alone and exit 0
+    monkeypatch.setattr(cli, "count_exact", refuse)
+    code, out, err = run(capsys, "sweep", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-2e and --b-max must be nonnegative\n"
+
+
+def test_verify_oracle_with_a_negative_bound_exits_2(capsys, monkeypatch):
+    # it used to check no tuple and print "suite oracle: PASS"
+    monkeypatch.setattr(verify, "count_exact", refuse)
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-2e", "-2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-2e must be nonnegative\n"
+
+
+def test_count_takes_max_sides_for_brute_force_only(capsys, monkeypatch):
+    # --method formula used to drop --max-sides without a word
+    monkeypatch.setattr(cli, "count_exact", refuse)
+    code, out, err = run(capsys, "count", "--genus", "0", "--degrees", "2,2,2",
+                         "--max-sides", "24")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-sides bounds the brute-force search; " \
+        "--method formula takes none\n"
+    guards = []
+    monkeypatch.setattr(cli, "brute_count", lambda spec: guards.append(spec.guard_sides) or 1)
+    for extra in (("--max-sides", "24"), ()):
+        code, _, _ = run(capsys, "count", "--genus", "0", "--degrees", "2,2,2",
+                         "--method", "brute", *extra)
+        assert code == 0
+    assert guards == [24, DEFAULT_GUARD_SIDES]
+
+
 def test_large_formula_sweep_exits_2_within_a_second():
     # the sweep used to build every multiset of half-degrees first: at 80
     # sides it printed nothing for as long as it was left running

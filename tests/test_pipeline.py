@@ -1,4 +1,4 @@
-import dataclasses
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,15 +6,17 @@ import pytest
 
 from irrmaps.families import series_J_inverse
 from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _q_moment,
-                              InvariantViolation, UnsupportedGenusError,
+                              UnsupportedGenusError,
                               a_transform_coeff, b_transform_coeff, count_exact,
-                              girth_count, m_lambda_poly, moment_hat,
+                              girth_count, moment_hat,
                               moment_hat_via_Q, moment_hat_via_T, nhat,
                               planar_correction, solve_R_hat, to_m_basis)
 from irrmaps.ring import MultiPoly, Series, TruncationError, face_generators, log_unit
+from irrmaps.serialize import emit_polynomial_json, parse_polynomial_json
 
-from test_reference_graded import (expand, marker_moment, marker_moment_via_T,
+from test_reference_graded import (coefficient, expand, marker_moment, marker_moment_via_T,
                                    marker_solve_R, t0_part)
+from test_reference_mbasis import M_BASIS_GRID, expanded_nhat, regroup
 
 F = Fraction
 
@@ -33,9 +35,9 @@ def test_solve_R_collapses_without_markers():
 def test_solve_R_first_order_marker():
     R = solve_R_hat(2)
     one = MultiPoly.constant(face_generators(2), 1)
-    assert R.coefficient((1,)) == one
-    assert R.coefficient((2,)) == one
-    assert R.coefficient(()).is_zero()
+    assert coefficient(R, (1,)) == one
+    assert coefficient(R, (2,)) == one
+    assert coefficient(R, ()).is_zero()
     # the t part lives in the series at no faces: R = t + O(t^2)
     assert series_J_inverse(3, B_ONLY)[1] == MultiPoly.constant(B_ONLY, 1)
 
@@ -56,8 +58,8 @@ def test_moment_constant_terms():
     R = solve_R_hat(1)
     m0 = moment_hat(0, R)
     m1 = moment_hat(1, R)
-    assert m0.coefficient(()) == MultiPoly.constant(face_generators(1), 1)
-    assert m1.coefficient(()).is_zero()
+    assert coefficient(m0, ()) == MultiPoly.constant(face_generators(1), 1)
+    assert coefficient(m1, ()).is_zero()
 
 
 def test_moment_at_b_one_is_trivial():
@@ -127,33 +129,28 @@ def test_nhat_degree_bounds_and_symmetry():
         assert lsq_deg == n + 3 * g - 3
         # total degree bound 2n + 6g - 6, attained
         assert cp.poly.total_degree() == 2 * n + 6 * g - 6
-        # symmetric under permuting the face generators: regrouping the
-        # expanded monomials raises InvariantViolation if not
-        basis = to_m_basis(dataclasses.replace(cp, mlambda=None))
-        assert basis
+        # even and symmetric under permuting the face generators: regrouping
+        # the expanded monomials raises InvariantViolation if not
+        assert regroup(cp.poly, n) == cp.mlambda
     # one-face polynomials do not depend on b
     for g in (1, 2):
         assert nhat(g, 1).poly.degree_in("b") <= 0
 
 
-# the benchmark's symbolic grid and the large end of the face guard
-M_BASIS_GRID = ([(0, n) for n in range(3, 10)] + [(1, n) for n in range(1, 8)]
-                + [(2, n) for n in range(1, 7)])
-
-
 @pytest.mark.parametrize("genus,n", M_BASIS_GRID)
 def test_carried_m_basis_equals_the_regrouped_monomials(genus, n):
+    # the m-basis read off the graded keys against the regrouped monomials
+    # of the e_1...e_n coefficient, expanded by the reference
     cp = nhat(genus, n)
-    assert cp.mlambda is not None
     carried = to_m_basis(cp)
-    assert carried == to_m_basis(dataclasses.replace(cp, mlambda=None))
+    assert carried == regroup(expanded_nhat(genus, n), n)
     carried.clear()  # callers get a copy
     assert to_m_basis(cp) == cp.mlambda and cp.mlambda
 
 
 def test_m_basis_examples():
     gens = ("b", "l1", "l2", "l3")
-    m11 = m_lambda_poly((1, 1), 3)
+    m11 = CountPolynomial(0, 3, {(1, 1): MultiPoly.constant(B_ONLY, 1)}).poly
     l1, l2, l3 = (MultiPoly.variable(gens, f"l{i}") for i in (1, 2, 3))
     assert m11 == l1 * l1 * l2 * l2 + l1 * l1 * l3 * l3 + l2 * l2 * l3 * l3
     # decomposition of N(0,4)
@@ -164,14 +161,20 @@ def test_m_basis_examples():
 
 
 def test_m_basis_rejects_asymmetry():
-    gens = ("b", "l1", "l2")
-    l1 = MultiPoly.variable(gens, "l1")
-    bad = CountPolynomial(0, 2, gens, l1 * l1)
-    with pytest.raises(InvariantViolation):
-        to_m_basis(bad)
-    odd = CountPolynomial(0, 2, gens, l1)
-    with pytest.raises(InvariantViolation):
-        to_m_basis(odd)
+    # a document whose monomials are not even and symmetric, or disagree
+    # with its m-basis, does not parse
+    doc = json.loads(emit_polynomial_json(nhat(1, 2)))
+    row = next(m for m in doc["monomials"] if m["exps"] == [0, 2, 0])
+    for exps in ([0, 2, 0], [0, 1, 0]):
+        bad = dict(doc, monomials=[m for m in doc["monomials"] if m is not row]
+                   + [dict(row, exps=exps, num="2")])
+        with pytest.raises(ValueError, match="monomials differ"):
+            parse_polynomial_json(json.dumps(bad))
+    entry = next(e for e in doc["mlambda"] if e["lambda"] == [1])
+    bad = dict(doc, mlambda=[e for e in doc["mlambda"] if e is not entry]
+               + [dict(entry, coeff_in_b=[{"exp": 0, "num": "1", "den": "7"}])])
+    with pytest.raises(ValueError, match="monomials differ"):
+        parse_polynomial_json(json.dumps(bad))
 
 
 def test_transform_coefficients():

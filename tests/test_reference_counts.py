@@ -4,7 +4,9 @@
 counting polynomial, plus the planar correction, at every point of
 range(b, d_1 + 1) x ... x range(b, d_n + 1) and weights each point by the
 product of the tree-transform coefficients.  ``multipoly_value`` evaluates
-through ``MultiPoly.evaluate``.  Both are kept here only as references.
+through ``MultiPoly.evaluate``.  ``term_walk`` is the earlier
+``CountPolynomial.weighted_sum``, one pass over the expanded monomials.
+All three are kept here only as references.
 """
 
 from fractions import Fraction
@@ -36,6 +38,23 @@ def grid_count_exact(genus, n, b, degrees):
             total += w * (multipoly_value(genus, n, b, ptuple)
                           + planar_correction(genus, n, b, ptuple))
     return total
+
+
+def term_walk(count, b, faces):
+    """Sum of w_1 ... w_n N(b; p_1, ..., p_n) over one weighted point (p_i,
+    w_i) from each ``faces[i]``: each term c b^k prod_i l_i^(e_i) of the
+    expanded polynomial contributes c b^k prod_i m_i[e_i], with the moment
+    m_i[e] = sum over (p, w) in faces[i] of w p^e."""
+    points = [((b, 1),)] + list(faces)
+    tables = [{} for _ in points]
+    total = 0
+    for exps, c in count.poly.num.items():
+        for table, face, e in zip(tables, points, exps):
+            if e not in table:
+                table[e] = sum(w * p ** e for p, w in face)
+            c *= table[e]
+        total += c
+    return Fraction(total, count.poly.den)
 
 
 def small_tuples(n, b):
@@ -95,3 +114,25 @@ def admissible(draw):
 @given(admissible())
 def test_degree_one_count_matches_the_grid_sum_on_random_tuples(case):
     assert count_exact(*case, allow_degree_one=True) == grid_count_exact(*case)
+
+
+@st.composite
+def weighted_faces(draw):
+    genus, n = draw(st.sampled_from(PAIRS + [(0, 8), (1, 5), (2, 4)]))
+    b = draw(st.integers(0, 4))
+    degrees = [draw(st.integers(max(b, 1), max(b, 1) + 6)) for _ in range(n)]
+    if draw(st.booleans()):
+        # degree-one vertices: the transform weights, scaled to integers
+        faces = [[(p, int(d * a_transform_coeff(b, d, p))) for p in range(b, d + 1)]
+                 for d in degrees]
+    else:
+        faces = [((d, 1),) for d in degrees]
+    return genus, n, b, faces
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_faces())
+def test_weighted_sum_over_the_m_basis_matches_the_term_walk(case):
+    genus, n, b, faces = case
+    count = nhat(genus, n)
+    assert count.weighted_sum(b, faces) == term_walk(count, b, faces)

@@ -9,15 +9,17 @@ and ``marker_moment_via_T`` are the earlier solve and moment routes over
 it, with t, and ``product_genus0`` is the earlier genus-0 route, which
 multiplied the series I(b, l_i; r) face by face over (b, l1..ln).  All of
 them are kept here only as references, with ``antiderivative``, which
-the genus-0 routes integrate by.  ``expand`` maps the face-symmetric ring
-into the t^0 part of the marker ring through ``GradedSeries.coefficient``;
-``t0_part`` and ``at_no_faces`` read the marker results the package's
-routes stand for.
+the genus-0 routes integrate by.  ``coefficient`` is the earlier
+``GradedSeries.coefficient``, which expanded the e_1...e_n coefficient of
+every ``nhat`` into monomials before the package kept the m-basis alone.
+``expand`` maps the face-symmetric ring into the t^0 part of the marker
+ring through it; ``t0_part`` and ``at_no_faces`` read the marker results
+the package's routes stand for.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 import pytest
@@ -317,6 +319,32 @@ def product_genus0(n):
     return poly * factorial(n - 2)
 
 
+def coefficient(gs, markers: Iterable[int]) -> MultiPoly:
+    """The coefficient of prod_{i in markers} e_i of the face-symmetric
+    ``gs``, expanded over ``face_generators(gs.cap)``.
+
+    M_lam contributes to it every distinct rearrangement of lam over the
+    marked faces, each prod(mult!) times, the multiplicities being those
+    of the entries of lam.
+    """
+    faces = sorted(set(markers))
+    if any(not 1 <= i <= gs.cap for i in faces):
+        raise ValueError(f"markers {faces} outside faces 1..{gs.cap}")
+    picked = [(lam, c) for lam, c in gs.terms.items() if len(lam) == len(faces)]
+    den = lcm(*(c.den for _, c in picked))
+    num: dict[tuple, int] = {}
+    for lam, c in picked:
+        weight = prod(factorial(lam.count(e)) for e in set(lam)) * (den // c.den)
+        for beta in distinct_permutations(lam):
+            lexps = [0] * gs.cap
+            for i, e in zip(faces, beta):
+                lexps[i - 1] = e
+            tail = tuple(lexps)
+            for bexps, bc in c.num.items():
+                num[bexps + tail] = bc * weight
+    return MultiPoly.from_numerators(face_generators(gs.cap), num, den)
+
+
 def expand(gs, n=None):
     """The marker-ring element, in n >= cap faces (cap by default), that a
     face-symmetric one stands for: the same keys read at cap n, where
@@ -326,7 +354,7 @@ def expand(gs, n=None):
     terms = {}
     for lam in gs.terms:
         for faces in combinations(range(1, n + 1), len(lam)):
-            terms[0, frozenset(faces)] = lifted.coefficient(faces)
+            terms[0, frozenset(faces)] = coefficient(lifted, faces)
     return MarkerGradedSeries(face_generators(n), gs.cap, terms)
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from irrmaps.pipeline import nhat
+from irrmaps import pipeline
+from irrmaps.pipeline import MAX_FACES, SUPPORTED_GENERA, count_exact, girth_count, nhat
 from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json,
                                parse_polynomial_json)
 from fractions import Fraction
@@ -33,6 +34,33 @@ def test_json_round_trip_and_stability():
         assert back.poly == cp.poly
         assert (back.genus, back.nfaces) == (g, n)
         assert emit_polynomial_json(back) == text  # byte-stable
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"genus": 3}, "genus 3 is not supported"),
+    ({"n": 0}, "need at least one"),
+    ({"generators": ["b", "l2", "l1"]}, "unexpected generator list"),
+    ({"mlambda": [{"lambda": [1, 2], "coeff_in_b": [{"exp": 0, "num": "1", "den": "1"}]}]},
+     "not a new partition"),
+])
+def test_parse_refuses_an_inconsistent_document(change, message):
+    doc = json.loads(emit_polynomial_json(nhat(1, 2)))
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial_json(json.dumps(dict(doc, **change)))
+
+
+def test_json_and_counts_leave_the_expansion_unbuilt(monkeypatch):
+    # the canonical JSON and the counts read the m-basis alone: the expanded
+    # monomials are built on the first read of ``poly``, and not before
+    monkeypatch.setattr(pipeline, "_NHAT_CACHE", {})
+    emit_polynomial_json(nhat(1, 3))
+    count_exact(0, 4, 1, (2, 2, 3, 3))
+    count_exact(2, 2, 0, (3, 4), allow_degree_one=True)
+    girth_count(1, 2, 1, (2, 3), mode="exactly")
+    assert sorted(pipeline._NHAT_CACHE) == [(0, 4), (1, 2), (1, 3), (2, 2)]
+    for count in pipeline._NHAT_CACHE.values():
+        assert "poly" not in vars(count)
+    assert not count.poly.is_zero() and "poly" in vars(count)
 
 
 def test_json_monomials_graded_lex():
@@ -74,3 +102,21 @@ def test_canonical_json_matches_the_recorded_digest(genus, n):
 def test_every_symbolic_grid_entry_has_a_recorded_digest():
     assert len(WORKLOADS.SYMBOLIC_GRID) == 13
     assert sorted(GOLDEN) == sorted(f"{g},{n}" for g, n in WORKLOADS.SYMBOLIC_GRID)
+
+
+GOLDEN_NHAT = json.loads(Path(__file__).with_name("golden_nhat.json").read_text())
+GUARDED = [(g, n) for g in SUPPORTED_GENERA for n in range(3 if g == 0 else 1, MAX_FACES[g] + 1)]
+#: (1,10) and (2,8) take 1.4-2 s in-process: their digests are checked by
+#: running ``irrmaps nhat --format json``, not in the test suite
+SLOW = [(1, 10), (2, 8)]
+
+
+def test_golden_digests_cover_the_guarded_grid():
+    assert len(GUARDED) == 27
+    assert sorted(GOLDEN_NHAT) == sorted(f"{g},{n}" for g, n in GUARDED)
+
+
+@pytest.mark.parametrize("genus,n", [pair for pair in GUARDED if pair not in SLOW])
+def test_canonical_json_matches_the_golden_digest(genus, n):
+    text = emit_polynomial_json(nhat(genus, n))
+    assert WORKLOADS.sha256(text) == GOLDEN_NHAT[f"{genus},{n}"]

@@ -39,7 +39,7 @@ def test_string_hand_checks():
 def test_perturbed_polynomial_fails_string(monkeypatch):
     # negative control: adding 1 to the large polynomial leaves witness 1
     real = nhat(0, 4)
-    bumped = CountPolynomial(0, 4, real.gens, real.poly + 1)
+    bumped = CountPolynomial(0, 4, {**real.mlambda, (): real.mlambda[()] + 1})
     cache = dict(pipeline._NHAT_CACHE)
     cache[(0, 4)] = bumped
     monkeypatch.setattr(pipeline, "_NHAT_CACHE", cache)
@@ -53,7 +53,7 @@ def test_perturbed_polynomial_fails_dilaton(monkeypatch):
     # a constant bump cancels in the two evaluations, so perturb the n-face
     # side, which enters the equation linearly
     real = nhat(1, 1)
-    bumped = CountPolynomial(1, 1, real.gens, real.poly + 1)
+    bumped = CountPolynomial(1, 1, {**real.mlambda, (): real.mlambda[()] + 1})
     cache = dict(pipeline._NHAT_CACHE)
     cache[(1, 1)] = bumped
     monkeypatch.setattr(pipeline, "_NHAT_CACHE", cache)
