@@ -17,8 +17,7 @@ from .pipeline import (CountPolynomial, DomainError, InvariantViolation,
                        moment_hat_via_Q, moment_hat_via_T, nhat, nhat_genus0,
                        nhat_higher_genus, solve_R_hat, to_m_basis)
 from .ring import (ContextError, GradedSeries, MultiPoly, Rational, Series,
-                   TruncationError, bernoulli_plus, faulhaber_closed_sum,
-                   power_sum_poly)
+                   TruncationError, bernoulli_plus, power_sum_coeffs)
 from .serialize import count_csv_rows, emit_polynomial_json, parse_polynomial_json
 from .verify import (VerificationReport, cross_verify_counts, verify_ab_inverse,
                      verify_dilaton, verify_moments, verify_qpoly, verify_string,

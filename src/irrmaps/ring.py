@@ -28,10 +28,11 @@ Conventions
   ``face_generators(cap)`` = (b, l1..l_cap): its top-degree keys are read
   as the monomial symmetric basis, which :func:`distinct_permutations`
   expands.
-* Power sums use the Bernoulli convention ``B_1 = +1/2``, so that
-  ``power_sum_poly(m)`` evaluated at integer ``x >= 0`` equals
-  ``sum(k**m for k in range(1, x + 1))``.  Both sign conventions circulate;
-  this one makes the closed form interpolate the sum with upper limit ``x``.
+* Power sums use the Bernoulli convention ``B_1 = +1/2``, so that the
+  polynomial with coefficients ``power_sum_coeffs(m)``, evaluated at an
+  integer ``x >= 0``, equals ``sum(k**m for k in range(1, x + 1))``.
+  Both sign conventions circulate; this one makes the closed form
+  interpolate the sum with upper limit ``x``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Union
 
@@ -754,11 +755,6 @@ class GradedSeries:
             value = MultiPoly.constant(B_ONLY, value)
         return cls(cap, {(): value})
 
-    @classmethod
-    def marker(cls, cap: int, power: int = 0) -> "GradedSeries":
-        """E_power = sum_i e_i l_i^power."""
-        return cls(cap, {(power,): MultiPoly.constant(B_ONLY, 1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -896,7 +892,6 @@ def bernoulli_plus(n: int) -> Fraction:
         return Fraction(0)
     # standard recurrence sum_{k=0}^{n} binom(n+1,k) B_k = 0 (B_1 = -1/2 flavor);
     # even-index values agree in both conventions.
-    from math import comb
     acc = Fraction(0)
     for k in range(n):
         bk = bernoulli_plus(k)
@@ -907,36 +902,11 @@ def bernoulli_plus(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _power_sum_coeffs(m: int) -> tuple[Fraction, ...]:
+def power_sum_coeffs(m: int) -> tuple[Fraction, ...]:
     """Coefficients of S_m(x) = sum_{k=1}^{x} k^m, index = power of x."""
-    from math import comb
     if m < 0:
         raise ValueError("m must be nonnegative")
     coeffs = [Fraction(0)] * (m + 2)
     for j in range(m + 1):
         coeffs[m + 1 - j] = Fraction(comb(m + 1, j), m + 1) * bernoulli_plus(j)
     return tuple(coeffs)
-
-
-def power_sum_poly(m: int, gens: Sequence[str], name: str) -> MultiPoly:
-    """The Faulhaber polynomial S_m in the named generator."""
-    gens = tuple(gens)
-    i = gens.index(name)
-    terms = {}
-    width = len(gens)
-    for k, c in enumerate(_power_sum_coeffs(m)):
-        if c != 0:
-            exps = [0] * width
-            exps[i] = k
-            terms[tuple(exps)] = c
-    return MultiPoly(gens, terms)
-
-
-def faulhaber_closed_sum(m: int, gens: Sequence[str], lower: str, upper: str) -> MultiPoly:
-    """Closed form of sum_{k=lower+1}^{upper} k^m as a polynomial.
-
-    Exact for all integers 0 <= lower <= upper; m must be >= 1.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return power_sum_poly(m, gens, upper) - power_sum_poly(m, gens, lower)

@@ -5,22 +5,25 @@ Harer-Zagier recursion, and the brute-force cross-check.
 All identities are checked as exact polynomial identities (the witness of a
 failure is the nonzero difference polynomial); numeric sampling appears only
 in the oracle cross-check, which is a genuinely independent computation.
+The string and dilaton equations are read off the m-basis of both counting
+polynomials; only a nonzero difference is expanded into monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .families import qpoly_table, series_J_inverse
 from .oracle import GluingSpec, SizeError, brute_count, check_sides
-from .pipeline import (B_ONLY, a_transform_coeff, b_transform_coeff, count_exact,
-                       moment_hat_via_Q, moment_hat_via_T, nhat, to_m_basis)
+from .pipeline import (B_ONLY, CountPolynomial, a_transform_coeff, b_transform_coeff,
+                       count_exact, moment_hat_via_Q, moment_hat_via_T, nhat, to_m_basis)
 # unused here, but perfbench/layertrace.py patches verify.solve_R_hat and
 # verify.moment_hat by name, so both stay bound in this module
 from .pipeline import moment_hat, solve_R_hat  # noqa: F401
-from .ring import MultiPoly, faulhaber_closed_sum
+from .ring import MultiPoly, distinct_permutations, face_generators, power_sum_coeffs
 
 # default (genus, faces) pairs for the equation suites
 STRING_DILATON_PAIRS = ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1))
@@ -68,76 +71,103 @@ class VerificationReport:
 # ============================================================
 
 
-def _restrict(poly: MultiPoly, gens) -> MultiPoly:
-    return poly.with_context(tuple(gens))
+def _terms(count: CountPolynomial) -> list:
+    """The m-basis of ``count`` as terms (kappa, c), kappa = 2 lambda padded
+    with zeros to the face count: the sum over the distinct rearrangements
+    p of kappa of the monomials l^p, times c, a polynomial in b alone."""
+    pad = (0,) * count.nfaces
+    return [(tuple(2 * a for a in lam) + pad[len(lam):], c)
+            for lam, c in count.mlambda.items()]
 
 
-def _string_sides(genus: int, n: int) -> tuple[MultiPoly, MultiPoly]:
-    """LHS and RHS of the string equation, as polynomials in (b, l1..ln).
-
-    LHS is the (n+1)-face polynomial with the extra half-degree set to 1;
-    RHS replaces each l_j in turn by a summation variable k, multiplies by
-    2k, and sums k = b+1..l_j in closed Faulhaber form, then subtracts
-    sum_j l_j times the n-face polynomial.
-    """
-    small = nhat(genus, n)
-    big = nhat(genus, n + 1)
-    gens = small.gens
-    lhs = _restrict(big.poly.evaluate({f"l{n + 1}": 1}), gens)
-    rhs = MultiPoly(gens)
-    for j in range(1, n + 1):
-        lj = f"l{j}"
-        for e, coeff in small.poly.coefficients_in(lj).items():
-            # sum_{k=b+1}^{l_j} 2 k^(e+1) in closed form
-            rhs = rhs + coeff * faulhaber_closed_sum(e + 1, gens, "b", lj) * 2
-        rhs = rhs - MultiPoly.variable(gens, lj) * small.poly
-    return lhs, rhs
+def _one_face_out(count: CountPolynomial) -> list:
+    """(k, kappa without one k, c) for each term (kappa, c) of ``count`` and
+    each distinct entry k of kappa: the terms with one face holding l^k."""
+    return [(k, kappa[:i] + kappa[i + 1:], c) for kappa, c in _terms(count)
+            for i, k in enumerate(kappa) if kappa.index(k) == i]
 
 
-def _even_in_faces(poly: MultiPoly) -> bool:
-    # generator 0 is b; the face generators follow
-    return not any(e % 2 for exps in poly.terms for e in exps[1:])
+def _face_sum(e: int) -> list[MultiPoly]:
+    """Coefficients, by power of l, of 2 sum_{k=b+1}^{l} k^(e+1) - l^(e+1),
+    the string RHS of one face's l^e."""
+    s = power_sum_coeffs(e + 1)
+    coeffs = [MultiPoly.constant(B_ONLY, 2 * c) for c in s]
+    coeffs[e + 1] = coeffs[e + 1] - 1
+    coeffs[0] = coeffs[0] - MultiPoly(B_ONLY, {(k,): 2 * c for k, c in enumerate(s)})
+    return coeffs
+
+
+def _expand(n: int, *groups) -> MultiPoly:
+    """The sum of the terms in ``groups`` over ``face_generators(n)``."""
+    basis: dict[tuple[int, ...], MultiPoly] = {}
+    for kappa, c in chain(*groups):
+        basis[kappa] = basis[kappa] + c if kappa in basis else c
+    gens = face_generators(n)
+    out = MultiPoly(gens)
+    for kappa, c in basis.items():
+        if not c.is_zero():
+            orbit = MultiPoly(gens, {(0,) + p: 1 for p in distinct_permutations(kappa)})
+            out = out + c.with_context(gens) * orbit
+    return out
+
+
+def _string_check(genus: int, n: int) -> tuple[MultiPoly, bool]:
+    """LHS - RHS of the string equation over (b, l1..ln), and whether the
+    RHS is even in the face generators: no face sum in use has an odd power
+    of l.  LHS is the (n+1)-face polynomial at l_(n+1) = 1.  RHS takes each
+    l_j^e in turn to :func:`_face_sum`: on the monomials of kappa the face
+    holding e gives l^k times those of kappa - e on the other faces, which
+    are the monomials of nu = kappa - e + k, each once per entry k of nu."""
+    small, big = nhat(genus, n), nhat(genus, n + 1)
+    faces = _one_face_out(small)
+    sums = {e: _face_sum(e) for e in {e for e, _, _ in faces}}
+    rhs = ((tuple(sorted(rest + (k,), reverse=True)), c * sigma * -(rest.count(k) + 1))
+           for e, rest, c in faces for k, sigma in enumerate(sums[e]) if not sigma.is_zero())
+    even = all(sigma.is_zero() for face in sums.values() for sigma in face[1::2])
+    return _expand(n, [(rest, c) for _, rest, c in _one_face_out(big)], rhs), even
 
 
 def string_equation_delta(genus: int, n: int) -> MultiPoly:
     """LHS - RHS of the string equation, as a polynomial in (b, l1..ln)."""
-    lhs, rhs = _string_sides(genus, n)
-    return lhs - rhs
+    return _string_check(genus, n)[0]
 
 
 def string_rhs_even(genus: int, n: int) -> bool:
     """The combined string RHS must be even in every face generator."""
-    return _even_in_faces(_string_sides(genus, n)[1])
+    return _string_check(genus, n)[1]
 
 
 def dilaton_equation_delta(genus: int, n: int) -> MultiPoly:
-    """LHS - RHS of the dilaton equation over (b, l1..ln)."""
-    small = nhat(genus, n)
-    big = nhat(genus, n + 1)
-    gens = small.gens
-    extra = f"l{n + 1}"
-    at1 = _restrict(big.poly.evaluate({extra: 1}), gens)
-    at0 = _restrict(big.poly.evaluate({extra: 0}), gens)
-    return at1 - at0 - small.poly * (n + 2 * genus - 2)
+    """LHS - RHS of the dilaton equation over (b, l1..ln): the (n+1)-face
+    polynomial at l_(n+1) = 1 minus its value at 0, where only the terms
+    with l_(n+1)^0 are left, is (n + 2g - 2) times the n-face polynomial."""
+    small, big = nhat(genus, n), nhat(genus, n + 1)
+    scale = -(n + 2 * genus - 2)
+    return _expand(n, [(rest, c) for _, rest, c in _one_face_out(big)],
+                   [(rest, -c) for k, rest, c in _one_face_out(big) if k == 0],
+                   [(kappa, c * scale) for kappa, c in _terms(small)])
+
+
+def _pairs(genus: int | None, n: int | None):
+    if (genus is None) != (n is None):
+        raise ValueError("genus and n go together: give both or neither")
+    return STRING_DILATON_PAIRS if genus is None else [(genus, n)]
 
 
 def verify_string(genus: int | None = None, n: int | None = None) -> VerificationReport:
     report = VerificationReport("string")
-    pairs = [(genus, n)] if genus is not None and n is not None else STRING_DILATON_PAIRS
-    for g, m in pairs:
-        lhs, rhs = _string_sides(g, m)
-        delta = lhs - rhs
+    for g, m in _pairs(genus, n):
+        delta, even = _string_check(g, m)
         report.add(f"string equation at genus {g}, {m} faces",
                    delta.is_zero(), str(delta))
         report.add(f"string RHS even in the face degrees at genus {g}, {m} faces",
-                   _even_in_faces(rhs), "odd powers survive")
+                   even, "odd powers survive")
     return report
 
 
 def verify_dilaton(genus: int | None = None, n: int | None = None) -> VerificationReport:
     report = VerificationReport("dilaton")
-    pairs = [(genus, n)] if genus is not None and n is not None else STRING_DILATON_PAIRS
-    for g, m in pairs:
+    for g, m in _pairs(genus, n):
         delta = dilaton_equation_delta(g, m)
         report.add(f"dilaton equation at genus {g}, {m} faces",
                    delta.is_zero(), str(delta))

@@ -27,7 +27,7 @@ from test_reference_graded import antiderivative, marker_moment, marker_solve_R
 def full_cap_R_hat(cap):
     jinv = series_J_inverse(max(cap, 1), B_ONLY)
     parts = _face_parts(cap)
-    eps = {a: GradedSeries.marker(cap, a) for a in parts}
+    eps = {a: GradedSeries(cap, {(a,): MultiPoly.constant(B_ONLY, 1)}) for a in parts}
     R = GradedSeries(cap)
     for _ in range(cap + 3):
         X = GradedSeries(cap)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrmaps.families import series_J, series_J_inverse
-from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
-                          TruncationError, bernoulli_plus, faulhaber_closed_sum,
-                          inverse_unit, log_unit, power_sum_poly)
+from irrmaps.ring import (B_ONLY, ContextError, GradedSeries, MultiPoly, Series,
+                          TruncationError, bernoulli_plus, inverse_unit, log_unit)
 
 from test_reference_graded import coefficient
 
@@ -17,6 +16,11 @@ G = ("b", "j")
 
 def var(name, gens=G):
     return MultiPoly.variable(gens, name)
+
+
+def marker(cap, a=0):
+    """E_a = sum_i e_i l_i^a."""
+    return GradedSeries(cap, {(a,): MultiPoly.constant(B_ONLY, 1)})
 
 
 def test_poly_basics():
@@ -210,8 +214,8 @@ def test_series_truncation_commutes():
 
 def test_graded_nilpotent_markers():
     cap = 2
-    e = GradedSeries.marker(cap)  # e1 + e2
-    el = GradedSeries.marker(cap, 1)  # e1 l1 + e2 l2
+    e = marker(cap)  # e1 + e2
+    el = marker(cap, 1)  # e1 l1 + e2 l2
     prod = (e + 1) * (el + 1)
     expanded = ("b", "l1", "l2")
     l1, l2 = MultiPoly.variable(expanded, "l1"), MultiPoly.variable(expanded, "l2")
@@ -221,7 +225,7 @@ def test_graded_nilpotent_markers():
     # (e1 + e2)(e1 l1 + e2 l2) = e1 e2 (l1 + l2): e1^2 = e2^2 = 0
     assert coefficient(prod, (1, 2)) == l1 + l2
     assert coefficient(e * e, (1, 2)) == MultiPoly.constant(expanded, 2)
-    one = GradedSeries.marker(1)  # a single face: e1^2 = 0
+    one = marker(1)  # a single face: e1^2 = 0
     assert (one * one).is_zero()
     with pytest.raises(ValueError):
         coefficient(prod, (3,))
@@ -229,9 +233,9 @@ def test_graded_nilpotent_markers():
 
 def test_graded_markers_past_the_face_count_vanish():
     gens = ("b",)
-    one = GradedSeries.marker(1)
+    one = marker(1)
     assert (one * one).is_zero()
-    two = GradedSeries.marker(2, 2)
+    two = marker(2, 2)
     assert (two * two).terms == {(2, 2): MultiPoly.constant(gens, 1)}
     assert (two * two * two).is_zero()
     # the coefficients are polynomials in b alone
@@ -255,13 +259,13 @@ def test_graded_constructor_adds_terms_whose_sorted_keys_agree():
 
 def test_graded_cap_mismatch():
     with pytest.raises(TruncationError):
-        _ = GradedSeries.marker(2) + GradedSeries.marker(3)
+        _ = marker(2) + marker(3)
 
 
 def test_graded_equality_across_caps_is_false():
     assert GradedSeries(2) != GradedSeries(3)
-    assert not GradedSeries.marker(2) == GradedSeries.marker(3)
-    assert GradedSeries.marker(3).truncate(2) == GradedSeries.marker(2)
+    assert not marker(2) == marker(3)
+    assert marker(3).truncate(2) == marker(2)
 
 
 def test_constant_poly_hashes_like_its_value():
@@ -276,8 +280,8 @@ def test_constant_poly_hashes_like_its_value():
 
 
 def test_graded_truncation_commutes():
-    a = GradedSeries.marker(4, 1) + GradedSeries.marker(4) + 1
-    b = GradedSeries.marker(4, 1) * 2 + GradedSeries.marker(4, 2)
+    a = marker(4, 1) + marker(4) + 1
+    b = marker(4, 1) * 2 + marker(4, 2)
     hi = (a * b).truncate(2)
     lo = a.truncate(2) * b.truncate(2)
     assert hi == lo
@@ -302,32 +306,6 @@ def test_bernoulli_convention():
     assert bernoulli_plus(12) == Fraction(-691, 2730)
 
 
-def test_faulhaber_examples():
-    gens = ("b", "l")
-    s1 = faulhaber_closed_sum(1, gens, "b", "l")
-    b, l = MultiPoly.variable(gens, "b"), MultiPoly.variable(gens, "l")
-    assert s1 == (l * l + l - b * b - b) * Fraction(1, 2)
-    # classical closed form for the cube sum
-    s3 = power_sum_poly(3, ("x",), "x")
-    x = MultiPoly.variable(("x",), "x")
-    assert s3 == x * x * (x + 1) * (x + 1) * Fraction(1, 4)
-    # sum_{k=b+1}^{l} 2k at (b, l) = (1, 3) is 4 + 6
-    twice = faulhaber_closed_sum(1, gens, "b", "l") * 2
-    assert twice.evaluate({"b": 1, "l": 3}).as_fraction() == 10
-    with pytest.raises(ValueError):
-        faulhaber_closed_sum(0, gens, "b", "l")
-
-
-def test_faulhaber_matches_direct_sums():
-    gens = ("b", "l")
-    for m in range(1, 10):
-        closed = faulhaber_closed_sum(m, gens, "b", "l")
-        for lo in range(0, 21, 4):
-            for hi in range(lo, 21, 5):
-                direct = sum(k ** m for k in range(lo + 1, hi + 1))
-                assert closed.evaluate({"b": lo, "l": hi}).as_fraction() == direct
-
-
 def test_compose_requires_zero_constant():
     f = scalar_series([1, 1], 3)
     g = scalar_series([1, 1], 3)
@@ -346,9 +324,9 @@ def test_evaluate_unknown_generator():
        st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 def test_graded_ring_laws(a0, a1, a2, b0, b1, b2):
     gens = ("b",)
-    el = GradedSeries.marker(3, 1)
-    e1 = GradedSeries.marker(3)
-    e2 = GradedSeries.marker(3, 2)
+    el = marker(3, 1)
+    e1 = marker(3)
+    e2 = marker(3, 2)
     bvar = MultiPoly.variable(gens, "b")
     p = el * a0 + e1 * a1 + el * el * (bvar * a2)
     q = el * b0 + e2 * (bvar * b1) + b2

@@ -2,7 +2,10 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import pytest
+
 import irrmaps.pipeline as pipeline
+import irrmaps.ring as ring
 from irrmaps.pipeline import CountPolynomial, face_generators, nhat
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import (cross_verify_counts, dilaton_equation_delta,
@@ -34,6 +37,46 @@ def test_string_hand_checks():
     assert delta.is_zero()
     assert string_rhs_even(0, 3)
     assert dilaton_equation_delta(1, 1).is_zero()
+
+
+@pytest.mark.parametrize("suite", [verify_string, verify_dilaton])
+@pytest.mark.parametrize("kwargs", [{"genus": 2}, {"n": 7}])
+def test_equation_suites_refuse_a_lone_genus_or_face_count(suite, kwargs):
+    # one of the two is refused, not read as the default pairs
+    with pytest.raises(ValueError):
+        suite(**kwargs)
+
+
+def test_equation_suites_leave_the_expanded_polynomials_unbuilt(monkeypatch):
+    monkeypatch.setattr(pipeline, "_NHAT_CACHE", {})
+    assert verify_string().passed and verify_dilaton().passed
+    read = pipeline._NHAT_CACHE
+    assert len(read) == 9
+    assert all("poly" not in vars(count) for count in read.values())
+
+
+def test_string_dilaton_at_the_top_of_the_face_guard():
+    # the largest pairs whose (n+1)-face polynomial MAX_FACES admits
+    for g, n in ((0, 10), (1, 9), (2, 7)):
+        assert n + 1 == pipeline.MAX_FACES[g]
+        assert string_equation_delta(g, n).is_zero(), (g, n)
+        assert string_rhs_even(g, n), (g, n)
+        assert dilaton_equation_delta(g, n).is_zero(), (g, n)
+
+
+def test_other_bernoulli_sign_fails_the_evenness_case(monkeypatch):
+    # negative control: with B_1 = -1/2 the face sums run over k = b..l-1
+    # and the string RHS keeps odd powers of every l_j
+    plus = {k: ring.bernoulli_plus(k) for k in range(16)}
+    monkeypatch.setattr(ring, "bernoulli_plus", lambda k: -plus[k] if k == 1 else plus[k])
+    ring.power_sum_coeffs.cache_clear()
+    try:
+        report = verify_string(1, 2)
+    finally:
+        ring.power_sum_coeffs.cache_clear()
+    even = [c for c in report.cases if c.description.startswith("string RHS even")]
+    assert len(even) == 1 and not even[0].passed
+    assert even[0].witness == "odd powers survive"
 
 
 def test_perturbed_polynomial_fails_string(monkeypatch):
