@@ -155,8 +155,6 @@ def cmd_verify(args) -> int:
         raise ValueError("--genus and --faces go together: give both or neither")
     if args.max_2e is not None and suite != "oracle":
         raise ValueError(f"suite {suite} takes no --max-2e; only oracle does")
-    if args.max_2e is not None and args.max_2e < 0:
-        raise DomainError("--max-2e must be nonnegative")
     if suite in ("string", "dilaton"):
         fn = verify_string if suite == "string" else verify_dilaton
         report = fn(args.genus, args.faces)

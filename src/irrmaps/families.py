@@ -78,7 +78,7 @@ def series_J(order: int, gens) -> Series:
 
 def series_J_inverse(order: int, gens) -> Series:
     """Compositional inverse of J: the unique g with J(b; g(z)) = z + O(z^order+1)."""
-    return series_J(order, gens).reverse(order)
+    return series_J(order, gens).reverse()
 
 
 def power_one_plus_r(c0: int, c1: int, order: int, gens) -> Series:

@@ -1,29 +1,31 @@
 """Counting polynomials for essentially irreducible maps with even face degrees.
 
-The pipeline solves a fixed-point equation for a fundamental series R in a
-graded ring (one nilpotent marker per labeled face), builds moment series
-out of it, assembles the genus-1 and genus-2 free energies, and extracts the
-counting polynomial as the coefficient of e_1 ... e_n.  The paper's
-equations carry a deformation variable t, the weight of the smallest
-admissible face degree, and the polynomial is the t^0 part; setting t = 0
-is a ring map that commutes with composition, the unit log and inverse and
-the Q operator, so the solve and the moments run at t = 0 and the ring has
-no t.  Only the moment-route check at no faces keeps t: there R is
-J^{-1}(b; t), a plain series in t (``moment_hat_via_Q`` and
-``moment_hat_via_T``).  Genus 0 has a closed formula: by Lagrange-Buermann
-inversion, N_{0,n} = (n-3)! [r^(n-3)] prod_i I(b, l_i; r) (1+r)^(-2b-1)
-(r / J(b; r))^(n-2); it forms the product over the faces in the same ring.
+In a graded ring (one nilpotent marker e_i per labeled face) the fundamental
+series R is the root of Z(r) = J(b; r) - t - sum_i e_i I(b, l_i; r), the
+moment series are Q operators applied to Z at R, the genus-1 and genus-2
+free energies are built from them, and the counting polynomial is the
+coefficient of e_1 ... e_n.  The paper's equations carry a deformation
+variable t, the weight of the smallest admissible face degree, and the
+polynomial is the t^0 part; setting t = 0 is a ring map that commutes with
+composition, the unit log and inverse and the Q operator, so the solve and
+the moments run at t = 0 and the ring has no t.  Only the moment-route
+check at no faces keeps t: there R is J^{-1}(b; t), a plain series in t
+(``moment_hat_via_Q`` and ``moment_hat_via_T``).  Genus 0 has a closed
+formula: by Lagrange-Buermann inversion, N_{0,n} = (n-3)! [r^(n-3)]
+prod_i I(b, l_i; r) (1+r)^(-2b-1) (r / J(b; r))^(n-2), the product over
+the faces formed in the same ring.
 
 R, the moments and the free energy are symmetric under permuting the faces,
 so the ring keeps one coefficient per multiset of face exponents, a
 polynomial in b alone (see ``ring.GradedSeries``).  The only index data is
 the face count n, which is also the grading cap: no coefficient read marks
-more faces.  The series families enter split by powers of l as b-only
-series, I(b, l; r) = sum_a l^a I_a(r), and each face marker e_i comes as
-E_a = sum_i e_i l_i^a.  The graded
-keys of the final e_1...e_n coefficient are the monomial symmetric basis
-m_lambda(l_1^2, ..., l_n^2), and a ``CountPolynomial`` is that basis alone:
-the explicit monomials in l1..ln are expanded from it only when read.
+more faces.  I enters split by powers of l as b-only series,
+I(b, l; r) = sum_a l^a I_a(r), and the face markers as
+E_a = sum_i e_i l_i^a: ``_marked_faces`` is sum_a E_a I_a(b; r), for Z
+and the genus-0 product alike.  The graded keys of the final e_1...e_n
+coefficient are the monomial symmetric basis m_lambda(l_1^2, ..., l_n^2),
+and a ``CountPolynomial`` is that basis alone: the explicit monomials in
+l1..ln are expanded from it only when read.
 
 Everything is symbolic in the irreducibility parameter b and the face
 half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
@@ -37,8 +39,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm, prod
 
-from .families import (ConsistencyError, power_one_plus_r, qpoly_table, series_I,
-                       series_J, series_J_inverse)
+from .families import ConsistencyError, power_one_plus_r, qpoly_table, series_I, series_J
+# unused here, but perfbench/layertrace.py patches pipeline.series_J_inverse
+# by name, so it stays bound in this module
+from .families import series_J_inverse  # noqa: F401
 from .oracle import SizeError
 from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutations,
                    face_generators, inverse_unit, log_unit)
@@ -47,12 +51,12 @@ SUPPORTED_GENERA = (0, 1, 2)
 
 #: largest face count per genus that ``nhat`` computes.  With canonical
 #: JSON, in a fresh process on a 2-vCPU Xeon VM with Python 3.11.7,
-#: (0, 11) takes 0.7-0.9 s and 80 MB, (1, 10) 2.4-2.8 s and 196 MB and
-#: (2, 8) 1.5-1.9 s and 102 MB, all within a 5 s budget.  One face more
-#: takes 9.7 s and 712 MB at genus 1, past it, but only 2.5 s and 273 MB
-#: at genus 0 and 4.7 s and 349 MB at genus 2: those two bounds stay where
-#: they are so that every guarded command and the 20-side formula sweep,
-#: which skips the genus-2 tuples of 9 and 10 faces, answer as before
+#: (0, 11) takes 0.8-0.9 s and 79 MB, (1, 10) 1.9-2.3 s and 196 MB and
+#: (2, 8) 1.3-1.6 s and 102 MB, all within a 5 s budget.  One face more
+#: takes 6.7 s and 712 MB at genus 1, past it, but only 2.4-3.0 s and 273 MB
+#: at genus 0 and 3.2-3.4 s and 350 MB at genus 2: those two bounds stay so
+#: that every guarded command and the 20-side formula sweep, which skips
+#: the genus-2 tuples of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
@@ -80,61 +84,49 @@ class InvariantViolation(RuntimeError):
 # ============================================================
 
 
-def _face_parts(order: int) -> dict[int, Series]:
-    """I(b, l; r) split by powers of l: a -> the b-only series I_a with
-    I(b, l; r) = sum_a l^a I_a(b; r)."""
-    zero = MultiPoly(B_ONLY)
-    parts: dict[int, list] = {}
-    for k, c in enumerate(series_I(order, ("b", "l")).coeffs):
-        for a, ca in c.coefficients_in("l").items():
-            parts.setdefault(a, [zero] * (order + 1))[k] = ca.with_context(B_ONLY)
-    return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
+def _marked_faces(cap: int, order: int) -> Series:
+    """The series sum_i e_i I(b, l_i; r) = sum_a E_a I_a(b; r) in r, graded
+    coefficients at ``cap``: the l^a-part of each coefficient of I goes to
+    the key (a,) of E_a."""
+    coeffs = [GradedSeries(cap, {(a,): ca.with_context(B_ONLY)
+                                 for a, ca in c.coefficients_in("l").items()})
+              for c in series_I(order, ("b", "l")).coeffs]
+    return Series(coeffs, order, GradedSeries(cap))
+
+
+def _zhat_series(cap: int, order: int) -> Series:
+    """The series Z(r) = J(b; r) - sum_a E_a I_a(b; r) in r, graded
+    coefficients at ``cap``: Z = J(b; r) - t - sum_i e_i I(b, l_i; r) at
+    t = 0, for ``order`` >= 1.  Its root is R (see :func:`solve_R_hat`), and
+    the moments are Q operators applied to it (see :func:`moment_hat`)."""
+    return -_marked_faces(cap, order) + series_J(order, B_ONLY)
 
 
 def solve_R_hat(cap: int) -> GradedSeries:
     """Solve J(b; R) = sum_i e_i I(b, l_i; R) for R in the graded ring with
     ``cap`` faces: the t^0 part of the solution of
-    J(b; R) = t + sum_i e_i I(b, l_i; R).  A cap below the face count gives
+    J(b; R) = t + sum_i e_i I(b, l_i; R), that is the root of Z(R) = 0 for
+    the series Z of :func:`_zhat_series`.  A cap below the face count gives
     the same keys truncated to that cap.
 
-    In face-symmetric form the right-hand side is X = sum_a E_a I_a(R),
-    with E_a = sum_i e_i l_i^a and I_a the l^a-part of I (see
-    ``_face_parts``); multiplying by E_a appends a to every key, and the
-    ring drops what e_i^2 = 0 kills.  Degree by degree, as
-    R = J^{-1}(b; X): each E_a has degree 1, so degree k of X depends on R
-    only through degree k - 1, and round k = 1..cap builds X at cap k from
-    the round k - 1 result and settles exactly grading degree k of R.  Each
-    round must reproduce the previous one below its top degree; a mismatch
-    is an internal error.
+    Degree by degree, by the fixed point R <- R - Z(R): round k = 1..cap
+    composes Z at cap k into the round k - 1 result lifted to cap k, which
+    settles exactly grading degree k of R.  R - Z(R) is
+    sum_a E_a I_a(R) - (J(b; R) - R); each E_a has degree 1 and
+    J(b; r) - r = O(r^2), so degree k of it reads R only below degree k.
+    Each round must reproduce the previous one below its top degree; a
+    mismatch is an internal error.
     """
     if cap < 0:
         raise DomainError("number of faces must be nonnegative")
-    jinv = series_J_inverse(max(cap, 1), B_ONLY)
-    parts = _face_parts(max(cap - 1, 0))
     R = GradedSeries(0)
     for k in range(1, cap + 1):
-        X = GradedSeries(k)
-        for a, I_a in parts.items():
-            I_R = I_a.truncate(k - 1).compose(R)
-            X = X + GradedSeries(k, {lam + (a,): c for lam, c in I_R.terms.items()})
-        R_next = jinv.truncate(k).compose(X)
+        lift = GradedSeries(k, R.terms)
+        R_next = lift - _zhat_series(k, k).compose(lift)
         if R_next.truncate(k - 1) != R:
             raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
         R = R_next
     return R
-
-
-def _zhat_series(cap: int, order: int) -> Series:
-    """The series J(b; r) - sum_a E_a I_a(b; r) in r, graded coefficients at
-    ``cap``: Z = J(b; r) - t - sum_a E_a I_a(b; r) at t = 0."""
-    jser = series_J(max(order, 1), B_ONLY)
-    parts = _face_parts(order)
-    coeffs = []
-    for k in range(order + 1):
-        terms = {(a,): -I_a[k] for a, I_a in parts.items()}
-        terms[()] = jser[k]
-        coeffs.append(GradedSeries(cap, terms))
-    return Series(coeffs, order, GradedSeries(cap))
 
 
 def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
@@ -347,16 +339,14 @@ def nhat_genus0(n: int) -> CountPolynomial:
     antiderivative of f(r) = prod_i I(b, l_i; r) (1+r)^(-2b-1), reads
     (n-3)! [r^(n-3)] f(r) (r / J(b; r))^(n-2) by Lagrange-Buermann
     inversion.  The product over the faces is the e_1...e_n coefficient of
-    (sum_a E_a I_a(b; r))^n / n!, formed in the graded ring with b-only
-    coefficients; the rest of f (r / J)^(n-2) is a b-only series.
+    (sum_a E_a I_a(b; r))^n / n!, the n-th power of ``_marked_faces`` in
+    the graded ring with b-only coefficients; the rest of f (r / J)^(n-2)
+    is a b-only series.
     """
     if n < 3:
         raise DomainError("the planar family needs at least 3 faces")
     order = n - 3
-    parts = _face_parts(order)
-    marked = Series([GradedSeries(n, {(a,): I_a[k] for a, I_a in parts.items()})
-                     for k in range(order + 1)], order, GradedSeries(n))
-    faces = marked ** n
+    faces = _marked_faces(n, order) ** n
     j_over_r = Series(series_J(order + 1, B_ONLY).coeffs[1:], order, MultiPoly(B_ONLY))
     rest = power_one_plus_r(-1, -2, order, B_ONLY) \
         * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(factorial(n - 3), factorial(n))

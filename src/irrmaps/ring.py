@@ -592,26 +592,22 @@ class Series:
             acc = acc + power * c
         return acc
 
-    def reverse(self, order: int | None = None) -> "Series":
-        """Compositional inverse of a series ``c1*x + O(x**2)``.
+    def reverse(self) -> "Series":
+        """Compositional inverse of a series ``c1*x + O(x**2)``, to its order.
 
         Solved term by term; ``c1`` must be invertible (a nonzero Fraction
         or a constant polynomial).  Returns g with self(g(z)) = z.
         """
-        if order is None:
-            order = self.order
-        if order > self.order:
-            raise TruncationError("cannot invert beyond the known order")
         c0 = self.coeffs[0]
         if not _is_zero_elem(c0):
             raise ValueError("series must have zero constant term")
         c1inv = _invert_unit(self.coeffs[1])
         g = [self.zero, c1inv]
-        for k in range(2, order + 1):
+        for k in range(2, self.order + 1):
             partial = Series(g + [self.zero], k, self.zero)
             resid = self.truncate(k).compose(partial)
             g.append(-(resid.coeffs[k] * c1inv))
-        return Series(g, order, self.zero)
+        return Series(g, self.order, self.zero)
 
     def __str__(self):
         return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs)) or "0"

@@ -18,8 +18,9 @@ from math import comb
 
 from .families import qpoly_table, series_J_inverse
 from .oracle import GluingSpec, SizeError, brute_count, check_sides
-from .pipeline import (B_ONLY, CountPolynomial, a_transform_coeff, b_transform_coeff,
-                       count_exact, moment_hat_via_Q, moment_hat_via_T, nhat, to_m_basis)
+from .pipeline import (B_ONLY, CountPolynomial, DomainError, a_transform_coeff,
+                       b_transform_coeff, count_exact, moment_hat_via_Q, moment_hat_via_T,
+                       nhat, to_m_basis)
 # unused here, but perfbench/layertrace.py patches verify.solve_R_hat and
 # verify.moment_hat by name, so both stay bound in this module
 from .pipeline import moment_hat, solve_R_hat  # noqa: F401
@@ -435,10 +436,12 @@ def cross_verify_counts(max_sides: int = DEFAULT_SWEEP_SIDES,
     This is the tuple set of ``irrmaps sweep``: half-degrees run up to
     ``max_sides // 2``, so from 12 sides on the single faces of genus 1
     and 2 with half-degree 6 and more are checked too.  A tuple whose
-    polynomial the ``nhat`` face guard refuses is reported as skipped.
-    A ``max_sides`` beyond the oracle's side guard raises SizeError before
-    any work.
+    polynomial the ``nhat`` face guard refuses is reported as skipped.  A
+    ``max_sides`` below 2 (no tuple) raises DomainError, and one beyond the
+    oracle's side guard SizeError, both before any work.
     """
+    if max_sides < 2:
+        raise DomainError(f"the oracle sweep needs at least 2 sides, got {max_sides}")
     check_sides(max_sides)
     report = VerificationReport("oracle")
     for g, n, b, degs in sweep_tuples(max_sides, b_max):

@@ -163,7 +163,18 @@ def test_verify_oracle_with_a_negative_bound_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-2e", "-2")
     assert code == 2
     assert out == ""
-    assert err == "error: --max-2e must be nonnegative\n"
+    assert err == "error: the oracle sweep needs at least 2 sides, got -2\n"
+
+
+@pytest.mark.parametrize("sides", [0, 1])
+def test_verify_oracle_with_fewer_than_two_sides_exits_2(capsys, monkeypatch, sides):
+    # no tuple has fewer than 2 sides: it used to print "suite oracle: PASS"
+    monkeypatch.setattr(verify, "count_exact", refuse)
+    monkeypatch.setattr(verify, "brute_count", refuse)
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-2e", str(sides))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the oracle sweep needs at least 2 sides, got {sides}\n"
 
 
 def test_count_takes_max_sides_for_brute_force_only(capsys, monkeypatch):

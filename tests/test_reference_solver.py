@@ -1,32 +1,65 @@
 """The degree-by-degree solvers against the full-cap routes they replaced.
 
-``full_cap_R_hat`` is the earlier fixed-point loop for R, here in the
-face-symmetric ring at t = 0: every round recomposes the whole graded
+``jinv_rounds_R_hat`` is the earlier degree-by-degree solve for R: every
+round forms X = sum_a E_a I_a(R) and composes J^{-1}(b; X), one compose
+per power of l and one more for J^{-1}, where ``solve_R_hat`` composes Z
+once per round.  ``full_cap_R_hat`` is the fixed-point loop before it, in
+the face-symmetric ring at t = 0: every round recomposes the whole graded
 series at the context cap until a round changes nothing.
 ``full_cap_R_no_faces`` is the same kind of loop with no faces, where R
 solves J(b; R) = t as a plain series in t.  ``horner_genus0`` composes the
 whole antiderivative with J^{-1} and reads off one coefficient.
 ``t_ful_nhat`` is the higher-genus route with t kept symbolic through the
 solve and the moments, in the marker ring, where ``nhat`` solves at t = 0.
-All four are kept here only as references.
+All five are kept here only as references.
 """
 
 from math import factorial
 
 import pytest
 
+from irrmaps import pipeline
 from irrmaps.families import (ConsistencyError, power_one_plus_r, series_I,
                               series_J, series_J_inverse)
-from irrmaps.pipeline import (B_ONLY, _face_parts, face_generators, free_energy,
-                              nhat, nhat_genus0, solve_R_hat)
+from irrmaps.pipeline import (B_ONLY, face_generators, free_energy, nhat, nhat_genus0,
+                              nhat_higher_genus, solve_R_hat)
 from irrmaps.ring import GradedSeries, MultiPoly, Series
 
 from test_reference_graded import antiderivative, marker_moment, marker_solve_R
 
 
+def face_parts(order):
+    """I(b, l; r) split by powers of l: a -> the b-only series I_a with
+    I(b, l; r) = sum_a l^a I_a(b; r)."""
+    zero = MultiPoly(B_ONLY)
+    parts = {}
+    for k, c in enumerate(series_I(order, ("b", "l")).coeffs):
+        for a, ca in c.coefficients_in("l").items():
+            parts.setdefault(a, [zero] * (order + 1))[k] = ca.with_context(B_ONLY)
+    return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
+
+
+def jinv_rounds_R_hat(cap):
+    """R = J^{-1}(b; X), X = sum_a E_a I_a(R), degree by degree: X at cap k
+    reads R only through degree k - 1, so round k settles degree k."""
+    jinv = series_J_inverse(max(cap, 1), B_ONLY)
+    parts = face_parts(max(cap - 1, 0))
+    R = GradedSeries(0)
+    for k in range(1, cap + 1):
+        X = GradedSeries(k)
+        for a, I_a in parts.items():
+            I_R = I_a.truncate(k - 1).compose(R)
+            X = X + GradedSeries(k, {lam + (a,): c for lam, c in I_R.terms.items()})
+        R_next = jinv.truncate(k).compose(X)
+        if R_next.truncate(k - 1) != R:
+            raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
+        R = R_next
+    return R
+
+
 def full_cap_R_hat(cap):
     jinv = series_J_inverse(max(cap, 1), B_ONLY)
-    parts = _face_parts(cap)
+    parts = face_parts(cap)
     eps = {a: GradedSeries(cap, {(a,): MultiPoly.constant(B_ONLY, 1)}) for a in parts}
     R = GradedSeries(cap)
     for _ in range(cap + 3):
@@ -100,3 +133,40 @@ def test_nhat_genus0_matches_horner_composition(n):
 @pytest.mark.parametrize("genus,n", [(1, n) for n in range(1, 6)] + [(2, n) for n in range(1, 5)])
 def test_nhat_at_t_zero_matches_the_t_ful_route(genus, n):
     assert nhat(genus, n).poly == t_ful_nhat(genus, n)
+
+
+@pytest.mark.parametrize("cap", range(11))
+def test_solve_R_hat_matches_the_jinv_rounds(cap):
+    got, want = solve_R_hat(cap), jinv_rounds_R_hat(cap)
+    assert got.cap == want.cap == cap
+    assert got.terms == want.terms
+
+
+def test_solve_R_hat_composes_once_per_round(monkeypatch):
+    composes = []
+    compose = Series.compose
+
+    def counted(self, inner):
+        composes.append(inner)
+        return compose(self, inner)
+
+    def refuse(*args):
+        raise AssertionError("the solve reached J^{-1}")
+
+    monkeypatch.setattr(Series, "compose", counted)
+    monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
+    for cap in (0, 1, 6, 10):
+        composes.clear()
+        solve_R_hat(cap)
+        assert len(composes) == cap
+
+
+@pytest.mark.parametrize("genus,n", [(1, 5), (2, 4)])
+def test_nhat_higher_genus_never_reaches_j_inverse(monkeypatch, genus, n):
+    # the solve takes R as the root of Z, the moments compose into it
+    def refuse(*args):
+        raise AssertionError("nhat reached J^{-1}")
+
+    want = nhat(genus, n)
+    monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
+    assert nhat_higher_genus(genus, n) == want

@@ -42,11 +42,29 @@ def test_json_round_trip_and_stability():
     ({"generators": ["b", "l2", "l1"]}, "unexpected generator list"),
     ({"mlambda": [{"lambda": [1, 2], "coeff_in_b": [{"exp": 0, "num": "1", "den": "1"}]}]},
      "not a new partition"),
+    ({"genus": 0, "n": 1}, "planar family needs at least 3"),
 ])
 def test_parse_refuses_an_inconsistent_document(change, message):
     doc = json.loads(emit_polynomial_json(nhat(1, 2)))
     with pytest.raises(ValueError, match=message):
         parse_polynomial_json(json.dumps(dict(doc, **change)))
+
+
+def _zero_denominator(doc):
+    row = dict(doc["monomials"][0], den="0")
+    return dict(doc, monomials=[row] + doc["monomials"][1:])
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "mlambda"}, "KeyError"),
+    (lambda doc: [doc], "TypeError"),
+    (_zero_denominator, "ZeroDivisionError"),
+], ids=["no-mlambda", "top-level-list", "zero-denominator"])
+def test_parse_raises_value_error_for_a_malformed_document(mangle, message):
+    # these used to raise KeyError, TypeError and ZeroDivisionError
+    doc = json.loads(emit_polynomial_json(nhat(1, 2)))
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial_json(json.dumps(mangle(doc)))
 
 
 def test_json_and_counts_leave_the_expansion_unbuilt(monkeypatch):

@@ -139,6 +139,15 @@ def test_oracle_suite_checks_every_sweep_tuple():
     assert len(report.cases) == 2 * len(list(sweep_tuples(6, 3))) == 2 * 32
 
 
+@pytest.mark.parametrize("max_sides", [-2, 0, 1])
+def test_oracle_suite_refuses_a_bound_that_admits_no_tuple(max_sides):
+    # no tuple has fewer than 2 sides, and 2 admit the one-face torus
+    assert list(sweep_tuples(max_sides, 3)) == []
+    assert list(sweep_tuples(2, 3))[0] == (1, 1, 0, (1,))
+    with pytest.raises(pipeline.DomainError, match="at least 2 sides"):
+        cross_verify_counts(max_sides=max_sides)
+
+
 def filtered_sweep_tuples(max_sides, b_max):
     """The earlier enumerator, kept as a reference: every multiset of
     half-degrees up to max_sides // 2, filtered by the side count."""
