@@ -51,8 +51,8 @@ SUPPORTED_GENERA = (0, 1, 2)
 
 #: largest face count per genus that ``nhat`` computes.  With canonical
 #: JSON, in a fresh process on a 2-vCPU Xeon VM with Python 3.11.7,
-#: (0, 11) takes 0.8-0.9 s and 79 MB, (1, 10) 1.9-2.3 s and 196 MB and
-#: (2, 8) 1.3-1.6 s and 102 MB, all within a 5 s budget.  One face more
+#: (0, 11) takes 0.5-0.9 s and 80 MB, (1, 10) 1.6-2.2 s and 195 MB and
+#: (2, 8) 1.1-1.8 s and 102 MB, all within a 5 s budget.  One face more
 #: takes 6.7 s and 712 MB at genus 1, past it, but only 2.4-3.0 s and 273 MB
 #: at genus 0 and 3.2-3.4 s and 350 MB at genus 2: those two bounds stay so
 #: that every guarded command and the 20-side formula sweep, which skips
@@ -109,20 +109,22 @@ def solve_R_hat(cap: int) -> GradedSeries:
     the series Z of :func:`_zhat_series`.  A cap below the face count gives
     the same keys truncated to that cap.
 
-    Degree by degree, by the fixed point R <- R - Z(R): round k = 1..cap
-    composes Z at cap k into the round k - 1 result lifted to cap k, which
-    settles exactly grading degree k of R.  R - Z(R) is
-    sum_a E_a I_a(R) - (J(b; R) - R); each E_a has degree 1 and
-    J(b; r) - r = O(r^2), so degree k of it reads R only below degree k.
-    Each round must reproduce the previous one below its top degree; a
-    mismatch is an internal error.
+    Degree by degree, by the fixed point R <- R - Z(R): Z is built once,
+    and round k = 1..cap composes it, truncated to order and cap k, into
+    the round k - 1 result lifted to cap k, which settles exactly grading
+    degree k of R.  R - Z(R) is sum_a E_a I_a(R) - (J(b; R) - R); each
+    E_a has degree 1 and J(b; r) - r = O(r^2), so degree k of it reads R
+    only below degree k.  Each round must reproduce the previous one below
+    its top degree; a mismatch is an internal error.
     """
     if cap < 0:
         raise DomainError("number of faces must be nonnegative")
+    Z = _zhat_series(cap, max(cap, 1))
     R = GradedSeries(0)
     for k in range(1, cap + 1):
         lift = GradedSeries(k, R.terms)
-        R_next = lift - _zhat_series(k, k).compose(lift)
+        Z_k = Series([c.truncate(k) for c in Z.coeffs[:k + 1]], k, GradedSeries(k))
+        R_next = lift - Z_k.compose(lift)
         if R_next.truncate(k - 1) != R:
             raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
         R = R_next

@@ -58,37 +58,36 @@ def _fraction(entry) -> Fraction:
 
 def parse_polynomial_json(text: str) -> CountPolynomial:
     """The polynomial of a canonical JSON document, read from its
-    ``mlambda`` section.  Raises ValueError, and no other exception, for a
-    document that is not a JSON object or lacks a key, a genus outside
-    ``SUPPORTED_GENERA``, no faces, fewer than 3 at genus 0, generators
-    other than ``face_generators(n)``, a zero denominator, an m-basis key
-    that is not a new partition, or monomials other than the expansion of
-    the m-basis."""
-    try:
+    ``mlambda`` section.  Raises ValueError for a document that is not a
+    JSON object or lacks a key, a zero denominator, a genus outside
+    ``SUPPORTED_GENERA``, a face count that is not an integer of at least 1
+    (3 at genus 0), generators other than ``face_generators(n)``, an m-basis
+    key that is not a new partition of positive integers, or monomials other
+    than the expansion of the m-basis."""
+    try:  # every key lookup and number read of the document
         doc = json.loads(text)
-        genus, n = doc["genus"], doc["n"]
-        if genus not in SUPPORTED_GENERA:
-            raise ValueError(f"genus {genus} is not supported")
-        if n < 1:
-            raise ValueError(f"{n} faces: need at least one")
-        if genus == 0 and n < 3:
-            raise ValueError(f"{n} faces: the planar family needs at least 3")
-        gens = tuple(doc["generators"])
-        if gens != face_generators(n):
-            raise ValueError(f"unexpected generator list {gens}")
-        mlambda = {}
-        for entry in doc["mlambda"]:
-            lam = tuple(entry["lambda"])
-            if lam in mlambda or lam != tuple(sorted(lam, reverse=True)) \
-                    or min(lam, default=1) < 1:
-                raise ValueError(f"m-basis key {lam} is not a new partition")
-            mlambda[lam] = MultiPoly(B_ONLY, {(c["exp"],): _fraction(c)
-                                              for c in entry["coeff_in_b"]})
-        count = CountPolynomial(genus, n, mlambda)
-        monomials = MultiPoly(gens, {tuple(m["exps"]): _fraction(m) for m in doc["monomials"]})
+        genus, n, gens = doc["genus"], doc["n"], tuple(doc["generators"])
+        rows = [(tuple(e["lambda"]), {(c["exp"],): _fraction(c) for c in e["coeff_in_b"]})
+                for e in doc["mlambda"]]
+        monomials = {tuple(m["exps"]): _fraction(m) for m in doc["monomials"]}
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polynomial document: {exc!r}") from None
-    if monomials != count.poly:
+    if genus not in SUPPORTED_GENERA:
+        raise ValueError(f"genus {genus} is not supported")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{n!r} faces: need at least one")
+    if genus == 0 and n < 3:
+        raise ValueError(f"{n} faces: the planar family needs at least 3")
+    if gens != face_generators(n):
+        raise ValueError(f"unexpected generator list {gens}")
+    mlambda = {}
+    for lam, coeffs in rows:
+        if any(type(p) is not int or p < 1 for p in lam) or lam in mlambda \
+                or lam != tuple(sorted(lam, reverse=True)):
+            raise ValueError(f"m-basis key {lam} is not a new partition")
+        mlambda[lam] = MultiPoly(B_ONLY, coeffs)
+    count = CountPolynomial(genus, n, mlambda)
+    if MultiPoly(gens, monomials) != count.poly:
         raise ValueError("the monomials differ from the expansion of the m-basis")
     return count
 

@@ -154,6 +154,7 @@ def test_solve_R_hat_composes_once_per_round(monkeypatch):
         raise AssertionError("the solve reached J^{-1}")
 
     monkeypatch.setattr(Series, "compose", counted)
+    monkeypatch.setattr(Series, "reverse", refuse)
     monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
     for cap in (0, 1, 6, 10):
         composes.clear()
@@ -163,10 +164,12 @@ def test_solve_R_hat_composes_once_per_round(monkeypatch):
 
 @pytest.mark.parametrize("genus,n", [(1, 5), (2, 4)])
 def test_nhat_higher_genus_never_reaches_j_inverse(monkeypatch, genus, n):
-    # the solve takes R as the root of Z, the moments compose into it
+    # the solve takes R as the root of Z, the moments compose into it; J^{-1}
+    # is built only by reversing a series, whatever name reaches it
     def refuse(*args):
         raise AssertionError("nhat reached J^{-1}")
 
     want = nhat(genus, n)
+    monkeypatch.setattr(Series, "reverse", refuse)
     monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
     assert nhat_higher_genus(genus, n) == want

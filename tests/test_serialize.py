@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from irrmaps import pipeline
+from irrmaps import pipeline, serialize
 from irrmaps.pipeline import MAX_FACES, SUPPORTED_GENERA, count_exact, girth_count, nhat
 from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json,
                                parse_polynomial_json)
@@ -43,6 +43,9 @@ def test_json_round_trip_and_stability():
     ({"mlambda": [{"lambda": [1, 2], "coeff_in_b": [{"exp": 0, "num": "1", "den": "1"}]}]},
      "not a new partition"),
     ({"genus": 0, "n": 1}, "planar family needs at least 3"),
+    ({"n": "2"}, "need at least one"),
+    ({"mlambda": [{"lambda": ["1"], "coeff_in_b": [{"exp": 0, "num": "1", "den": "1"}]}]},
+     "not a new partition"),
 ])
 def test_parse_refuses_an_inconsistent_document(change, message):
     doc = json.loads(emit_polynomial_json(nhat(1, 2)))
@@ -65,6 +68,18 @@ def test_parse_raises_value_error_for_a_malformed_document(mangle, message):
     doc = json.loads(emit_polynomial_json(nhat(1, 2)))
     with pytest.raises(ValueError, match=message):
         parse_polynomial_json(json.dumps(mangle(doc)))
+
+
+def test_parse_lets_an_internal_error_through(monkeypatch):
+    # only reading the document is guarded: a fault in the package's own
+    # constructors is not reported as a malformed document
+    def broken(*args):
+        raise TypeError("internal fault")
+
+    text = emit_polynomial_json(nhat(1, 2))
+    monkeypatch.setattr(serialize, "CountPolynomial", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        parse_polynomial_json(text)
 
 
 def test_json_and_counts_leave_the_expansion_unbuilt(monkeypatch):
