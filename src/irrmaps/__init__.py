@@ -6,9 +6,8 @@ independent brute-force polygon-gluing oracle whose leaf check tests
 contractibility exactly, by words in the fundamental group.
 """
 
-from .families import (ConsistencyError, QPolyTable, power_one_plus_r,
-                       qpoly_direct_sum_oracle, qpoly_table, series_I, series_J,
-                       series_J_inverse)
+from .families import (ConsistencyError, power_one_plus_r, qpoly_direct_sum_oracle,
+                       qpoly_table, series_I, series_J, series_J_inverse)
 from .oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError, SizeError,
                      assemble_map, brute_count, check_irreducible,
                      enumerate_matchings, simple_cycles_up_to)

@@ -21,8 +21,8 @@ from .oracle import (DEFAULT_GUARD_SIDES, GluingSpec, OracleError, SizeError, br
                      check_sides)
 from .pipeline import DomainError, count_exact, nhat, to_m_basis
 from .serialize import count_csv_rows, emit_polynomial_json
-from .verify import (DEFAULT_SWEEP_SIDES, SUITES, cross_verify_counts, sweep_tuples,
-                     verify_dilaton, verify_string)
+from .verify import (DEFAULT_SWEEP_SIDES, SUITES, SWEEP_B_MAX, cross_verify_counts,
+                     sweep_tuples, verify_dilaton, verify_string)
 
 #: largest ``series --order`` per series: in a fresh process on a 2-vCPU
 #: Xeon VM with Python 3.11 each takes at most 0.5 s (Jinv 15: 0.2 s,
@@ -168,18 +168,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.ell is not None and args.name != "I":
+        raise ValueError("--ell applies to I only")
     if args.order < 0:
         raise DomainError("order must be nonnegative")
     if args.order > MAX_SERIES_ORDER[args.name]:
         raise SizeError(f"order {args.order} exceeds the {args.name} guard of "
                         f"{MAX_SERIES_ORDER[args.name]}")
-    gens = ("b", "l")
     if args.name == "I":
-        ser = series_I(args.order, gens)
+        ser = series_I(args.order)
     elif args.name == "J":
-        ser = series_J(max(args.order, 1), gens)
+        ser = series_J(max(args.order, 1))
     else:
-        ser = series_J_inverse(max(args.order, 1), gens)
+        ser = series_J_inverse(max(args.order, 1))
     assign = {}
     if args.b is not None:
         assign["b"] = Fraction(args.b)
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="CSV export of counts over all small tuples")
     p.add_argument("--max-2e", type=int, default=8,
                    help="bound on the total number of polygon sides")
-    p.add_argument("--b-max", type=int, default=3)
+    p.add_argument("--b-max", type=int, default=SWEEP_B_MAX)
     p.add_argument("--method", choices=("formula", "brute", "both"),
                    default="formula")
     p.add_argument("--with-deg-one", action="store_true")
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=("I", "J", "Jinv"), required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
+    p.add_argument("--ell", type=int, default=None, help="l of I (I only)")
     p.set_defaults(fn=cmd_series)
     return parser
 

@@ -90,7 +90,7 @@ def _marked_faces(cap: int, order: int) -> Series:
     the key (a,) of E_a."""
     coeffs = [GradedSeries(cap, {(a,): ca.with_context(B_ONLY)
                                  for a, ca in c.coefficients_in("l").items()})
-              for c in series_I(order, ("b", "l")).coeffs]
+              for c in series_I(order).coeffs]
     return Series(coeffs, order, GradedSeries(cap))
 
 
@@ -99,7 +99,7 @@ def _zhat_series(cap: int, order: int) -> Series:
     coefficients at ``cap``: Z = J(b; r) - t - sum_i e_i I(b, l_i; r) at
     t = 0, for ``order`` >= 1.  Its root is R (see :func:`solve_R_hat`), and
     the moments are Q operators applied to it (see :func:`moment_hat`)."""
-    return -_marked_faces(cap, order) + series_J(order, B_ONLY)
+    return -_marked_faces(cap, order) + series_J(order)
 
 
 def solve_R_hat(cap: int) -> GradedSeries:
@@ -154,11 +154,11 @@ def _q_moment(p: int, f: Series) -> Series:
     coefficient ring absorbs b-only polynomials; exact to f.order - p - 1,
     because each application of (1+r) d/dr consumes one order."""
     table = qpoly_table()
-    if p > table.p_max:
+    if p >= len(table):
         raise DomainError(f"moment index {p} beyond the available Q table")
-    w = f * power_one_plus_r(0, -1, f.order, B_ONLY)
+    w = f * power_one_plus_r(0, -1, f.order)
     by_j = {e: c.with_context(B_ONLY) for e, c in table[p].coefficients_in("j").items()}
-    return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, f.order, B_ONLY))
+    return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, f.order))
 
 
 def moment_hat(p: int, rhat: GradedSeries) -> GradedSeries:
@@ -180,7 +180,7 @@ def moment_hat_via_Q(p: int, R: Series, order: int) -> Series:
     b-only series in r, evaluated at r = R.  ``R`` is J^{-1}(b; t) exact to
     at least ``order``; the result is exact to ``order``.
     """
-    return _q_moment(p, series_J(order + p + 1, B_ONLY)).compose(R.truncate(order))
+    return _q_moment(p, series_J(order + p + 1)).compose(R.truncate(order))
 
 
 # Moment weights T_p: fixed data, homogeneous of degree 2p in
@@ -233,8 +233,8 @@ def moment_hat_via_T(p: int, R: Series, order: int) -> Series:
     rs = [(derivs[0] + 1).truncate(order)] + [d.truncate(order) for d in derivs[1:]]
     bpol = MultiPoly.variable(B_ONLY, "b")
     T = t_weight(p, bpol, rs)
-    pref = power_one_plus_r(1, -1, order, B_ONLY).compose(derivs[0].truncate(order))
-    dinv = power_one_plus_r(-(2 * p + 1), 0, order, B_ONLY).compose(rs[1] - 1)
+    pref = power_one_plus_r(1, -1, order).compose(derivs[0].truncate(order))
+    dinv = power_one_plus_r(-(2 * p + 1), 0, order).compose(rs[1] - 1)
     return pref * dinv * T
 
 
@@ -245,8 +245,8 @@ def moment_hat_via_T(p: int, R: Series, order: int) -> Series:
 
 def genus2_combination(inv0, m1, m2, m3):
     """The universal genus-2 free energy in terms of moment ratios."""
-    inner = (m1 ** 3) * 2016 + (m1 * m1) * 1086 - (m2 * m1) * 3480 \
-        + m1 * 407 - m2 * 860 + m3 * 1400 + 128
+    # Horner form in m1: two graded products
+    inner = m1 * (m1 * (m1 * 2016 + 1086) - m2 * 3480 + 407) - m2 * 860 + m3 * 1400 + 128
     return inv0 * inv0 * inner * Fraction(-1, 30720) + Fraction(1, 240)
 
 
@@ -349,8 +349,8 @@ def nhat_genus0(n: int) -> CountPolynomial:
         raise DomainError("the planar family needs at least 3 faces")
     order = n - 3
     faces = _marked_faces(n, order) ** n
-    j_over_r = Series(series_J(order + 1, B_ONLY).coeffs[1:], order, MultiPoly(B_ONLY))
-    rest = power_one_plus_r(-1, -2, order, B_ONLY) \
+    j_over_r = Series(series_J(order + 1).coeffs[1:], order, MultiPoly(B_ONLY))
+    rest = power_one_plus_r(-1, -2, order) \
         * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(factorial(n - 3), factorial(n))
     # only [r^(n-3)] of faces * rest is needed
     total = sum((faces[k] * rest[order - k] for k in range(order + 1)), GradedSeries(n))

@@ -28,6 +28,11 @@ Conventions
   ``face_generators(cap)`` = (b, l1..l_cap): its top-degree keys are read
   as the monomial symmetric basis, which :func:`distinct_permutations`
   expands.
+* The three types share one ``**``: repeated multiplication by the base,
+  which keeps a sparse base sparse on the right of every product.  A
+  series is evaluated at a ring element by :meth:`Series.compose` alone;
+  the compositional inverse J^{-1} is a fixed point solved with it in
+  ``families``.
 * Power sums use the Bernoulli convention ``B_1 = +1/2``, so that the
   polynomial with coefficients ``power_sum_coeffs(m)``, evaluated at an
   integer ``x >= 0``, equals ``sum(k**m for k in range(1, x + 1))``.
@@ -57,12 +62,18 @@ class TruncationError(ValueError):
     """Raised when truncated series with incompatible caps/tags are mixed."""
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+def _power(x, n: int):
+    """x ** n for a nonnegative int n, by repeated multiplication starting
+    from x, with x the right-hand factor of every product, so that a sparse
+    x is never squared into a dense one; x ** 0 is the one of x's ring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    if n == 0:
+        return x * 0 + 1
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
 
 
 def _num_den(x: Scalar) -> tuple[int, int]:
@@ -280,17 +291,7 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    __pow__ = _power
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -546,13 +547,7 @@ class Series:
     def __rmul__(self, other):
         return Series([other * c for c in self.coeffs], self.order, self.zero)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Series([self.zero + 1], self.order, self.zero)
-        for _ in range(n):
-            result = result * self
-        return result
+    __pow__ = _power
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -592,23 +587,6 @@ class Series:
             acc = acc + power * c
         return acc
 
-    def reverse(self) -> "Series":
-        """Compositional inverse of a series ``c1*x + O(x**2)``, to its order.
-
-        Solved term by term; ``c1`` must be invertible (a nonzero Fraction
-        or a constant polynomial).  Returns g with self(g(z)) = z.
-        """
-        c0 = self.coeffs[0]
-        if not _is_zero_elem(c0):
-            raise ValueError("series must have zero constant term")
-        c1inv = _invert_unit(self.coeffs[1])
-        g = [self.zero, c1inv]
-        for k in range(2, self.order + 1):
-            partial = Series(g + [self.zero], k, self.zero)
-            resid = self.truncate(k).compose(partial)
-            g.append(-(resid.coeffs[k] * c1inv))
-        return Series(g, self.order, self.zero)
-
     def __str__(self):
         return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs)) or "0"
 
@@ -635,17 +613,6 @@ def _is_zero_elem(c) -> bool:
     if isinstance(c, GradedSeries):
         return c.is_zero()
     return c == 0
-
-
-def _invert_unit(c):
-    if isinstance(c, MultiPoly):
-        if not c.is_constant() or c.constant_term() == 0:
-            raise ValueError("leading coefficient must be an invertible constant")
-        return MultiPoly.constant(c.gens, 1 / c.constant_term())
-    c = _as_fraction(c)
-    if c == 0:
-        raise ValueError("leading coefficient must be invertible")
-    return 1 / c
 
 
 def _require_no_constant(inner) -> None:
@@ -837,13 +804,7 @@ class GradedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = GradedSeries.constant(self.cap, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+    __pow__ = _power
 
     def __eq__(self, other):
         if isinstance(other, GradedSeries) and other.cap != self.cap:

@@ -56,24 +56,34 @@ def _fraction(entry) -> Fraction:
     return Fraction(int(entry["num"]), int(entry["den"]))
 
 
+def _exponents(exps) -> tuple:
+    exps = tuple(exps)
+    if any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError(f"exponents {list(exps)} are not nonnegative integers")
+    return exps
+
+
 def parse_polynomial_json(text: str) -> CountPolynomial:
     """The polynomial of a canonical JSON document, read from its
     ``mlambda`` section.  Raises ValueError for a document that is not a
-    JSON object or lacks a key, a zero denominator, a genus outside
-    ``SUPPORTED_GENERA``, a face count that is not an integer of at least 1
-    (3 at genus 0), generators other than ``face_generators(n)``, an m-basis
-    key that is not a new partition of positive integers, or monomials other
-    than the expansion of the m-basis."""
+    JSON object or lacks a key, a zero denominator, a genus that is not an
+    integer of ``SUPPORTED_GENERA`` (a bool or a float such as 1.0 is not),
+    a face count that is not an integer of at least 1 (3 at genus 0),
+    generators other than ``face_generators(n)``, an exponent of b in
+    ``coeff_in_b`` or of a monomial in ``exps`` that is not a nonnegative
+    integer, an m-basis key that is not a new partition of positive
+    integers, or monomials other than the expansion of the m-basis."""
     try:  # every key lookup and number read of the document
         doc = json.loads(text)
         genus, n, gens = doc["genus"], doc["n"], tuple(doc["generators"])
-        rows = [(tuple(e["lambda"]), {(c["exp"],): _fraction(c) for c in e["coeff_in_b"]})
+        rows = [(tuple(e["lambda"]),
+                 {_exponents([c["exp"]]): _fraction(c) for c in e["coeff_in_b"]})
                 for e in doc["mlambda"]]
-        monomials = {tuple(m["exps"]): _fraction(m) for m in doc["monomials"]}
+        monomials = {_exponents(m["exps"]): _fraction(m) for m in doc["monomials"]}
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polynomial document: {exc!r}") from None
-    if genus not in SUPPORTED_GENERA:
-        raise ValueError(f"genus {genus} is not supported")
+    if type(genus) is not int or genus not in SUPPORTED_GENERA:
+        raise ValueError(f"genus {genus!r} is not supported")
     if type(n) is not int or n < 1:
         raise ValueError(f"{n!r} faces: need at least one")
     if genus == 0 and n < 3:

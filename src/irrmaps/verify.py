@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, factorial
 
-from .families import qpoly_table, series_J_inverse
+from .families import Q_GENS, qpoly_table, series_J_inverse
 from .oracle import GluingSpec, SizeError, brute_count, check_sides
 from .pipeline import (B_ONLY, CountPolynomial, DomainError, a_transform_coeff,
                        b_transform_coeff, count_exact, moment_hat_via_Q, moment_hat_via_T,
@@ -261,19 +261,18 @@ def verify_table1() -> VerificationReport:
 # ============================================================
 
 
-def verify_qpoly(p_max: int = 4) -> VerificationReport:
+def verify_qpoly() -> VerificationReport:
     report = VerificationReport("qpoly")
     # construction self-certifies (disjoint grid, alternating sum, degrees,
     # vanishing at j = -b); failure raises instead of returning
     try:
-        table = qpoly_table(p_max)
+        table = qpoly_table()
     except Exception as exc:  # pragma: no cover - construction is certified
         report.add("Q table construction", False, str(exc))
         return report
-    report.add(f"Q table construction and certification up to p = {p_max}", True)
-    gens = ("b", "j")
-    b = MultiPoly.variable(gens, "b")
-    j = MultiPoly.variable(gens, "j")
+    report.add(f"Q table construction and certification up to p = {len(table) - 1}", True)
+    b = MultiPoly.variable(Q_GENS, "b")
+    j = MultiPoly.variable(Q_GENS, "j")
     reference = {
         0: b + j,
         1: (b + j) * (b ** 2 + j - 1) * F(2, 3),
@@ -284,12 +283,9 @@ def verify_qpoly(p_max: int = 4) -> VerificationReport:
                       + (j - 1) * (j - 2) * (j * 4 - 5) * 6) * F(1, 315),
     }
     for p, expect in reference.items():
-        if p > p_max:
-            continue
         delta = table[p] - expect
         report.add(f"Q_{p} matches the reference closed form", delta.is_zero(), str(delta))
-    for p in range(p_max + 1):
-        q = table[p]
+    for p, q in enumerate(table):
         report.add(f"Q_{p} vanishes at j = -b",
                    q.substitute("j", -b).is_zero(), "nonzero")
         report.add(f"Q_{p} degrees are ({2 * p + 1}, {p + 1})",
@@ -302,10 +298,7 @@ def verify_qpoly(p_max: int = 4) -> VerificationReport:
         binom_poly = MultiPoly.constant(kg, 1)
         for i in range(2 * p + 1):
             binom_poly = binom_poly * (k * 2 + 1 + p - i)
-        fact = 1
-        for i in range(2, 2 * p + 2):
-            fact *= i
-        binom_poly = binom_poly * F(1, fact)
+        binom_poly = binom_poly * F(1, factorial(2 * p + 1))
         q_at_k = q.rename({"b": "k"}).with_context(kg)
         q_at_k1 = q_at_k.substitute("k", k + 1)
         lhs = binom_poly * (jj + k + 1)
@@ -320,7 +313,7 @@ def verify_moments(t_order: int = 5) -> VerificationReport:
     R = J^{-1}(b; t) is a plain series in t."""
     report = VerificationReport("tpoly")
     # one R at the order the T route needs for p = 3 serves every p
-    R = series_J_inverse(t_order + 4, B_ONLY)
+    R = series_J_inverse(t_order + 4)
     for p in range(4):
         a = moment_hat_via_Q(p, R, t_order)
         via_t = moment_hat_via_T(p, R, t_order)
@@ -334,8 +327,13 @@ def verify_moments(t_order: int = 5) -> VerificationReport:
     return report
 
 
-def verify_ab_inverse(limit: int = 12) -> VerificationReport:
+#: largest b, half-degree and summation index of the transform inversion suite
+AB_INVERSE_LIMIT = 12
+
+
+def verify_ab_inverse() -> VerificationReport:
     report = VerificationReport("ab-inverse")
+    limit = AB_INVERSE_LIMIT
     for b in range(0, limit + 1):
         ok = True
         witness = ""
@@ -427,9 +425,11 @@ def sweep_tuples(max_sides: int, b_max: int):
 #: side bound of the oracle cross-check when none is given
 DEFAULT_SWEEP_SIDES = 8
 
+#: largest b of the oracle cross-check, and of ``irrmaps sweep`` by default
+SWEEP_B_MAX = 3
 
-def cross_verify_counts(max_sides: int = DEFAULT_SWEEP_SIDES,
-                        b_max: int = 3) -> VerificationReport:
+
+def cross_verify_counts(max_sides: int = DEFAULT_SWEEP_SIDES) -> VerificationReport:
     """Compare brute-force and polynomial counts, with and without
     degree-one vertices, on every tuple of :func:`sweep_tuples`.
 
@@ -444,7 +444,7 @@ def cross_verify_counts(max_sides: int = DEFAULT_SWEEP_SIDES,
         raise DomainError(f"the oracle sweep needs at least 2 sides, got {max_sides}")
     check_sides(max_sides)
     report = VerificationReport("oracle")
-    for g, n, b, degs in sweep_tuples(max_sides, b_max):
+    for g, n, b, degs in sweep_tuples(max_sides, SWEEP_B_MAX):
         for allow in (False, True):
             tag = "with" if allow else "without"
             description = f"genus {g} degrees {degs} b={b} {tag} degree-one vertices"

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from irrmaps.families import qpoly_direct_sum_oracle, qpoly_table, series_J_inverse
 from irrmaps.oracle import GluingSpec, brute_count
-from irrmaps.pipeline import (B_ONLY, count_exact, girth_count, moment_hat_via_Q,
+from irrmaps.pipeline import (count_exact, girth_count, moment_hat_via_Q,
                               moment_hat_via_T, nhat, to_m_basis)
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import (TABLE1_ROWS, _bpoly, dilaton_equation_delta,
@@ -104,7 +104,7 @@ def test_criterion_6_vanishing_sanity():
 
 
 def test_criterion_7_q_polynomials():
-    table = qpoly_table(4)
+    table = qpoly_table()
     for p in range(5):
         checked = 0
         ok = True
@@ -115,23 +115,23 @@ def test_criterion_7_q_polynomials():
                 checked += 1
         report(f"criterion 7: Q_{p} matches direct sums on {checked} disjoint points",
                ok and checked >= 30)
-    suite = verify_qpoly(4)
+    suite = verify_qpoly()
     report("criterion 7: reference forms, vanishing, four-term relation, degrees",
            suite.passed, "" if suite.passed else suite.render())
 
 
 def test_criterion_8_moment_crosscheck():
     # with no faces R = J^{-1}(b; t) is a plain series in t
-    R = series_J_inverse(5, B_ONLY)
+    R = series_J_inverse(5)
     for p in range(4):
-        raised = series_J_inverse(5 + p + 1, B_ONLY)
+        raised = series_J_inverse(5 + p + 1)
         agree = moment_hat_via_Q(p, R, 5) == moment_hat_via_T(p, raised, 5)
         report(f"criterion 8: moment routes agree for p={p} at symbolic b, t-order 5",
                agree)
 
 
 def test_criterion_9_transform_inversion():
-    suite = verify_ab_inverse(12)
+    suite = verify_ab_inverse()
     report("criterion 9: transform inversion identity for 0 <= b <= k, l <= 12",
            suite.passed, "" if suite.passed else suite.render())
 

@@ -324,6 +324,22 @@ def test_series_command(capsys):
     assert "[r^1] 1" in out
 
 
+@pytest.mark.parametrize("name", ["J", "Jinv"])
+def test_series_ell_on_j_exits_2(capsys, name):
+    # --ell used to be dropped silently: J and Jinv have no l
+    code, out, err = run(capsys, "series", "--name", name, "--order", "3", "--ell", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --ell applies to I only\n"
+
+
+def test_sweep_b_max_defaults_to_the_oracle_suite_bound(capsys):
+    code, out, _ = run(capsys, "sweep", "--max-2e", "8")
+    assert code == 0
+    assert max(int(line.split(",")[2]) for line in out.splitlines()[1:]) == verify.SWEEP_B_MAX
+    assert cli.build_parser().parse_args(["sweep"]).b_max == verify.SWEEP_B_MAX
+
+
 def test_series_order_beyond_the_guard_exits_2(capsys):
     for name, order in (("Jinv", "16"), ("I", "61"), ("J", "-1")):
         code, out, err = run(capsys, "series", "--name", name, "--order", order)

@@ -2,18 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from irrmaps.families import (ConsistencyError, QPolyTable, power_one_plus_r,
-                              qpoly_alternating_sum, qpoly_direct_sum,
-                              qpoly_direct_sum_oracle, qpoly_table, series_I,
-                              series_J, series_J_inverse)
-from irrmaps.ring import MultiPoly
+from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_alternating_sum,
+                              qpoly_direct_sum, qpoly_direct_sum_oracle, qpoly_table,
+                              series_I, series_J, series_J_inverse)
+from irrmaps.ring import MultiPoly, Series
 
 G = ("b", "l")
 BJ = ("b", "j")
 
 
 def test_series_I_low_coefficients():
-    ser = series_I(3, G)
+    ser = series_I(3)
     b = MultiPoly.variable(G, "b")
     l = MultiPoly.variable(G, "l")
     assert ser[0] == MultiPoly.constant(G, 1)
@@ -24,7 +23,7 @@ def test_series_I_low_coefficients():
 
 
 def test_series_I_specializes_to_one_at_l_equals_b():
-    ser = series_I(5, G)
+    ser = series_I(5)
     for k in range(1, 6):
         spec = ser[k].substitute("l", MultiPoly.variable(G, "b"))
         assert spec.is_zero()
@@ -35,7 +34,7 @@ def test_series_I_specializes_to_one_at_l_equals_b():
 
 
 def test_series_J_coefficients():
-    ser = series_J(4, ("b",))
+    ser = series_J(4)
     b = MultiPoly.variable(("b",), "b")
     assert ser[1] == MultiPoly.constant(("b",), 1)
     assert ser[2] == b * (b - 1) * Fraction(-1, 2)
@@ -45,17 +44,17 @@ def test_series_J_coefficients():
 
 
 def test_series_J_inverse_reference_coefficients():
-    inv = series_J_inverse(3, ("b",))
+    inv = series_J_inverse(3)
     b = MultiPoly.variable(("b",), "b")
     assert inv[2] == b * (b - 1) * Fraction(1, 2)
     assert inv[3] == b * (b - 1) ** 2 * (b * 5 + 2) * Fraction(1, 12)
     # compositional inverse property to order 8
-    J = series_J(8, ("b",))
-    z = J.compose(series_J_inverse(8, ("b",)))
+    J = series_J(8)
+    z = J.compose(series_J_inverse(8))
     assert [z[k] for k in range(9)] == [MultiPoly(("b",))] + [
         MultiPoly.constant(("b",), 1)] + [MultiPoly(("b",))] * 7
     # degree of the z^k coefficient is 2k - 2
-    inv8 = series_J_inverse(8, ("b",))
+    inv8 = series_J_inverse(8)
     for k in range(1, 9):
         assert inv8[k].degree_in("b") == max(2 * k - 2, 0)
     # specializing b = 0 gives the identity series
@@ -66,13 +65,13 @@ def test_series_J_inverse_reference_coefficients():
 def test_power_one_plus_r():
     gens = ("b",)
     b = MultiPoly.variable(gens, "b")
-    sq = power_one_plus_r(2, 0, 4, gens)
+    sq = power_one_plus_r(2, 0, 4)
     assert [sq[k] for k in range(5)] == [
         MultiPoly.constant(gens, 1), MultiPoly.constant(gens, 2),
         MultiPoly.constant(gens, 1), MultiPoly(gens), MultiPoly(gens)]
-    neg = power_one_plus_r(-1, -2, 2, gens)  # (1+r)^(-2b-1)
+    neg = power_one_plus_r(-1, -2, 2)  # (1+r)^(-2b-1)
     assert neg[1] == -(b * 2 + 1)
-    minus_b = power_one_plus_r(0, -1, 2, gens)  # (1+r)^(-b)
+    minus_b = power_one_plus_r(0, -1, 2)  # (1+r)^(-b)
     assert minus_b[2] == b * (b + 1) * Fraction(1, 2)
 
 
@@ -89,7 +88,7 @@ def test_qpoly_direct_sums():
 
 
 def test_qpoly_reference_forms():
-    table = qpoly_table(3)
+    table = qpoly_table()
     b = MultiPoly.variable(BJ, "b")
     j = MultiPoly.variable(BJ, "j")
     assert table[0] == b + j
@@ -105,7 +104,7 @@ def test_qpoly_reference_forms():
 
 
 def test_qpoly_interpolation_agrees_off_grid():
-    table = qpoly_table(4)
+    table = qpoly_table()
     for p in range(5):
         for b0, j0 in [(0, 9), (3, 11), (6, 13), (1, 8)]:
             assert table[p].evaluate({"b": b0, "j": j0}).as_fraction() == \
@@ -113,7 +112,7 @@ def test_qpoly_interpolation_agrees_off_grid():
 
 
 def test_qpoly_degrees_and_vanishing():
-    table = qpoly_table(4)
+    table = qpoly_table()
     for p in range(5):
         q = table[p]
         assert q.degree_in("b") == 2 * p + 1
@@ -132,5 +131,48 @@ def test_qpoly_certification_catches_corruption(monkeypatch):
         return val + 1 if (p, b, j) == (1, 0, 2) else val
 
     monkeypatch.setattr(fam, "qpoly_direct_sum_oracle", corrupted)
+    qpoly_table.cache_clear()
     with pytest.raises(ConsistencyError):
-        QPolyTable(1)
+        qpoly_table()
+    monkeypatch.undo()
+    qpoly_table.cache_clear()
+    assert len(qpoly_table()) == 5
+
+
+def test_families_have_fixed_contexts():
+    assert {c.gens for c in series_I(3).coeffs} == {G}
+    for ser in (series_J(3), series_J_inverse(3), power_one_plus_r(1, -1, 3)):
+        assert {c.gens for c in ser.coeffs} == {("b",)}
+    assert {q.gens for q in qpoly_table()} == {BJ}
+
+
+def test_series_J_inverse_composes_once_per_round(monkeypatch):
+    # from z at order 1, round k = 2..order composes N(r) = r - J(b; r) once
+    # into the round k - 1 result; no other series is evaluated
+    composes = []
+    compose = Series.compose
+
+    def counted(self, inner):
+        composes.append(inner.order)
+        return compose(self, inner)
+
+    monkeypatch.setattr(Series, "compose", counted)
+    for order in (1, 2, 7, 15):
+        composes.clear()
+        series_J_inverse(order)
+        assert composes == list(range(2, order + 1))
+
+
+def test_series_J_inverse_refuses_a_round_that_changes_lower_orders(monkeypatch):
+    # a compose that disturbs the z^1 coefficient must stop the solve
+    compose = Series.compose
+
+    def disturbed(self, inner):
+        out = compose(self, inner)
+        if out.order >= 3:
+            out.coeffs[1] = out.coeffs[1] + 1
+        return out
+
+    monkeypatch.setattr(Series, "compose", disturbed)
+    with pytest.raises(ConsistencyError, match="round 3"):
+        series_J_inverse(5)

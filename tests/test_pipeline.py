@@ -25,7 +25,7 @@ def test_solve_R_collapses_without_markers():
     # with no markers the t^0 solve is zero: R is the compositional inverse
     # series in t, J^{-1}(b; t), which has no constant term
     assert solve_R_hat(0).is_zero()
-    inv = series_J_inverse(5, B_ONLY)
+    inv = series_J_inverse(5)
     assert inv[0].is_zero() and inv[1] == MultiPoly.constant(B_ONLY, 1)
     # specializing b = 0 gives R = t
     for k in range(2, 6):
@@ -39,7 +39,7 @@ def test_solve_R_first_order_marker():
     assert coefficient(R, (2,)) == one
     assert coefficient(R, ()).is_zero()
     # the t part lives in the series at no faces: R = t + O(t^2)
-    assert series_J_inverse(3, B_ONLY)[1] == MultiPoly.constant(B_ONLY, 1)
+    assert series_J_inverse(3)[1] == MultiPoly.constant(B_ONLY, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -63,7 +63,7 @@ def test_moment_constant_terms():
 
 
 def test_moment_at_b_one_is_trivial():
-    m0 = moment_hat_via_Q(0, series_J_inverse(4, B_ONLY), 4)
+    m0 = moment_hat_via_Q(0, series_J_inverse(4), 4)
     # at b = 1 the fundamental series is t and the zeroth moment is 1
     assert m0.order == 4
     for k, coeff in enumerate(m0.coeffs):
@@ -82,12 +82,12 @@ def test_the_t_term_of_Z_adds_nothing_to_a_moment():
 
 def raised_R(order, p):
     """R = J^{-1}(b; t) at the order the T route needs for moment p."""
-    return series_J_inverse(order + p + 1, B_ONLY)
+    return series_J_inverse(order + p + 1)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_moment_routes_agree_symbolic(p):
-    R = series_J_inverse(5, B_ONLY)
+    R = series_J_inverse(5)
     via_q, via_t = moment_hat_via_Q(p, R, 5), moment_hat_via_T(p, raised_R(5, p), 5)
     assert via_q.order == via_t.order == 5
     assert via_q == via_t

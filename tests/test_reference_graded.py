@@ -9,7 +9,8 @@ and ``marker_moment_via_T`` are the earlier solve and moment routes over
 it, with t, and ``product_genus0`` is the earlier genus-0 route, which
 multiplied the series I(b, l_i; r) face by face over (b, l1..ln).  All of
 them are kept here only as references, with ``antiderivative``, which
-the genus-0 routes integrate by.  ``coefficient`` is the earlier
+the genus-0 routes integrate by, and ``widen``, which moves the package's
+series from their own contexts to (b, l1..ln).  ``coefficient`` is the earlier
 ``GradedSeries.coefficient``, which expanded the e_1...e_n coefficient of
 every ``nhat`` into monomials before the package kept the m-basis alone.
 ``expand`` maps the face-symmetric ring into the t^0 part of the marker
@@ -232,10 +233,24 @@ class MarkerGradedSeries:
 # ============================================================
 
 
+def widen(series, n, ell=None):
+    """``series`` over ``face_generators(n)``: a series of I with its l
+    renamed to ``ell``, or a b-only series."""
+    gens = face_generators(n)
+    table = {"l": ell} if ell else {}
+    return Series([c.rename(table).with_context(gens) for c in series.coeffs],
+                  series.order, MultiPoly(gens))
+
+
+def face_I(order, n):
+    """I(b, l_i; r) over ``face_generators(n)`` for each face i = 1..n."""
+    return [widen(series_I(order), n, f"l{i}") for i in range(1, n + 1)]
+
+
 def marker_solve_R(n, cap):
     gens = face_generators(n)
-    jinv = series_J_inverse(max(cap, 1), gens)
-    eyes = [series_I(max(cap - 1, 0), gens, ell=f"l{i}") for i in range(1, n + 1)]
+    jinv = widen(series_J_inverse(max(cap, 1)), n)
+    eyes = face_I(max(cap - 1, 0), n)
     R = MarkerGradedSeries(gens, 0)
     for k in range(1, cap + 1):
         X = MarkerGradedSeries.t_var(gens, k)
@@ -254,8 +269,8 @@ def marker_solve_R(n, cap):
 
 def marker_zhat(n, cap, order):
     gens = face_generators(n)
-    jser = series_J(max(order, 1), gens)
-    eyes = [series_I(order, gens, ell=f"l{i}") for i in range(1, n + 1)]
+    jser = widen(series_J(max(order, 1)), n)
+    eyes = face_I(order, n)
     t = MarkerGradedSeries.t_var(gens, cap)
     eps = [MarkerGradedSeries.marker(gens, cap, i) for i in range(1, n + 1)]
     coeffs = []
@@ -272,9 +287,9 @@ def marker_zhat(n, cap, order):
 def marker_moment(n, cap, p, R):
     gens = face_generators(n)
     order = cap + p + 1
-    w = marker_zhat(n, cap, order) * power_one_plus_r(0, -1, order, gens)
+    w = marker_zhat(n, cap, order) * widen(power_one_plus_r(0, -1, order), n)
     by_j = {e: c.with_context(gens) for e, c in qpoly_table()[p].coefficients_in("j").items()}
-    return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, order, gens)).compose(R)
+    return _apply_q_operator(by_j, w, widen(power_one_plus_r(1, 0, order), n)).compose(R)
 
 
 def marker_moment_via_T(n, cap, p):
@@ -285,8 +300,8 @@ def marker_moment_via_T(n, cap, p):
         derivs.append(derivs[-1].t_derivative())
     rs = [(derivs[0] + 1).truncate(cap)] + [d.truncate(cap) for d in derivs[1:]]
     T = t_weight(p, MultiPoly.variable(gens, "b"), rs)
-    pref = power_one_plus_r(1, -1, cap, gens).compose(derivs[0].truncate(cap))
-    dinv = power_one_plus_r(-(2 * p + 1), 0, cap, gens).compose(rs[1] - 1)
+    pref = widen(power_one_plus_r(1, -1, cap), n).compose(derivs[0].truncate(cap))
+    dinv = widen(power_one_plus_r(-(2 * p + 1), 0, cap), n).compose(rs[1] - 1)
     return pref * dinv * T
 
 
@@ -304,13 +319,12 @@ def test_series_antiderivative():
 
 
 def product_genus0(n):
-    gens = face_generators(n)
     order = n - 3
-    integrand = power_one_plus_r(-1, -2, order, gens)
-    for i in range(1, n + 1):
-        integrand = integrand * series_I(order, gens, ell=f"l{i}")
+    integrand = widen(power_one_plus_r(-1, -2, order), n)
+    for I_i in face_I(order, n):
+        integrand = integrand * I_i
     anti = antiderivative(integrand)
-    jinv = series_J_inverse(n - 2, gens)
+    jinv = widen(series_J_inverse(n - 2), n)
     power = jinv
     poly = anti[1] * jinv[n - 2]
     for k in range(2, n - 1):
@@ -454,7 +468,7 @@ def test_R_moments_and_free_energy_match_the_marker_ring(genus, nfaces, cap):
         # with no faces R = J^{-1}(b; t) is a plain series in t, and the
         # moments come from the Q route on series
         marker_R = marker_solve_R(0, cap)
-        R = series_J_inverse(max(cap, 1), B_ONLY).truncate(cap)
+        R = series_J_inverse(max(cap, 1)).truncate(cap)
         assert same_series(R, at_no_faces(marker_R))
         moments = [moment_hat_via_Q(p, R, cap) for p in range(3 * genus - 2)]
         marker_moments = [marker_moment(0, cap, p, marker_R) for p in range(3 * genus - 2)]
@@ -477,7 +491,7 @@ def test_R_moments_and_free_energy_match_the_marker_ring(genus, nfaces, cap):
 def test_moments_via_T_match_the_marker_ring(nfaces, cap, p):
     marker = marker_moment_via_T(nfaces, cap, p)
     if nfaces == 0:
-        R = series_J_inverse(cap + p + 1, B_ONLY)
+        R = series_J_inverse(cap + p + 1)
         assert same_series(moment_hat_via_T(p, R, cap), at_no_faces(marker))
     else:
         # the graded ring has no t to differentiate in: its moment is the
@@ -489,7 +503,7 @@ def test_moments_via_T_match_the_marker_ring(nfaces, cap, p):
 @given(st.integers(0, 6), st.integers(0, 3))
 def test_series_routes_match_the_marker_ring_without_faces(order, p):
     marker_R = marker_solve_R(0, order)
-    R = series_J_inverse(order + p + 1, B_ONLY)
+    R = series_J_inverse(order + p + 1)
     assert same_series(R.truncate(order), at_no_faces(marker_R))
     want = at_no_faces(marker_moment(0, order, p, marker_R))
     assert same_series(moment_hat_via_Q(p, R, order), want)

@@ -121,8 +121,8 @@ def _numeric_setup(b: int, max_degree: int, cap: int):
 def _numeric_R(b: int, max_degree: int, cap: int):
     """Solve the defining equation in the truncated finite-variable ring."""
     lo, gens, zero, xs = _numeric_setup(b, max_degree, cap)
-    jinv = _numeric_series(series_J_inverse(max(cap, 1), ("b",)), {"b": b})
-    eyes = {l: _numeric_series(series_I(cap, ("b", "l")), {"b": b, "l": l})
+    jinv = _numeric_series(series_J_inverse(max(cap, 1)), {"b": b})
+    eyes = {l: _numeric_series(series_I(cap), {"b": b, "l": l})
             for l in range(lo, max_degree + 1)}
     R = zero
     for _ in range(cap + 3):
@@ -176,9 +176,9 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
         rest = sorted(degrees)[:-2] if n > 2 else []
         l1, l2 = sorted(degrees)[-2:]
         rod = max(cap, n - 3 + 1, 1)
-        integrand = _numeric_series(power_one_plus_r(-1, -2, rod, ("b",)), {"b": b})
-        integrand = integrand * _numeric_series(series_I(rod, ("b", "l")), {"b": b, "l": l1})
-        integrand = integrand * _numeric_series(series_I(rod, ("b", "l")), {"b": b, "l": l2})
+        integrand = _numeric_series(power_one_plus_r(-1, -2, rod), {"b": b})
+        integrand = integrand * _numeric_series(series_I(rod), {"b": b, "l": l1})
+        integrand = integrand * _numeric_series(series_I(rod), {"b": b, "l": l2})
         cylinder = antiderivative(integrand).truncate(rod).compose(R)
         exps = [0] * len(gens)
         for d in rest:
@@ -196,9 +196,9 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
     moments = []
     for p in range(3 * genus - 2):
         rod = cap + p + 1
-        jser = _numeric_series(series_J(max(rod, 1), ("b",)), {"b": b})
-        pw = _numeric_series(power_one_plus_r(0, -1, rod, ("b",)), {"b": b})
-        eyes_hi = {l: _numeric_series(series_I(rod, ("b", "l")), {"b": b, "l": l})
+        jser = _numeric_series(series_J(max(rod, 1)), {"b": b})
+        pw = _numeric_series(power_one_plus_r(0, -1, rod), {"b": b})
+        eyes_hi = {l: _numeric_series(series_I(rod), {"b": b, "l": l})
                    for l in range(lo, D + 1)}
         coeffs = []
         for k in range(rod + 1):
@@ -209,7 +209,7 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
         w = Series(coeffs, rod, zero) * pw
         qp = qt[p].evaluate({"b": b})
         by_j = {e: c.as_fraction() for e, c in qp.coefficients_in("j").items()}
-        one_plus = _numeric_series(power_one_plus_r(1, 0, rod, ("b",)), {"b": b})
+        one_plus = _numeric_series(power_one_plus_r(1, 0, rod), {"b": b})
         moments.append(_apply_q_operator(by_j, w, one_plus).compose(R))
     F = free_energy(genus, moments, cap)
     exps = [0] * len(gens)

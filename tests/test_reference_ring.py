@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrmaps.ring import ContextError, MultiPoly, Scalar, _as_fraction
+from irrmaps.ring import ContextError, MultiPoly, Scalar
+
+
+def _as_fraction(x: Scalar) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
 class FractionPoly:

@@ -1,11 +1,13 @@
-"""The series product and evaluation against the routes they replaced.
+"""The series product, evaluation and inverse against the routes they replaced.
 
 ``horner_compose`` is the earlier ``Series.compose``: Horner's rule, one
 multiplication of a dense accumulator per coefficient.  ``dense_mul`` is the
 earlier ``Series.__mul__``, which formed every product a_j * b_(k-j), zero
 operands included.  ``loop_log_unit`` and ``loop_inv_unit`` are the earlier
-power loops behind the free energies for log u and 1/u.  All four are kept
-here only as references.
+power loops behind the free energies for log u and 1/u.  ``reverse`` is the
+earlier ``Series.reverse``, the general compositional inverse that built
+J^{-1} term by term before ``series_J_inverse`` solved it as a fixed point.
+All five are kept here only as references.
 """
 
 from fractions import Fraction
@@ -14,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrmaps.families import series_J_inverse
+from irrmaps.families import series_J, series_J_inverse
 from irrmaps.pipeline import moment_hat, solve_R_hat
-from irrmaps.ring import (GradedSeries, MultiPoly, Series, _require_no_constant,
-                          inverse_unit, log_unit)
+from irrmaps.ring import (GradedSeries, MultiPoly, Series, _is_zero_elem,
+                          _require_no_constant, inverse_unit, log_unit)
 
 
 def horner_compose(self, inner):
@@ -47,6 +49,36 @@ def loop_log_unit(u, cap):
         pk = pk * v
         acc = acc + pk * Fraction((-1) ** (k + 1), k)
     return acc
+
+
+def invert_unit(c):
+    if isinstance(c, MultiPoly):
+        if not c.is_constant() or c.constant_term() == 0:
+            raise ValueError("leading coefficient must be an invertible constant")
+        return MultiPoly.constant(c.gens, 1 / c.constant_term())
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an exact scalar, got {type(c).__name__}")
+    if c == 0:
+        raise ValueError("leading coefficient must be invertible")
+    return 1 / Fraction(c)
+
+
+def reverse(self):
+    """Compositional inverse of a series ``c1*x + O(x**2)``, to its order.
+
+    Solved term by term; ``c1`` must be invertible (a nonzero Fraction or a
+    constant polynomial).  Returns g with self(g(z)) = z.
+    """
+    c0 = self.coeffs[0]
+    if not _is_zero_elem(c0):
+        raise ValueError("series must have zero constant term")
+    c1inv = invert_unit(self.coeffs[1])
+    g = [self.zero, c1inv]
+    for k in range(2, self.order + 1):
+        partial = Series(g + [self.zero], k, self.zero)
+        resid = self.truncate(k).compose(partial)
+        g.append(-(resid.coeffs[k] * c1inv))
+    return Series(g, self.order, self.zero)
 
 
 def loop_inv_unit(u, cap):
@@ -135,9 +167,9 @@ def test_unit_log_and_inverse_match_the_loops(inner):
 
 
 def test_jinv_matches_under_horner(monkeypatch):
-    got = series_J_inverse(12, ("b", "l"))
+    got = series_J_inverse(12)
     monkeypatch.setattr(Series, "compose", horner_compose)
-    want = series_J_inverse(12, ("b", "l"))
+    want = series_J_inverse(12)
     assert got.order == want.order == 12
     for k in range(13):
         assert got[k] == want[k]
@@ -148,3 +180,43 @@ def test_free_energy_units_match_the_loops(n):
     m0 = moment_hat(0, solve_R_hat(n))
     assert_same(log_unit(m0, n), loop_log_unit(m0, n))
     assert_same(inverse_unit(m0, n), loop_inv_unit(m0, n))
+
+
+def scalar_series(coeffs, order):
+    return Series([Fraction(c) for c in coeffs], order, Fraction(0))
+
+
+def test_reverse_catalan():
+    f = scalar_series([0, 1, -1], 6)  # z - z^2
+    g = reverse(f)
+    # Catalan numbers
+    assert [g[k] for k in range(7)] == [0, 1, 1, 2, 5, 14, 42]
+    assert reverse(scalar_series([0, 1], 4)) == scalar_series([0, 1], 4)
+    z = f.compose(g)
+    assert z == scalar_series([0, 1], 6)
+
+
+def test_reverse_two_sided():
+    f = scalar_series([0, 1, 3, -2, 7, 1, -5], 6)
+    g = reverse(f)
+    assert f.compose(g) == scalar_series([0, 1], 6)
+    assert g.compose(f) == scalar_series([0, 1], 6)
+
+
+def test_reverse_rejects_zero_linear():
+    with pytest.raises(ValueError):
+        reverse(scalar_series([0, 0, 1], 4))
+    with pytest.raises(ValueError):
+        reverse(scalar_series([1, 1], 4))
+
+
+@pytest.mark.parametrize("order", range(16))
+def test_jinv_fixed_point_matches_the_reverse(order):
+    if order == 0:
+        # J, and with it its inverse, starts at order 1
+        with pytest.raises(ValueError):
+            series_J(order)
+        with pytest.raises(ValueError):
+            series_J_inverse(order)
+        return
+    assert_same(series_J_inverse(order), reverse(series_J(order)))

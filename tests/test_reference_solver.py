@@ -18,14 +18,15 @@ from math import factorial
 
 import pytest
 
-from irrmaps import pipeline
+from irrmaps import families, pipeline
 from irrmaps.families import (ConsistencyError, power_one_plus_r, series_I,
                               series_J, series_J_inverse)
-from irrmaps.pipeline import (B_ONLY, face_generators, free_energy, nhat, nhat_genus0,
+from irrmaps.pipeline import (B_ONLY, free_energy, nhat, nhat_genus0,
                               nhat_higher_genus, solve_R_hat)
 from irrmaps.ring import GradedSeries, MultiPoly, Series
 
-from test_reference_graded import antiderivative, marker_moment, marker_solve_R
+from test_reference_graded import (antiderivative, face_I, marker_moment, marker_solve_R,
+                                   widen)
 
 
 def face_parts(order):
@@ -33,7 +34,7 @@ def face_parts(order):
     I(b, l; r) = sum_a l^a I_a(b; r)."""
     zero = MultiPoly(B_ONLY)
     parts = {}
-    for k, c in enumerate(series_I(order, ("b", "l")).coeffs):
+    for k, c in enumerate(series_I(order).coeffs):
         for a, ca in c.coefficients_in("l").items():
             parts.setdefault(a, [zero] * (order + 1))[k] = ca.with_context(B_ONLY)
     return {a: Series(cs, order, zero) for a, cs in sorted(parts.items())}
@@ -42,7 +43,7 @@ def face_parts(order):
 def jinv_rounds_R_hat(cap):
     """R = J^{-1}(b; X), X = sum_a E_a I_a(R), degree by degree: X at cap k
     reads R only through degree k - 1, so round k settles degree k."""
-    jinv = series_J_inverse(max(cap, 1), B_ONLY)
+    jinv = series_J_inverse(max(cap, 1))
     parts = face_parts(max(cap - 1, 0))
     R = GradedSeries(0)
     for k in range(1, cap + 1):
@@ -58,7 +59,7 @@ def jinv_rounds_R_hat(cap):
 
 
 def full_cap_R_hat(cap):
-    jinv = series_J_inverse(max(cap, 1), B_ONLY)
+    jinv = series_J_inverse(max(cap, 1))
     parts = face_parts(cap)
     eps = {a: GradedSeries(cap, {(a,): MultiPoly.constant(B_ONLY, 1)}) for a in parts}
     R = GradedSeries(cap)
@@ -77,7 +78,7 @@ def full_cap_R_no_faces(cap):
     """R with J(b; R) = t, iterated as R <- t + R - J(b; R) on the whole
     series; J(b; r) = r + O(r^2), so each round settles one more order."""
     zero, one = MultiPoly(B_ONLY), MultiPoly.constant(B_ONLY, 1)
-    jser = series_J(max(cap, 1), B_ONLY).truncate(cap)
+    jser = series_J(max(cap, 1)).truncate(cap)
     t = Series([zero, one], cap, zero)
     R = Series([zero], cap, zero)
     for _ in range(cap + 3):
@@ -89,11 +90,10 @@ def full_cap_R_no_faces(cap):
 
 
 def horner_genus0(n):
-    gens = face_generators(n)
-    integrand = power_one_plus_r(-1, -2, n - 3, gens)
-    for i in range(1, n + 1):
-        integrand = integrand * series_I(n - 3, gens, ell=f"l{i}")
-    composed = antiderivative(integrand).compose(series_J_inverse(n - 2, gens))
+    integrand = widen(power_one_plus_r(-1, -2, n - 3), n)
+    for I_i in face_I(n - 3, n):
+        integrand = integrand * I_i
+    composed = antiderivative(integrand).compose(widen(series_J_inverse(n - 2), n))
     return composed[n - 2] * factorial(n - 2)
 
 
@@ -113,7 +113,7 @@ def test_solve_R_hat_matches_full_cap_loop(genus, nfaces, cap):
         # no faces: the graded solve at t = 0 is zero, and R = J^{-1}(b; t)
         # is the series the moment-route check starts from
         assert solve_R_hat(0).is_zero()
-        got = series_J_inverse(max(cap, 1), B_ONLY).truncate(cap)
+        got = series_J_inverse(max(cap, 1)).truncate(cap)
         want = full_cap_R_no_faces(cap)
         assert got.order == want.order == cap
         assert got.coeffs == want.coeffs
@@ -154,7 +154,7 @@ def test_solve_R_hat_composes_once_per_round(monkeypatch):
         raise AssertionError("the solve reached J^{-1}")
 
     monkeypatch.setattr(Series, "compose", counted)
-    monkeypatch.setattr(Series, "reverse", refuse)
+    monkeypatch.setattr(families, "series_J_inverse", refuse)
     monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
     for cap in (0, 1, 6, 10):
         composes.clear()
@@ -165,11 +165,11 @@ def test_solve_R_hat_composes_once_per_round(monkeypatch):
 @pytest.mark.parametrize("genus,n", [(1, 5), (2, 4)])
 def test_nhat_higher_genus_never_reaches_j_inverse(monkeypatch, genus, n):
     # the solve takes R as the root of Z, the moments compose into it; J^{-1}
-    # is built only by reversing a series, whatever name reaches it
+    # is built only by families.series_J_inverse, which pipeline also binds
     def refuse(*args):
         raise AssertionError("nhat reached J^{-1}")
 
     want = nhat(genus, n)
-    monkeypatch.setattr(Series, "reverse", refuse)
+    monkeypatch.setattr(families, "series_J_inverse", refuse)
     monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
     assert nhat_higher_genus(genus, n) == want

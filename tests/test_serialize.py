@@ -53,6 +53,31 @@ def test_parse_refuses_an_inconsistent_document(change, message):
         parse_polynomial_json(json.dumps(dict(doc, **change)))
 
 
+def _mirrored_b_exponent(doc, exp):
+    """The document with the b-exponent 0 of the constant m-basis term set
+    to ``exp``, and the same in its monomial, so that the two still agree."""
+    mlambda = [dict(e, coeff_in_b=[dict(c, exp=exp) for c in e["coeff_in_b"]])
+               if e["lambda"] == [] else e for e in doc["mlambda"]]
+    monomials = [dict(m, exps=[exp] + m["exps"][1:]) if not any(m["exps"]) else m
+                 for m in doc["monomials"]]
+    return dict(doc, mlambda=mlambda, monomials=monomials)
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda doc: dict(doc, genus=True), "genus True is not supported"),
+    (lambda doc: dict(doc, genus=1.0), "genus 1.0 is not supported"),
+    (lambda doc: _mirrored_b_exponent(doc, -1), "not nonnegative integers"),
+    (lambda doc: _mirrored_b_exponent(doc, 0.0), "not nonnegative integers"),
+    (lambda doc: _mirrored_b_exponent(doc, False), "not nonnegative integers"),
+], ids=["bool-genus", "float-genus", "negative-exp", "float-exp", "bool-exp"])
+def test_parse_refuses_what_nhat_never_emits(mangle, message):
+    # each of these used to parse, and compare equal to nhat(1, 1) or fail
+    # only on evaluation
+    doc = json.loads(emit_polynomial_json(nhat(1, 1)))
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial_json(json.dumps(mangle(doc)))
+
+
 def _zero_denominator(doc):
     row = dict(doc["monomials"][0], den="0")
     return dict(doc, monomials=[row] + doc["monomials"][1:])
@@ -111,18 +136,18 @@ def test_csv_rows():
     assert lines[2] == "2,1,1,4,21,8,brute"
 
 
-def _load_workloads():
-    # the benchmark's workload module, read from its file: it imports no part
-    # of irrmaps at import time and is not changed here
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load_perfbench(name):
+    # a module of the benchmark, read from its file: it imports no part of
+    # irrmaps at import time and is not changed here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look themselves up here
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _load_workloads()
+WORKLOADS = _load_perfbench("workloads")
 GOLDEN = WORKLOADS.load_golden()["symbolic_sha256"]
 
 
@@ -153,3 +178,18 @@ def test_golden_digests_cover_the_guarded_grid():
 def test_canonical_json_matches_the_golden_digest(genus, n):
     text = emit_polynomial_json(nhat(genus, n))
     assert WORKLOADS.sha256(text) == GOLDEN_NHAT[f"{genus},{n}"]
+
+
+def test_every_unused_import_is_a_benchmark_patch_site():
+    # a name bound in a module only so that the tracer can patch it there
+    # must be one of the tracer's patch sites, or it binds nothing of use
+    sites = {(mod, attr) for mod, cls, attr, *_ in _load_perfbench("layertrace").PATCHES
+             if cls is None}
+    found = []
+    for path in sorted((Path(serialize.__file__).parent).glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "noqa: F401" in line:
+                names = line.split(" import ", 1)[1].split("#")[0].strip(" ()")
+                found += [(path.stem, name.strip()) for name in names.split(",")]
+    assert found, "no unused import left"
+    assert [site for site in found if site not in sites] == []

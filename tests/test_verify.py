@@ -104,7 +104,7 @@ def test_perturbed_polynomial_fails_dilaton(monkeypatch):
 
 
 def test_qpoly_suite_passes():
-    report = verify_qpoly(4)
+    report = verify_qpoly()
     assert report.passed, report.render()
 
 
@@ -114,7 +114,7 @@ def test_moment_suite_passes():
 
 
 def test_ab_inverse_suite_passes():
-    report = verify_ab_inverse(12)
+    report = verify_ab_inverse()
     assert report.passed, report.render()
 
 
