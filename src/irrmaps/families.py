@@ -15,14 +15,13 @@ polynomials defined by the binomial-sum identity
 
     sum_{k=b}^{j-1} C(2k+1+p, 2p+1) C(2j-1, j+k) = C(2j-1, j+b) Q_p(b, j)
 
-for integers j > b >= 0.  Q_p is unique of degree 2p+1 in b and p+1 in j; it
-is recovered here by exact bivariate interpolation on a grid of evaluations
-of the left-hand sum, then certified against a disjoint grid, the companion
-alternating-sum identity, the vanishing Q_p(b, -b) = 0, and the degree
-bounds before being returned.
+for integers j > b >= 0.  Q_p is unique of degree 2p+1 in b and p+1 in j.
+Genus g reads the moments p = 0..3g-3, so genus <= 2 needs Q_0..Q_3 only;
+the table holds their closed forms, and ``verify --suite qpoly`` checks
+them against the binomial sums of the definition.
 
 Each family has one generator context: I is over (b, l), J, J^{-1} and the
-binomial powers over ``ring.B_ONLY`` = (b,), and the Q table, Q_0..Q_4 as
+binomial powers over ``ring.B_ONLY`` = (b,), and the Q table, Q_0..Q_3 as
 one cached tuple, over (b, j).  J^{-1} is solved by a fixed point, the
 way ``pipeline.solve_R_hat`` solves R.
 """
@@ -147,77 +146,19 @@ def qpoly_alternating_sum(p: int, b: int, m: int) -> int:
                for k in range(m, b))
 
 
-def _lagrange_interpolate(points, name: str) -> MultiPoly:
-    """Exact univariate Lagrange interpolation in the generator ``name`` of
-    :data:`Q_GENS`.
-
-    ``points`` is a list of (integer abscissa, value), the values being
-    Fractions or MultiPoly over :data:`Q_GENS`.
-    """
-    x = MultiPoly.variable(Q_GENS, name)
-    total = MultiPoly(Q_GENS)
-    for i, (xi, yi) in enumerate(points):
-        basis = MultiPoly.constant(Q_GENS, 1)
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == i:
-                continue
-            basis = basis * (x - xk)
-            denom *= Fraction(xi - xk)
-        total = total + basis * (Fraction(1) / denom) * yi
-    return total
-
-
-def _interpolate(p: int) -> MultiPoly:
-    # degree 2p+1 in b needs 2p+2 nodes; degree p+1 in j needs p+2 nodes.
-    per_b = []
-    for b0 in range(0, 2 * p + 2):
-        pts = [(j0, qpoly_direct_sum_oracle(p, b0, j0))
-               for j0 in range(b0 + 1, b0 + p + 3)]
-        per_b.append((b0, _lagrange_interpolate(pts, "j")))
-    return _lagrange_interpolate(per_b, "b")
-
-
-def _certify(p: int, q: MultiPoly) -> None:
-    if q.degree_in("b") != 2 * p + 1 or q.degree_in("j") != p + 1:
-        raise ConsistencyError(
-            f"Q_{p} has degrees ({q.degree_in('b')}, {q.degree_in('j')}), "
-            f"expected ({2 * p + 1}, {p + 1})")
-    # vanishing along j = -b
-    minus_b = -MultiPoly.variable(Q_GENS, "b")
-    if not q.substitute("j", minus_b).is_zero():
-        raise ConsistencyError(f"Q_{p}(b, -b) != 0")
-    # disjoint verification grid, at least 30 points
-    checked = 0
-    for b0 in range(0, max(2 * p + 3, 10)):
-        for j0 in range(b0 + p + 3, b0 + p + 6):
-            expect = qpoly_direct_sum_oracle(p, b0, j0)
-            got = q.evaluate({"b": b0, "j": j0}).as_fraction()
-            if got != expect:
-                raise ConsistencyError(
-                    f"Q_{p} disagrees with the direct sum at (b, j) = ({b0}, {j0})")
-            checked += 1
-    if checked < 30:
-        raise ConsistencyError("verification grid too small")
-    # alternating-sum identity at negative second argument
-    for b0 in range(1, p + 4):
-        for m in range(0, b0):
-            lhs = qpoly_alternating_sum(p, b0, m)
-            rhs = -((-1) ** (b0 + m)) * comb(b0 + m, 2 * m) \
-                * q.evaluate({"b": b0, "j": -m}).as_fraction()
-            if lhs != rhs:
-                raise ConsistencyError(
-                    f"Q_{p} fails the alternating-sum identity at (b, m) = ({b0}, {m})")
-
-
 @lru_cache(maxsize=None)
 def qpoly_table() -> tuple[MultiPoly, ...]:
-    """The polynomials Q_0..Q_4 over :data:`Q_GENS`, indexed by p, built
-    once.  Every entry is certified before use: construction raises
-    :class:`ConsistencyError` if any cross-check fails."""
-    table = []
-    for p in range(5):
-        q = _interpolate(p)
-        _certify(p, q)
-        table.append(q)
-    return tuple(table)
+    """The polynomials Q_0..Q_3 over :data:`Q_GENS`, indexed by p, from
+    their closed forms, built once; ``verify.verify_qpoly`` checks them
+    against the binomial-sum definition."""
+    b = MultiPoly.variable(Q_GENS, "b")
+    j = MultiPoly.variable(Q_GENS, "j")
+    return (
+        b + j,
+        (b + j) * (b ** 2 + j - 1) * Fraction(2, 3),
+        (b + j) * (b ** 4 * 4 + b ** 2 * (j * 8 - 15)
+                   + (j - 1) * (j * 8 - 11)) * Fraction(1, 30),
+        (b + j) * (b ** 6 * 4 + b ** 4 * (j * 12 - 35)
+                   + b ** 2 * (j * j * 24 - j * 90 + 91)
+                   + (j - 1) * (j - 2) * (j * 4 - 5) * 6) * Fraction(1, 315),
+    )

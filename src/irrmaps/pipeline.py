@@ -49,14 +49,17 @@ from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutation
 
 SUPPORTED_GENERA = (0, 1, 2)
 
-#: largest face count per genus that ``nhat`` computes.  With canonical
-#: JSON, in a fresh process on a 2-vCPU Xeon VM with Python 3.11.7,
-#: (0, 11) takes 0.5-0.9 s and 80 MB, (1, 10) 1.6-2.2 s and 195 MB and
-#: (2, 8) 1.1-1.8 s and 102 MB, all within a 5 s budget.  One face more
-#: takes 6.7 s and 712 MB at genus 1, past it, but only 2.4-3.0 s and 273 MB
-#: at genus 0 and 3.2-3.4 s and 350 MB at genus 2: those two bounds stay so
-#: that every guarded command and the 20-side formula sweep, which skips
-#: the genus-2 tuples of 9 and 10 faces, answer as before
+#: largest face count per genus that ``nhat`` computes.  In a fresh process
+#: on a 2-vCPU Xeon VM with Python 3.11.7, (0, 11) takes 0.3 s with
+#: ``--format mlambda``, 0.5-0.9 s and 80 MB with json and 2.2 s and 116 MB
+#: with monomials; (1, 10) 0.8-0.9 s, 1.6-2.5 s and 195 MB, and 5.8-7.3 s
+#: and 282 MB; (2, 8) 0.9 s, 1.1-1.8 s and 102 MB, and 3.0 s and 153 MB.
+#: All but monomials at (1, 10), which mostly prints 520,656 terms, stay
+#: within a 5 s budget.  With json one face more takes 6.7 s and 712 MB at
+#: genus 1, past it, but only 2.4-3.0 s and 273 MB at genus 0 and 3.2-3.4 s
+#: and 350 MB at genus 2: those two bounds stay so that every guarded
+#: command and the 20-side formula sweep, which skips the genus-2 tuples
+#: of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the

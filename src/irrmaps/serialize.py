@@ -8,6 +8,7 @@ numbers as decimal strings (arbitrary precision), fixed separators.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from operator import itemgetter
 
@@ -52,8 +53,27 @@ def emit_polynomial_json(count: CountPolynomial) -> str:
             + json.dumps(mlambda, separators=(",", ":")) + "}")
 
 
+_NUM = re.compile("-?[0-9]+")
+_DEN = re.compile("[1-9][0-9]*")
+
+
 def _fraction(entry) -> Fraction:
-    return Fraction(int(entry["num"]), int(entry["den"]))
+    num, den = entry["num"], entry["den"]
+    if not (type(num) is str and _NUM.fullmatch(num)
+            and type(den) is str and _DEN.fullmatch(den)):
+        raise ValueError(f"{num!r} over {den!r} is not a decimal string "
+                         "over a positive denominator")
+    return Fraction(int(num), int(den))
+
+
+def _unique(pairs) -> dict:
+    """The dict of the (exponents, value) pairs; a repeated key is an error."""
+    out = {}
+    for exps, value in pairs:
+        if exps in out:
+            raise ValueError(f"exponents {list(exps)} appear twice")
+        out[exps] = value
+    return out
 
 
 def _exponents(exps) -> tuple:
@@ -66,7 +86,11 @@ def _exponents(exps) -> tuple:
 def parse_polynomial_json(text: str) -> CountPolynomial:
     """The polynomial of a canonical JSON document, read from its
     ``mlambda`` section.  Raises ValueError for a document that is not a
-    JSON object or lacks a key, a zero denominator, a genus that is not an
+    JSON object or lacks a key, a number that is not written as
+    ``emit_polynomial_json`` writes it (a string matching ``-?[0-9]+``
+    over a string matching ``[1-9][0-9]*``: no JSON number, whitespace,
+    underscore, zero or negative denominator), a repeated ``exp`` in one
+    ``coeff_in_b`` or ``exps`` among the monomials, a genus that is not an
     integer of ``SUPPORTED_GENERA`` (a bool or a float such as 1.0 is not),
     a face count that is not an integer of at least 1 (3 at genus 0),
     generators other than ``face_generators(n)``, an exponent of b in
@@ -77,10 +101,10 @@ def parse_polynomial_json(text: str) -> CountPolynomial:
         doc = json.loads(text)
         genus, n, gens = doc["genus"], doc["n"], tuple(doc["generators"])
         rows = [(tuple(e["lambda"]),
-                 {_exponents([c["exp"]]): _fraction(c) for c in e["coeff_in_b"]})
+                 _unique((_exponents([c["exp"]]), _fraction(c)) for c in e["coeff_in_b"]))
                 for e in doc["mlambda"]]
-        monomials = {_exponents(m["exps"]): _fraction(m) for m in doc["monomials"]}
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        monomials = _unique((_exponents(m["exps"]), _fraction(m)) for m in doc["monomials"])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial document: {exc!r}") from None
     if type(genus) is not int or genus not in SUPPORTED_GENERA:
         raise ValueError(f"genus {genus!r} is not supported")

@@ -1,9 +1,12 @@
 """Identity suites: the reference polynomial table, string/dilaton equations, the
-Q-polynomial certification, moment-route agreement, transform inversion, the
-Harer-Zagier recursion, and the brute-force cross-check.
+Q polynomials against their binomial-sum definition, moment-route agreement,
+transform inversion, the Harer-Zagier recursion, and the brute-force
+cross-check.
 
 All identities are checked as exact polynomial identities (the witness of a
 failure is the nonzero difference polynomial); numeric sampling appears only
+in the Q-polynomial suite, whose definition is a sum over integers (its grid
+holds the interpolation nodes, so with the degree bounds it is a proof), and
 in the oracle cross-check, which is a genuinely independent computation.
 The string and dilaton equations are read off the m-basis of both counting
 polynomials; only a nonzero difference is expanded into monomials.
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .families import Q_GENS, qpoly_table, series_J_inverse
+from .families import (Q_GENS, qpoly_alternating_sum, qpoly_direct_sum_oracle, qpoly_table,
+                       series_J_inverse)
 from .oracle import GluingSpec, SizeError, brute_count, check_sides
 from .pipeline import (B_ONLY, CountPolynomial, DomainError, a_transform_coeff,
                        b_transform_coeff, count_exact, moment_hat_via_Q, moment_hat_via_T,
@@ -262,49 +266,43 @@ def verify_table1() -> VerificationReport:
 
 
 def verify_qpoly() -> VerificationReport:
+    """Check each Q_p of the table against the binomial-sum definition.
+
+    The sums fix Q_p on its interpolation nodes, b = 0..2p+1 and
+    j = b+1..b+p+2, so with the degree bounds (2p+1, p+1) agreement there
+    makes the entry the unique Q_p.  A disjoint grid of at least 30 more
+    points, the alternating-sum identity at j = -m, the vanishing at
+    j = -b and the four-term contiguous relation in b are checked too.  A
+    failure on the grid or the alternating sum names its first point."""
     report = VerificationReport("qpoly")
-    # construction self-certifies (disjoint grid, alternating sum, degrees,
-    # vanishing at j = -b); failure raises instead of returning
-    try:
-        table = qpoly_table()
-    except Exception as exc:  # pragma: no cover - construction is certified
-        report.add("Q table construction", False, str(exc))
-        return report
-    report.add(f"Q table construction and certification up to p = {len(table) - 1}", True)
     b = MultiPoly.variable(Q_GENS, "b")
     j = MultiPoly.variable(Q_GENS, "j")
-    reference = {
-        0: b + j,
-        1: (b + j) * (b ** 2 + j - 1) * F(2, 3),
-        2: (b + j) * (b ** 4 * 4 + b ** 2 * (j * 8 - 15)
-                      + (j - 1) * (j * 8 - 11)) * F(1, 30),
-        3: (b + j) * (b ** 6 * 4 + b ** 4 * (j * 12 - 35)
-                      + b ** 2 * (j * j * 24 - j * 90 + 91)
-                      + (j - 1) * (j - 2) * (j * 4 - 5) * 6) * F(1, 315),
-    }
-    for p, expect in reference.items():
-        delta = table[p] - expect
-        report.add(f"Q_{p} matches the reference closed form", delta.is_zero(), str(delta))
-    for p, q in enumerate(table):
+    for p, q in enumerate(qpoly_table()):
+        def at(b0, j0):
+            return q.evaluate({"b": b0, "j": j0}).as_fraction()
+
+        nodes = [(b0, j0) for b0 in range(2 * p + 2) for j0 in range(b0 + 1, b0 + p + 3)]
+        grid = [(b0, j0) for b0 in range(max(2 * p + 3, 10))
+                for j0 in range(b0 + p + 3, b0 + p + 6)]
+        bad = next((pt for pt in nodes + grid if at(*pt) != qpoly_direct_sum_oracle(p, *pt)),
+                   None)
+        report.add(f"Q_{p} equals the binomial sum at its {len(nodes)} interpolation "
+                   f"nodes and {len(grid)} more points", bad is None, f"(b, j) = {bad}")
+        bad = next(((b0, m) for b0 in range(1, p + 4) for m in range(b0)
+                    if qpoly_alternating_sum(p, b0, m)
+                    != -(-1) ** (b0 + m) * comb(b0 + m, 2 * m) * at(b0, -m)), None)
+        report.add(f"Q_{p} satisfies the alternating-sum identity for b = 1..{p + 3}",
+                   bad is None, f"(b, m) = {bad}")
         report.add(f"Q_{p} vanishes at j = -b",
                    q.substitute("j", -b).is_zero(), "nonzero")
         report.add(f"Q_{p} degrees are ({2 * p + 1}, {p + 1})",
                    q.degree_in("b") == 2 * p + 1 and q.degree_in("j") == p + 1,
                    f"({q.degree_in('b')}, {q.degree_in('j')})")
-        # four-term contiguous relation, as a polynomial identity in (k, j)
-        kg = ("k", "j")
-        k = MultiPoly.variable(kg, "k")
-        jj = MultiPoly.variable(kg, "j")
-        binom_poly = MultiPoly.constant(kg, 1)
-        for i in range(2 * p + 1):
-            binom_poly = binom_poly * (k * 2 + 1 + p - i)
-        binom_poly = binom_poly * F(1, factorial(2 * p + 1))
-        q_at_k = q.rename({"b": "k"}).with_context(kg)
-        q_at_k1 = q_at_k.substitute("k", k + 1)
-        lhs = binom_poly * (jj + k + 1)
-        rhs = (jj + k + 1) * q_at_k - (jj - k - 1) * q_at_k1
-        report.add(f"Q_{p} four-term contiguous relation", (lhs - rhs).is_zero(),
-                   str(lhs - rhs))
+        # (j+b+1) Q_p(b, j) - (j-b-1) Q_p(b+1, j) = (j+b+1) C(2b+1+p, 2p+1)
+        binom = prod((b * 2 + 1 + p - i for i in range(2 * p + 1)),
+                     start=MultiPoly.constant(Q_GENS, F(1, factorial(2 * p + 1))))
+        delta = (j + b + 1) * (binom - q) + (j - b - 1) * q.substitute("b", b + 1)
+        report.add(f"Q_{p} four-term contiguous relation", delta.is_zero(), str(delta))
     return report
 
 

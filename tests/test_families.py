@@ -104,17 +104,14 @@ def test_qpoly_reference_forms():
 
 
 def test_qpoly_interpolation_agrees_off_grid():
-    table = qpoly_table()
-    for p in range(5):
+    for p, q in enumerate(qpoly_table()):
         for b0, j0 in [(0, 9), (3, 11), (6, 13), (1, 8)]:
-            assert table[p].evaluate({"b": b0, "j": j0}).as_fraction() == \
+            assert q.evaluate({"b": b0, "j": j0}).as_fraction() == \
                 qpoly_direct_sum_oracle(p, b0, j0)
 
 
 def test_qpoly_degrees_and_vanishing():
-    table = qpoly_table()
-    for p in range(5):
-        q = table[p]
+    for p, q in enumerate(qpoly_table()):
         assert q.degree_in("b") == 2 * p + 1
         assert q.degree_in("j") == p + 1
         minus_b = -MultiPoly.variable(BJ, "b")
@@ -122,21 +119,35 @@ def test_qpoly_degrees_and_vanishing():
 
 
 def test_qpoly_certification_catches_corruption(monkeypatch):
-    # corrupting the direct sum must make construction abort
-    import irrmaps.families as fam
-    real = fam.qpoly_direct_sum_oracle
+    # adding 1 to any one coefficient of the degree box of any entry fails
+    # the qpoly suite, and the grid case names its first disagreeing point:
+    # b^eb j^ej is nonzero at (0, 1) for eb = 0, else first at (1, 2)
+    import irrmaps.verify as ver
+    table = qpoly_table()
+    for p, q in enumerate(table):
+        for eb in range(2 * p + 2):
+            for ej in range(p + 2):
+                bumped = q + MultiPoly(BJ, {(eb, ej): 1})
+                monkeypatch.setattr(ver, "qpoly_table",
+                                    lambda: table[:p] + (bumped,) + table[p + 1:])
+                report = ver.verify_qpoly()
+                assert not report.passed
+                grid, = [c for c in report.cases
+                         if c.description.startswith(f"Q_{p} equals the binomial sum")]
+                first = "(0, 1)" if eb == 0 else "(1, 2)"
+                assert not grid.passed and grid.witness == f"(b, j) = {first}"
+    # a wrong definition fails it too, at the corrupted point
+    monkeypatch.undo()
+    real = ver.qpoly_direct_sum_oracle
 
     def corrupted(p, b, j):
         val = real(p, b, j)
         return val + 1 if (p, b, j) == (1, 0, 2) else val
 
-    monkeypatch.setattr(fam, "qpoly_direct_sum_oracle", corrupted)
-    qpoly_table.cache_clear()
-    with pytest.raises(ConsistencyError):
-        qpoly_table()
-    monkeypatch.undo()
-    qpoly_table.cache_clear()
-    assert len(qpoly_table()) == 5
+    monkeypatch.setattr(ver, "qpoly_direct_sum_oracle", corrupted)
+    failed = [(c.description, c.witness) for c in ver.verify_qpoly().cases if not c.passed]
+    assert failed == [("Q_1 equals the binomial sum at its 12 interpolation nodes "
+                       "and 30 more points", "(b, j) = (0, 2)")]
 
 
 def test_families_have_fixed_contexts():

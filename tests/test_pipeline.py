@@ -256,3 +256,27 @@ def test_higher_genus_builds_one_q_table():
     qpoly_table.cache_clear()
     nhat_higher_genus(2, 1)
     assert qpoly_table.cache_info().currsize == 1
+
+
+def test_every_moment_route_refuses_p_4():
+    # genus <= 2 reads the moments p = 0..3 only: the Q table holds Q_0..Q_3
+    # and the T route has the weights T_0..T_3
+    from irrmaps.families import qpoly_table
+    assert len(qpoly_table()) == 4
+    R = series_J_inverse(9)
+    for route in (lambda: moment_hat_via_Q(4, R, 4), lambda: moment_hat_via_T(4, R, 4),
+                  lambda: moment_hat(4, solve_R_hat(2))):
+        with pytest.raises(DomainError, match="moment index 4 beyond"):
+            route()
+
+
+def test_the_q_table_evaluates_no_binomial_sum(monkeypatch):
+    # the table is data: its check against the sums is the qpoly suite's
+    import irrmaps.families as fam
+
+    def refused(*args):
+        raise AssertionError("a binomial sum evaluated while building the Q table")
+
+    monkeypatch.setattr(fam, "qpoly_direct_sum", refused)
+    fam.qpoly_table.cache_clear()
+    assert len(fam.qpoly_table()) == 4

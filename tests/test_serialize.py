@@ -86,11 +86,48 @@ def _zero_denominator(doc):
 @pytest.mark.parametrize("mangle,message", [
     (lambda doc: {k: v for k, v in doc.items() if k != "mlambda"}, "KeyError"),
     (lambda doc: [doc], "TypeError"),
-    (_zero_denominator, "ZeroDivisionError"),
+    (_zero_denominator, "over '0' is not a decimal string over a positive denominator"),
 ], ids=["no-mlambda", "top-level-list", "zero-denominator"])
 def test_parse_raises_value_error_for_a_malformed_document(mangle, message):
     # these used to raise KeyError, TypeError and ZeroDivisionError
     doc = json.loads(emit_polynomial_json(nhat(1, 2)))
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial_json(json.dumps(mangle(doc)))
+
+
+def _renumbered(doc, key, old, new):
+    """The document with ``key`` set to ``new`` in every number entry where
+    it reads ``old``, in the m-basis and the monomials alike."""
+    def fix(row):
+        return dict(row, **{key: new}) if row[key] == old else row
+
+    mlambda = [dict(e, coeff_in_b=[fix(c) for c in e["coeff_in_b"]]) for e in doc["mlambda"]]
+    return dict(doc, mlambda=mlambda, monomials=[fix(m) for m in doc["monomials"]])
+
+
+def _bogus_first(rows):
+    """``rows`` behind a copy of its first entry with another number: a
+    later entry that silently replaces an earlier one hides the copy."""
+    return [dict(rows[0], num="5")] + rows
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda doc: _renumbered(doc, "num", "1", 1), "1 over '12' is not"),
+    (lambda doc: _renumbered(doc, "num", "1", 1.5), "1.5 over '12' is not"),
+    (lambda doc: _renumbered(doc, "num", "-1", " -1 "), "' -1 ' over '12' is not"),
+    (lambda doc: _renumbered(doc, "den", "12", "1_2"), "over '1_2' is not"),
+    (lambda doc: _renumbered(doc, "den", "12", "-12"), "over '-12' is not"),
+    (lambda doc: dict(doc, mlambda=[dict(doc["mlambda"][0], coeff_in_b=_bogus_first(
+        doc["mlambda"][0]["coeff_in_b"]))] + doc["mlambda"][1:]),
+     r"exponents \[0\] appear twice"),
+    (lambda doc: dict(doc, monomials=_bogus_first(doc["monomials"])),
+     r"exponents \[0, 0\] appear twice"),
+], ids=["int-num", "float-num", "padded-num", "underscore-den", "negative-den",
+        "repeated-exp", "repeated-exps"])
+def test_parse_refuses_a_number_or_key_emit_never_writes(mangle, message):
+    # each of these used to parse, and all but the negative denominator (which
+    # flipped the signs) to a polynomial equal to nhat(1, 1)
+    doc = json.loads(emit_polynomial_json(nhat(1, 1)))
     with pytest.raises(ValueError, match=message):
         parse_polynomial_json(json.dumps(mangle(doc)))
 

@@ -108,6 +108,19 @@ def test_qpoly_suite_passes():
     assert report.passed, report.render()
 
 
+def test_qpoly_suite_checks_five_kinds_for_each_entry():
+    # what construction used to certify, check by check, for Q_0..Q_3
+    assert [c.description for c in verify_qpoly().cases] == [
+        line.format(p=p, b=2 * p + 1, j=p + 1, nodes=(2 * p + 2) * (p + 2), top=p + 3)
+        for p in range(4) for line in (
+            "Q_{p} equals the binomial sum at its {nodes} interpolation nodes "
+            "and 30 more points",
+            "Q_{p} satisfies the alternating-sum identity for b = 1..{top}",
+            "Q_{p} vanishes at j = -b",
+            "Q_{p} degrees are ({b}, {j})",
+            "Q_{p} four-term contiguous relation")]
+
+
 def test_moment_suite_passes():
     report = verify_moments(5)
     assert report.passed, report.render()
