@@ -20,7 +20,8 @@ from .families import series_I, series_J, series_J_inverse
 from .oracle import (DEFAULT_GUARD_SIDES, GluingSpec, OracleError, SizeError, brute_count,
                      check_sides)
 from .pipeline import DomainError, count_exact, nhat, to_m_basis
-from .serialize import count_csv_rows, emit_polynomial_json
+from .ring import join_terms
+from .serialize import count_csv_rows, emit_polynomial_json, format_monomials
 from .verify import (DEFAULT_SWEEP_SIDES, SUITES, SWEEP_B_MAX, cross_verify_counts,
                      sweep_tuples, verify_dilaton, verify_string)
 
@@ -56,10 +57,7 @@ def format_mlambda(count) -> str:
                 parts.append(f"{_format_bpoly(coeff)} {name}")
         else:
             parts.append(_format_bpoly(coeff))
-    if not parts:
-        return "0"
-    text = " + ".join(parts)
-    return text.replace("+ -", "- ")
+    return join_terms(parts)
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
@@ -74,7 +72,7 @@ def cmd_nhat(args) -> int:
     if args.format == "mlambda":
         print(format_mlambda(count))
     elif args.format == "monomials":
-        print(count.poly)
+        print(format_monomials(count))
     else:
         print(emit_polynomial_json(count))
     return 0

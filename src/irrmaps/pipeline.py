@@ -24,8 +24,7 @@ I(b, l; r) = sum_a l^a I_a(r), and the face markers as
 E_a = sum_i e_i l_i^a: ``_marked_faces`` is sum_a E_a I_a(b; r), for Z
 and the genus-0 product alike.  The graded keys of the final e_1...e_n
 coefficient are the monomial symmetric basis m_lambda(l_1^2, ..., l_n^2),
-and a ``CountPolynomial`` is that basis alone: the explicit monomials in
-l1..ln are expanded from it only when read.
+and a ``CountPolynomial`` is that basis alone.
 
 Everything is symbolic in the irreducibility parameter b and the face
 half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial, lcm, prod
 
 from .families import ConsistencyError, power_one_plus_r, qpoly_table, series_I, series_J
@@ -50,16 +48,15 @@ from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutation
 SUPPORTED_GENERA = (0, 1, 2)
 
 #: largest face count per genus that ``nhat`` computes.  In a fresh process
-#: on a 2-vCPU Xeon VM with Python 3.11.7, (0, 11) takes 0.3 s with
-#: ``--format mlambda``, 0.5-0.9 s and 80 MB with json and 2.2 s and 116 MB
-#: with monomials; (1, 10) 0.8-0.9 s, 1.6-2.5 s and 195 MB, and 5.8-7.3 s
-#: and 282 MB; (2, 8) 0.9 s, 1.1-1.8 s and 102 MB, and 3.0 s and 153 MB.
-#: All but monomials at (1, 10), which mostly prints 520,656 terms, stay
-#: within a 5 s budget.  With json one face more takes 6.7 s and 712 MB at
-#: genus 1, past it, but only 2.4-3.0 s and 273 MB at genus 0 and 3.2-3.4 s
-#: and 350 MB at genus 2: those two bounds stay so that every guarded
-#: command and the 20-side formula sweep, which skips the genus-2 tuples
-#: of 9 and 10 faces, answer as before
+#: on a 2-vCPU Xeon VM with Python 3.11.7, (0, 11) takes 0.2-0.3 s with
+#: ``--format mlambda``, 0.7-0.8 s and 78 MB with json and 0.6-0.7 s and
+#: 65 MB with monomials; (1, 10) 0.6-0.8 s, 1.6-1.8 s and 194 MB, and
+#: 1.5-1.8 s and 159 MB; (2, 8) 0.7-0.9 s, 1.2-1.5 s and 101 MB, and 1.5 s
+#: and 85 MB.  All stay within a 5 s budget.  With json one face more
+#: takes 6.7 s and 712 MB at genus 1, past it, but only 2.4-3.0 s and
+#: 273 MB at genus 0 and 3.2-3.4 s and 350 MB at genus 2: those two bounds
+#: stay so that every guarded command and the 20-side formula sweep, which
+#: skips the genus-2 tuples of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
@@ -270,7 +267,7 @@ class CountPolynomial:
     """A finished counting polynomial, sum_lambda c_lambda(b)
     m_lambda(l_1^2, ..., l_n^2): ``mlambda`` maps each partition lambda
     (weakly decreasing, no zeros) to c_lambda over ``B_ONLY``.  The hash
-    reads (genus, nfaces) alone, and ``poly`` is expanded on first read.
+    reads (genus, nfaces) alone.
     """
 
     genus: int
@@ -280,18 +277,6 @@ class CountPolynomial:
     @property
     def gens(self) -> tuple[str, ...]:
         return face_generators(self.nfaces)
-
-    @cached_property
-    def poly(self) -> MultiPoly:
-        """The expanded polynomial over ``gens``."""
-        den = lcm(*(c.den for c in self.mlambda.values()))
-        num = {}
-        for lam, c in self.mlambda.items():
-            scale = den // c.den
-            for lexps in m_lambda_exponents(lam, self.nfaces):
-                for bexps, bc in c.num.items():
-                    num[bexps + lexps] = bc * scale
-        return MultiPoly.from_numerators(self.gens, num, den)
 
     def evaluate(self, b, degrees) -> Fraction:
         return self.weighted_sum(b, [((d, 1),) for d in degrees])

@@ -201,11 +201,6 @@ class MultiPoly:
             return -1
         return max(exps[i] for exps in self.num)
 
-    def total_degree(self) -> int:
-        if not self.num:
-            return -1
-        return max(sum(exps) for exps in self.num)
-
     def _index(self, name: str) -> int:
         try:
             return self.gens.index(name)
@@ -383,12 +378,6 @@ class MultiPoly:
             num[tuple(key)] = c
         return _canonical(gens, num, self.den)
 
-    def rename(self, table: Mapping[str, str]) -> "MultiPoly":
-        gens = tuple(table.get(g, g) for g in self.gens)
-        if len(set(gens)) != len(gens):
-            raise ContextError(f"renaming collides: {gens}")
-        return _canonical(gens, self.num, self.den)
-
     # ---------- display ----------
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
@@ -396,25 +385,31 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.num:
-            return "0"
         parts = []
         for exps, c in self.sorted_terms():
-            factors = [f"{g}^{e}" if e > 1 else g
-                       for g, e in zip(self.gens, exps) if e > 0]
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+            body = monomial_text(self.gens, exps)
+            parts.append(term_head(c, not body) + body)
+        return join_terms(parts)
 
     __repr__ = __str__
+
+
+def monomial_text(gens: Sequence[str], exps: tuple) -> str:
+    """``g^e`` per generator of exponent e > 1, ``g`` for e = 1, by ``*``."""
+    return "*".join(f"{g}^{e}" if e > 1 else g for g, e in zip(gens, exps) if e)
+
+
+def term_head(c: Fraction, bare: bool) -> str:
+    """What a printed term puts before its monomial: nothing for c = 1,
+    ``-`` for -1, else ``c*``; a ``bare`` term, with none, is ``c``."""
+    if bare:
+        return str(c)
+    return "" if c == 1 else "-" if c == -1 else f"{c}*"
+
+
+def join_terms(terms) -> str:
+    """Terms joined by `` + ``, `` - `` before a negative one; ``0`` for none."""
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 class _TermsView(Mapping):
@@ -820,13 +815,11 @@ class GradedSeries:
         return () not in self.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for lam, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
             mark = f"*M{lam}" if lam else ""
             bits.append(f"({c}){mark}")
-        return " + ".join(bits)
+        return join_terms(bits)
 
     __repr__ = __str__
 

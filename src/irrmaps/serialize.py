@@ -1,8 +1,10 @@
-"""Canonical JSON and CSV emission for counting polynomials.
+"""Canonical JSON, monomial text and CSV emission for counting polynomials.
 
 The JSON layout is byte-stable across runs: monomials in graded
 lexicographic order, the symmetric-basis view sorted by partition, all
 numbers as decimal strings (arbitrary precision), fixed separators.
+:func:`monomial_rows` writes the JSON rows, the monomial text and the
+rows the parse checks a document against.
 """
 
 from __future__ import annotations
@@ -14,39 +16,50 @@ from operator import itemgetter
 
 from .pipeline import (B_ONLY, SUPPORTED_GENERA, CountPolynomial, face_generators,
                        m_lambda_exponents, to_m_basis)
-from .ring import MultiPoly
+from .ring import MultiPoly, join_terms, monomial_text, term_head
 
 CSV_HEADER = "genus,n,b,degrees,value_num,value_den,method"
 
 
-def emit_polynomial_json(count: CountPolynomial) -> str:
-    """The canonical JSON of ``count``.  Each monomial row is written as
-    text from the m-basis, with one pair of number strings per power of b
-    in each c_lambda."""
-    basis = to_m_basis(count)
+def monomial_rows(count: CountPolynomial, text, ends) -> list:
+    """Every monomial b^k l^e of ``count`` as the row ``head + text(e) +
+    tail``, in graded lexicographic order: total degree, then k, then e.
+    ``text`` is called once per monomial l^e of each m_lambda, and
+    ``ends(k, c, lam)`` gives (head, tail) for the coefficient c of b^k in
+    c_lambda once per (lambda, k), so a row costs one concatenation."""
     groups: dict[tuple[int, int], list] = {}
-    for lam, coeff in basis.items():
+    for lam, coeff in count.mlambda.items():
         orbit = m_lambda_exponents(lam, count.nfaces)
-        texts = [",".join(map(str, lexps)) for lexps in orbit]
+        texts = [text(lexps) for lexps in orbit]
         weight = 2 * sum(lam)
         for (k,), c in coeff.terms.items():
-            head = f'{{"exps":[{k},'
-            tail = f'],"num":"{c.numerator}","den":"{c.denominator}"}}'
+            head, tail = ends(k, c, lam)
             groups.setdefault((k + weight, k), []).extend(
-                zip(orbit, [head + text + tail for text in texts]))
-    monomials = []
-    for key in sorted(groups):
-        monomials.extend(row for _, row in sorted(groups[key], key=itemgetter(0)))
-    mlambda = []
-    for lam, coeff in sorted(basis.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        entry = {
-            "lambda": list(lam),
-            "coeff_in_b": [
-                {"exp": exps[0], "num": str(c.numerator), "den": str(c.denominator)}
-                for exps, c in coeff.sorted_terms()
-            ],
-        }
-        mlambda.append(entry)
+                zip(orbit, [head + t + tail for t in texts]))
+    return [row for key in sorted(groups) for _, row in sorted(groups[key], key=itemgetter(0))]
+
+
+def format_monomials(count: CountPolynomial) -> str:
+    """The text ``MultiPoly`` prints for the expansion of ``count``."""
+    lgens = count.gens[1:]
+
+    def ends(k, c, lam):
+        bpart = monomial_text(B_ONLY, (k,))
+        return term_head(c, not (bpart or lam)) + bpart + ("*" if bpart and lam else ""), ""
+
+    return join_terms(monomial_rows(count, lambda lexps: monomial_text(lgens, lexps), ends))
+
+
+def emit_polynomial_json(count: CountPolynomial) -> str:
+    """The canonical JSON of ``count``."""
+    monomials = monomial_rows(
+        count, lambda lexps: ",".join(map(str, lexps)),
+        lambda k, c, lam: (f'{{"exps":[{k},', f'],"num":"{c.numerator}","den":"{c.denominator}"}}'))
+    basis = to_m_basis(count)
+    mlambda = [{"lambda": list(lam),
+                "coeff_in_b": [{"exp": exps[0], "num": str(c.numerator), "den": str(c.denominator)}
+                               for exps, c in coeff.sorted_terms()]}
+               for lam, coeff in sorted(basis.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
     head = {"genus": count.genus, "n": count.nfaces, "generators": list(count.gens)}
     return (json.dumps(head, separators=(",", ":"))[:-1] + ',"monomials":['
             + ",".join(monomials) + '],"mlambda":'
@@ -96,7 +109,8 @@ def parse_polynomial_json(text: str) -> CountPolynomial:
     generators other than ``face_generators(n)``, an exponent of b in
     ``coeff_in_b`` or of a monomial in ``exps`` that is not a nonnegative
     integer, an m-basis key that is not a new partition of positive
-    integers, or monomials other than the expansion of the m-basis."""
+    integers or has more parts than faces, or monomials other than the
+    expansion of the m-basis, such as a row of value zero."""
     try:  # every key lookup and number read of the document
         doc = json.loads(text)
         genus, n, gens = doc["genus"], doc["n"], tuple(doc["generators"])
@@ -119,9 +133,13 @@ def parse_polynomial_json(text: str) -> CountPolynomial:
         if any(type(p) is not int or p < 1 for p in lam) or lam in mlambda \
                 or lam != tuple(sorted(lam, reverse=True)):
             raise ValueError(f"m-basis key {lam} is not a new partition")
+        if len(lam) > n:
+            raise ValueError(f"partition {lam} has more parts than the {n} faces")
         mlambda[lam] = MultiPoly(B_ONLY, coeffs)
     count = CountPolynomial(genus, n, mlambda)
-    if MultiPoly(gens, monomials) != count.poly:
+    # each row the tuple (k, *e, c) of the monomial c b^k l^e
+    expansion = monomial_rows(count, lambda lexps: lexps, lambda k, c, lam: ((k,), (c,)))
+    if monomials != {row[:-1]: row[-1] for row in expansion}:
         raise ValueError("the monomials differ from the expansion of the m-basis")
     return count
 

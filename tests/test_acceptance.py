@@ -16,6 +16,8 @@ from irrmaps.verify import (TABLE1_ROWS, _bpoly, dilaton_equation_delta,
                             string_equation_delta, verify_ab_inverse,
                             verify_qpoly)
 
+from test_reference_mbasis import expand
+
 F = Fraction
 
 
@@ -37,11 +39,11 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_special_values():
     p03 = nhat(0, 3)
     report("criterion 2: three-face planar polynomial is identically 1",
-           p03.poly == MultiPoly.constant(p03.gens, 1))
+           expand(p03) == MultiPoly.constant(p03.gens, 1))
     p11 = nhat(1, 1)
     l1 = MultiPoly.variable(p11.gens, "l1")
     report("criterion 2: one-face torus polynomial is (l^2 - 1)/12",
-           p11.poly == (l1 * l1 - 1) * F(1, 12))
+           expand(p11) == (l1 * l1 - 1) * F(1, 12))
 
 
 def test_criterion_3_string_and_dilaton():

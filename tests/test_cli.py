@@ -36,6 +36,13 @@ def test_nhat_json(capsys):
     assert doc["monomials"] == [{"exps": [0, 0, 0, 0], "num": "1", "den": "1"}]
 
 
+def test_nhat_monomials(capsys):
+    code, out, _ = run(capsys, "nhat", "--genus", "1", "--faces", "1",
+                       "--format", "monomials")
+    assert code == 0
+    assert out == "-1/12 + 1/12*l1^2\n"
+
+
 def test_nhat_beyond_the_face_guard_exits_2(capsys):
     code, out, err = run(capsys, "nhat", "--genus", "0", "--faces", "50")
     assert code == 2

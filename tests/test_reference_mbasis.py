@@ -4,7 +4,10 @@ it replaced.
 ``graded_nhat`` is the graded series a ``nhat`` route reads its m-basis
 from, and ``expanded_nhat`` expands its e_1...e_n coefficient into
 monomials through the earlier ``GradedSeries.coefficient``, as every
-``nhat`` did before the package kept the m-basis alone.  ``regroup`` is the
+``nhat`` did before the package kept the m-basis alone.  ``expand`` is the
+earlier ``CountPolynomial.poly``, the monomials expanded from the m-basis,
+which the monomial printer and the JSON parse check read before they
+wrote their rows from the m-basis directly.  ``regroup`` is the
 earlier ``to_m_basis`` on an expanded polynomial, with its evenness and
 orbit checks, and ``reference_json`` is the earlier canonical JSON emitter,
 which wrote one row per expanded monomial.  All of them are kept here only
@@ -13,15 +16,15 @@ as references.
 
 import json
 from functools import cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from unittest import mock
 
 import pytest
 
 from irrmaps import pipeline
-from irrmaps.pipeline import B_ONLY, InvariantViolation, nhat
+from irrmaps.pipeline import B_ONLY, InvariantViolation, m_lambda_exponents, nhat
 from irrmaps.ring import MultiPoly
-from irrmaps.serialize import emit_polynomial_json
+from irrmaps.serialize import emit_polynomial_json, format_monomials
 
 from test_reference_graded import coefficient
 
@@ -40,6 +43,20 @@ def graded_nhat(genus, n):
 @cache
 def expanded_nhat(genus, n):
     return coefficient(graded_nhat(genus, n), range(1, n + 1))
+
+
+@cache
+def expand(count):
+    """The polynomial over ``count.gens`` that the m-basis of ``count``
+    stands for, one monomial per exponent tuple of each m_lambda."""
+    den = lcm(*(c.den for c in count.mlambda.values()))
+    num = {}
+    for lam, c in count.mlambda.items():
+        scale = den // c.den
+        for lexps in m_lambda_exponents(lam, count.nfaces):
+            for bexps, bc in c.num.items():
+                num[bexps + lexps] = bc * scale
+    return MultiPoly.from_numerators(count.gens, num, den)
 
 
 def regroup(poly, n):
@@ -99,9 +116,15 @@ def test_json_from_the_m_basis_matches_the_reference_emitter(genus, n):
     assert emit_polynomial_json(nhat(genus, n)) == reference_json(genus, n)
 
 
+@pytest.mark.parametrize("genus,n", M_BASIS_GRID)
+def test_monomial_printer_matches_the_expanded_polynomial(genus, n):
+    count = nhat(genus, n)
+    assert format_monomials(count) == str(expand(count))
+
+
 @pytest.mark.parametrize("genus,n", [(0, 5), (1, 3), (2, 2)])
 def test_expansion_of_the_m_basis_is_the_graded_coefficient(genus, n):
-    assert nhat(genus, n).poly == expanded_nhat(genus, n)
+    assert expand(nhat(genus, n)) == expanded_nhat(genus, n)
 
 
 def test_regroup_rejects_what_is_not_even_and_symmetric():

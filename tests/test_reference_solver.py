@@ -27,6 +27,7 @@ from irrmaps.ring import GradedSeries, MultiPoly, Series
 
 from test_reference_graded import (antiderivative, face_I, marker_moment, marker_solve_R,
                                    widen)
+from test_reference_mbasis import expand
 
 
 def face_parts(order):
@@ -127,12 +128,12 @@ def test_solve_R_hat_matches_full_cap_loop(genus, nfaces, cap):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_nhat_genus0_matches_horner_composition(n):
-    assert nhat_genus0(n).poly == horner_genus0(n)
+    assert expand(nhat_genus0(n)) == horner_genus0(n)
 
 
 @pytest.mark.parametrize("genus,n", [(1, n) for n in range(1, 6)] + [(2, n) for n in range(1, 5)])
 def test_nhat_at_t_zero_matches_the_t_ful_route(genus, n):
-    assert nhat(genus, n).poly == t_ful_nhat(genus, n)
+    assert expand(nhat(genus, n)) == t_ful_nhat(genus, n)
 
 
 @pytest.mark.parametrize("cap", range(11))

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from irrmaps import pipeline, serialize
-from irrmaps.pipeline import MAX_FACES, SUPPORTED_GENERA, count_exact, girth_count, nhat
-from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json,
+from irrmaps import serialize
+from irrmaps.pipeline import MAX_FACES, SUPPORTED_GENERA, CountPolynomial, nhat
+from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json, format_monomials,
                                parse_polynomial_json)
 from fractions import Fraction
+
+from test_reference_mbasis import expand
 
 
 def test_json_for_the_constant_polynomial():
@@ -31,7 +33,7 @@ def test_json_round_trip_and_stability():
         cp = nhat(g, n)
         text = emit_polynomial_json(cp)
         back = parse_polynomial_json(text)
-        assert back.poly == cp.poly
+        assert expand(back) == expand(cp)
         assert (back.genus, back.nfaces) == (g, n)
         assert emit_polynomial_json(back) == text  # byte-stable
 
@@ -74,6 +76,28 @@ def test_parse_refuses_what_nhat_never_emits(mangle, message):
     # each of these used to parse, and compare equal to nhat(1, 1) or fail
     # only on evaluation
     doc = json.loads(emit_polynomial_json(nhat(1, 1)))
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial_json(json.dumps(mangle(doc)))
+
+
+def _with_monomial(doc, row):
+    return dict(doc, monomials=doc["monomials"] + [row])
+
+
+@pytest.mark.parametrize("genus,n,mangle,message", [
+    (0, 4, lambda doc: dict(doc, mlambda=doc["mlambda"] + [
+        {"lambda": [1, 1, 1, 1, 1], "coeff_in_b": [{"exp": 0, "num": "1", "den": "1"}]}]),
+     r"partition \(1, 1, 1, 1, 1\) has more parts than the 4 faces"),
+    (1, 1, lambda doc: _with_monomial(doc, {"exps": [0, 0, 0], "num": "1", "den": "1"}),
+     "the monomials differ from the expansion of the m-basis"),
+    (1, 1, lambda doc: _with_monomial(doc, {"exps": [1, 2], "num": "0", "den": "1"}),
+     "the monomials differ from the expansion of the m-basis"),
+], ids=["too-many-parts", "wide-exps", "zero-row"])
+def test_parse_refuses_what_the_expansion_never_holds(genus, n, mangle, message):
+    # the first used to fail in m_lambda_exponents with DomainError, the
+    # second in MultiPoly with ContextError, and the third parsed, because
+    # MultiPoly drops a zero term
+    doc = json.loads(emit_polynomial_json(nhat(genus, n)))
     with pytest.raises(ValueError, match=message):
         parse_polynomial_json(json.dumps(mangle(doc)))
 
@@ -144,18 +168,10 @@ def test_parse_lets_an_internal_error_through(monkeypatch):
         parse_polynomial_json(text)
 
 
-def test_json_and_counts_leave_the_expansion_unbuilt(monkeypatch):
-    # the canonical JSON and the counts read the m-basis alone: the expanded
-    # monomials are built on the first read of ``poly``, and not before
-    monkeypatch.setattr(pipeline, "_NHAT_CACHE", {})
-    emit_polynomial_json(nhat(1, 3))
-    count_exact(0, 4, 1, (2, 2, 3, 3))
-    count_exact(2, 2, 0, (3, 4), allow_degree_one=True)
-    girth_count(1, 2, 1, (2, 3), mode="exactly")
-    assert sorted(pipeline._NHAT_CACHE) == [(0, 4), (1, 2), (1, 3), (2, 2)]
-    for count in pipeline._NHAT_CACHE.values():
-        assert "poly" not in vars(count)
-    assert not count.poly.is_zero() and "poly" in vars(count)
+def test_json_and_counts_leave_the_expansion_unbuilt():
+    # the package never expands a count into monomials: the JSON rows, the
+    # monomial printer and the parse check are written from the m-basis
+    assert not hasattr(CountPolynomial, "poly")
 
 
 def test_json_monomials_graded_lex():
@@ -202,7 +218,8 @@ def test_every_symbolic_grid_entry_has_a_recorded_digest():
 GOLDEN_NHAT = json.loads(Path(__file__).with_name("golden_nhat.json").read_text())
 GUARDED = [(g, n) for g in SUPPORTED_GENERA for n in range(3 if g == 0 else 1, MAX_FACES[g] + 1)]
 #: (1,10) and (2,8) take 1.4-2 s in-process: their digests are checked by
-#: running ``irrmaps nhat --format json``, not in the test suite
+#: running ``irrmaps nhat --format json`` and ``--format monomials``, not
+#: in the test suite
 SLOW = [(1, 10), (2, 8)]
 
 
@@ -215,6 +232,20 @@ def test_golden_digests_cover_the_guarded_grid():
 def test_canonical_json_matches_the_golden_digest(genus, n):
     text = emit_polynomial_json(nhat(genus, n))
     assert WORKLOADS.sha256(text) == GOLDEN_NHAT[f"{genus},{n}"]
+
+
+GOLDEN_MONOMIALS = json.loads(Path(__file__).with_name("golden_monomials.json").read_text())
+
+
+def test_golden_monomial_digests_cover_the_guarded_grid():
+    assert sorted(GOLDEN_MONOMIALS) == sorted(f"{g},{n}" for g, n in GUARDED)
+
+
+@pytest.mark.parametrize("genus,n", [pair for pair in GUARDED if pair not in SLOW])
+def test_monomial_printer_matches_the_golden_digest(genus, n):
+    # the digest is of ``irrmaps nhat --format monomials`` stdout
+    text = format_monomials(nhat(genus, n)) + "\n"
+    assert WORKLOADS.sha256(text) == GOLDEN_MONOMIALS[f"{genus},{n}"]
 
 
 def test_every_unused_import_is_a_benchmark_patch_site():

@@ -52,7 +52,8 @@ def test_equation_suites_leave_the_expanded_polynomials_unbuilt(monkeypatch):
     assert verify_string().passed and verify_dilaton().passed
     read = pipeline._NHAT_CACHE
     assert len(read) == 9
-    assert all("poly" not in vars(count) for count in read.values())
+    # each count holds its m-basis and nothing expanded from it
+    assert all(vars(count).keys() == {"genus", "nfaces", "mlambda"} for count in read.values())
 
 
 def test_string_dilaton_at_the_top_of_the_face_guard():
