@@ -33,24 +33,28 @@ circles of one component once the handle budget is spent, and, without
 degree-one vertices, a gluing of two consecutive sides of one polygon
 (which closes a degree-1 vertex).
 
-It also searches each rotation of an untouched polygon once.  When the
-smallest unmatched side is glued into a polygon q other than its own that
-has no glued side yet, only q's first side is tried, and the subtree counts
-2*l_q times.  Rotating q fixes every glued side and maps the subtree entered
-at any side of q onto the one entered at its first side; the rotated map is
-the same map with q's sides relabeled, so it is accepted exactly when the
-original is.  The search runs serially in one process.
+It also enters each class of interchangeable polygons once.  Sorting the
+half-degrees in descending order makes polygon 0 a largest one and each
+class, the other polygons of one half-degree, a block.  When the smallest
+unmatched side is glued into a polygon q other than its own that has no
+glued side yet, q must be the least untouched polygon of its class and only
+its first side is tried; the subtree counts 2*l_q times the number of
+untouched polygons left in the class.  Turning q, or permuting those
+polygons, fixes every glued side and maps the subtrees entered at any of
+their sides onto the one tried; the image of a map is the same map with
+faces or sides relabeled, accepted exactly when the original is.  Only the
+least is ever entered, so the untouched polygons of a class are its last.
 
 With n >= 2 polygons, polygon 0 is pinned by an orbit weight.  Its sides
-are matched first; side 0 goes to the first side of another polygon, the
-anchor, and no side of polygon 0 goes to a polygon numbered between 0 and
-the anchor.  Rotating polygon 0 acts freely on connected gluings: a turn
-that fixes a gluing fixes the partner of a side glued outside polygon 0,
-hence that side, hence every side.  The anchor, the least polygon next to
+are matched first; side 0 goes to the first side of a class's first
+polygon, the anchor, and no side of polygon 0 goes to a class below it.
+Rotating polygon 0 acts freely on connected gluings: a turn that fixes a
+gluing fixes the partner of a side glued outside polygon 0, hence that
+side, hence every side.  The anchor's class, the least class next to
 polygon 0, is the same across an orbit, so an orbit holds exactly k
-gluings that meet the rule, k the number of polygon-0 sides glued to the
-anchor.  Each accepted leaf therefore counts 2*l_0 / k
-times; the leaves are summed per k in integers and divided once at the end.
+gluings that meet the rule, k the number of polygon-0 sides glued into
+that class.  Each accepted leaf therefore counts 2*l_0 / k times; the
+leaves are summed per k in integers and divided once at the end.
 
 A polygon first entered from inside its own boundary is not pinned, so a
 leaf is still reached once per rotation of it (and of polygon 0 when n =
@@ -86,7 +90,7 @@ to suffice.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -1025,14 +1029,15 @@ def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
 
 
 def _search(spec: GluingSpec) -> int:
-    """Count accepted matchings, entering each untouched polygon at its first
-    dart, pinning polygon 0 by an orbit weight when n >= 2, and checking
-    each rotation orbit of leaves once.
+    """Count accepted matchings of the degrees sorted in descending order,
+    entering each class of untouched polygons once, pinning polygon 0 to a
+    class when n >= 2, and checking each rotation orbit of leaves once.
 
     At each node the boundary circle of the smallest unmatched dart is
     walked once; candidates that would add a handle beyond the target genus
     or close a degree-one vertex are skipped before any state changes.
     """
+    spec = replace(spec, degrees=sorted(spec.degrees, reverse=True))
     degrees = spec.degrees
     n = len(degrees)
     S = sum(2 * l for l in degrees)
@@ -1052,6 +1057,7 @@ def _search(spec: GluingSpec) -> int:
     cend = list(range(S))     # valid at chain starts
     clen = [1] * S            # valid at chain starts
     proot = list(range(n))
+    end = [sum(m >= l for m in degrees) for l in degrees]  # one past q's class
     popen = [2 * l for l in degrees]
 
     closedV = 0
@@ -1213,7 +1219,7 @@ def _search(spec: GluingSpec) -> int:
                 k = n0
                 if n > 1:
                     anchor = poly_of[partner[0]]
-                    k = sum(poly_of[partner[d]] == anchor for d in range(n0))
+                    k = sum(anchor <= poly_of[partner[d]] < end[anchor] for d in range(n0))
                 by_k[k] = by_k.get(k, 0) + weight
             return
         while partner[lo] != -1:
@@ -1222,8 +1228,8 @@ def _search(spec: GluingSpec) -> int:
         if p or n == 1:
             cands = range(lo + 1, S)
         else:
-            # pin polygon 0: side 0 goes to the first side of another
-            # polygon, the anchor, and no side of polygon 0 to one below it
+            # pin polygon 0: side 0 goes to a class's first polygon, the
+            # anchor, and no side of polygon 0 to a class below it
             anchor = poly_of[partner[0]] if lo else 1
             cands = chain(range(lo + 1 if lo else n0, n0), range(offsets[anchor], S))
         circle = set()            # lo's boundary circle
@@ -1240,10 +1246,13 @@ def _search(spec: GluingSpec) -> int:
             w = weight
             q = poly_of[c]
             if q != p and not used[q]:
-                # every rotation of q counts the same: enter at its first dart
-                if c != offsets[q]:
+                # every rotation of q, and each untouched polygon of its
+                # class (always the class's last ones), counts the same:
+                # enter only the least of them, at its first side
+                if c != offsets[q] or not (degrees[q - 1] != degrees[q]
+                                           or used[q - 1] or q - 1 == p):
                     continue
-                w *= 2 * degrees[q]
+                w *= 2 * degrees[q] * (end[q] - q)
             if mindeg2 and (c == nxt[lo] or lo == nxt[c]):
                 continue  # a degree-one vertex
             same_circle = c in circle
@@ -1255,8 +1264,8 @@ def _search(spec: GluingSpec) -> int:
             unglue(lo, c, trail)
 
     rec(0, 0, 1)
-    # a rotation orbit of polygon 0 holds exactly k leaves with side 0 on
-    # the anchor; n = 1 leaves count once (k = n0)
+    # a rotation orbit of polygon 0 holds exactly k leaves with side 0 in
+    # the anchor's class; n = 1 leaves count once (k = n0)
     total = sum(Fraction(acc * n0, k) for k, acc in by_k.items())
     if total.denominator != 1:
         raise ConsistencyError(f"pinned leaf total {total} is not an integer")

@@ -109,7 +109,8 @@ def parse_polynomial_json(text: str) -> CountPolynomial:
     generators other than ``face_generators(n)``, an exponent of b in
     ``coeff_in_b`` or of a monomial in ``exps`` that is not a nonnegative
     integer, an m-basis key that is not a new partition of positive
-    integers or has more parts than faces, or monomials other than the
+    integers or has more parts than faces, an m-basis entry with an empty
+    or zero-valued ``coeff_in_b`` entry, or monomials other than the
     expansion of the m-basis, such as a row of value zero."""
     try:  # every key lookup and number read of the document
         doc = json.loads(text)
@@ -135,6 +136,8 @@ def parse_polynomial_json(text: str) -> CountPolynomial:
             raise ValueError(f"m-basis key {lam} is not a new partition")
         if len(lam) > n:
             raise ValueError(f"partition {lam} has more parts than the {n} faces")
+        if not coeffs or 0 in coeffs.values():
+            raise ValueError(f"m-basis entry {lam} has a zero coefficient or none")
         mlambda[lam] = MultiPoly(B_ONLY, coeffs)
     count = CountPolynomial(genus, n, mlambda)
     # each row the tuple (k, *e, c) of the monomial c b^k l^e

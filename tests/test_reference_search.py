@@ -8,6 +8,9 @@ verdicts by ``reference_rotation_code``, which tries every rotation of
 polygon 0.  ``oracle._search`` must count exactly the same matchings.
 """
 
+from dataclasses import replace
+from itertools import permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -309,3 +312,36 @@ def _specs(draw):
 def test_search_equals_reference_on_random_specs(spec):
     assert _search(spec) == reference_search(spec)
 
+
+def test_search_is_the_same_for_every_order_of_the_degrees():
+    for spec in BENCHMARK_SPECS:
+        want = _search(spec)
+        for degrees in set(permutations(spec.degrees)):
+            assert _search(replace(spec, degrees=degrees)) == want, (spec, degrees)
+
+
+@st.composite
+def _repeated_degree_specs(draw):
+    """Admissible specs of 3-6 faces and at most 12 sides, genus 0-2, in
+    which some half-degree is held by two faces or more, in any order."""
+    genus = draw(st.integers(0, 2))
+    constraint = draw(st.sampled_from(["irreducible", "girth"]))
+    n = draw(st.integers(3, 6))
+    b = draw(st.integers(1 if constraint == "girth" else 0, 6 // n))
+    lo = max(b, 1)
+    r = draw(st.integers(2, n))                  # faces of the repeated degree
+    l = draw(st.integers(lo, (6 - lo * (n - r)) // r))
+    budget = 6 - r * l - lo * (n - r)
+    degs = [l] * r
+    for _ in range(n - r):
+        extra = draw(st.integers(0, budget))
+        budget -= extra
+        degs.append(lo + extra)
+    return GluingSpec(genus, tuple(draw(st.permutations(degs))), b,
+                      allow_degree_one=draw(st.booleans()), constraint=constraint)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repeated_degree_specs())
+def test_search_equals_reference_on_repeated_degrees(spec):
+    assert _search(spec) == reference_search(spec)

@@ -65,16 +65,28 @@ def _mirrored_b_exponent(doc, exp):
     return dict(doc, mlambda=mlambda, monomials=monomials)
 
 
+def _with_b_term(doc, term):
+    """The document with ``term`` appended to its first ``coeff_in_b``."""
+    first = dict(doc["mlambda"][0], coeff_in_b=doc["mlambda"][0]["coeff_in_b"] + [term])
+    return dict(doc, mlambda=[first] + doc["mlambda"][1:])
+
+
 @pytest.mark.parametrize("mangle,message", [
     (lambda doc: dict(doc, genus=True), "genus True is not supported"),
     (lambda doc: dict(doc, genus=1.0), "genus 1.0 is not supported"),
     (lambda doc: _mirrored_b_exponent(doc, -1), "not nonnegative integers"),
     (lambda doc: _mirrored_b_exponent(doc, 0.0), "not nonnegative integers"),
     (lambda doc: _mirrored_b_exponent(doc, False), "not nonnegative integers"),
-], ids=["bool-genus", "float-genus", "negative-exp", "float-exp", "bool-exp"])
+    (lambda doc: _with_b_term(doc, {"exp": 3, "num": "0", "den": "1"}),
+     r"m-basis entry \(\) has a zero coefficient or none"),
+    (lambda doc: dict(doc, mlambda=doc["mlambda"] + [{"lambda": [2], "coeff_in_b": []}]),
+     r"m-basis entry \(2,\) has a zero coefficient or none"),
+], ids=["bool-genus", "float-genus", "negative-exp", "float-exp", "bool-exp",
+        "zero-coeff", "empty-coeffs"])
 def test_parse_refuses_what_nhat_never_emits(mangle, message):
     # each of these used to parse, and compare equal to nhat(1, 1) or fail
-    # only on evaluation
+    # only on evaluation; the empty coefficient list parsed to a count that
+    # holds a zero c_(2), which nhat never does
     doc = json.loads(emit_polynomial_json(nhat(1, 1)))
     with pytest.raises(ValueError, match=message):
         parse_polynomial_json(json.dumps(mangle(doc)))
