@@ -56,21 +56,29 @@ gluings that meet the rule, k the number of polygon-0 sides glued into
 that class.  Each accepted leaf therefore counts 2*l_0 / k times; the
 leaves are summed per k in integers and divided once at the end.
 
+With one polygon of S sides, side 0 carries a least chord, the chord of
+side d being (partner[d] - d) mod S: it is glued to a side c <= S/2, and
+every later side lo to a side c with lo + chord(0) <= c <= lo + S -
+chord(0), so neither end of the new chord is shorter.  A rotation shifts
+every chord with its side, so an orbit whose gluings s rotations fix holds
+k / s such gluings, k the number of sides of least chord, and counting
+each S / k times gives the orbit's size S / s.
+
 A polygon first entered from inside its own boundary is not pinned, so a
-leaf is still reached once per rotation of it (and of polygon 0 when n =
-1).  Each search therefore keeps its leaf verdicts in a dict keyed by a
-rotation-canonical code of the full matching: for each rotation of polygon
-0 that brings a side glued to its least other neighbour to side 0 (every
-rotation when n = 1), walk the polygons breadth-first from it, turn each
-newly reached polygon so that the side the walk enters first becomes its
-side 0, relabel the matching under those rotations, and keep the least
-result.  Rotating polygon 0 turns the set of tried rotations with it, and
-rotating any other polygon changes none of these walks, so every rotation
-of a gluing has the same code; and the code is itself a rotation of the
-gluing, so equal codes mean the same face-labeled map with its sides
-relabeled, which is accepted exactly when the original is.  The cycle
-checks thus run once per rotation orbit of the leaves the search reaches.
-With b = 0 every leaf passes, and no code is built.
+leaf is still reached once per rotation of it.  Each search therefore
+keeps its leaf verdicts in a dict keyed by a rotation-canonical code of
+the full matching: for each rotation of polygon 0 that brings a side glued
+to its least other neighbour to side 0 (a side of least chord when n = 1),
+walk the polygons breadth-first from it, turn each newly reached polygon
+so that the side the walk enters first becomes its side 0, relabel the
+matching under those rotations, and keep the least result.  Rotating
+polygon 0 turns the set of tried rotations with it, and rotating any other
+polygon changes none of these walks, so every rotation of a gluing has the
+same code; and the code is itself a rotation of the gluing, so equal codes
+mean the same face-labeled map with its sides relabeled, which is accepted
+exactly when the original is.  The cycle checks thus run once per rotation
+orbit of the leaves the search reaches.  With b = 0 every leaf passes, and
+no code is built.
 
 Essential irreducibility of a higher-genus map is decided on the simple
 cycles of its universal cover, without building any part of it.  A
@@ -990,21 +998,26 @@ def _leaf_passes(spec: GluingSpec, partner) -> bool:
 def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
     """The least partner list among the rotations of a connected gluing.
 
-    For each rotation of polygon 0 that brings to its side 0 a side glued
-    to the least-indexed other polygon next to it (any side when there is
-    none), the polygons are walked breadth-first from polygon 0, each newly
-    reached one rotated so that the side the walk enters first becomes its
-    side 0, and ``partner`` is relabeled under those rotations.  Rotating
-    polygon 0 turns the set of starts with it, and rotating any other
-    polygon changes neither that set nor any walk, so the least relabeling
-    is the same for every rotation of the gluing.
+    For each rotation of polygon 0 that brings to its side 0 a side the
+    search may pin there (with n >= 2 polygons, one glued to the
+    least-indexed other polygon next to it; with one, a side of least
+    chord), the polygons are walked breadth-first from polygon 0, each
+    newly reached one rotated so that the side the walk enters first
+    becomes its side 0, and ``partner`` is relabeled under those rotations.
+    Rotating polygon 0 turns the set of starts with it, and rotating any
+    other polygon changes neither that set nor any walk, so the least
+    relabeling is the same for every rotation of the gluing.
     """
     nxt, _, poly_of, offsets = polygon_layout(degrees)
     S = len(partner)
-    near = [poly_of[partner[d]] for d in range(2 * degrees[0])]
-    anchor = min((q for q in near if q), default=0)
+    n0 = 2 * degrees[0]
+    if len(degrees) == 1:
+        key = [(partner[d] - d) % S for d in range(S)]
+    else:   # a self-glued side of polygon 0 ranks after every neighbour
+        key = [poly_of[partner[d]] or S for d in range(n0)]
+    least = min(key)
     best = None
-    for r0 in (d for d, q in enumerate(near) if q == anchor):
+    for r0 in (d for d in range(n0) if key[d] == least):
         first = [-1] * len(degrees)   # the side that becomes each polygon's side 0
         first[0] = r0
         new = [0] * S
@@ -1031,7 +1044,8 @@ def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
 def _search(spec: GluingSpec) -> int:
     """Count accepted matchings of the degrees sorted in descending order,
     entering each class of untouched polygons once, pinning polygon 0 to a
-    class when n >= 2, and checking each rotation orbit of leaves once.
+    class when n >= 2 and the one polygon by its least chord when n = 1,
+    and checking each rotation orbit of leaves once.
 
     At each node the boundary circle of the smallest unmatched dart is
     walked once; candidates that would add a handle beyond the target genus
@@ -1216,16 +1230,25 @@ def _search(spec: GluingSpec) -> int:
                         ok = verdicts[code] = _leaf_passes(spec, partner)
                     if not ok:
                         return
-                k = n0
                 if n > 1:
                     anchor = poly_of[partner[0]]
                     k = sum(anchor <= poly_of[partner[d]] < end[anchor] for d in range(n0))
+                else:
+                    k = sum((partner[d] - d) % S == partner[0] for d in range(S))
                 by_k[k] = by_k.get(k, 0) + weight
             return
         while partner[lo] != -1:
             lo += 1
         p = poly_of[lo]
-        if p or n == 1:
+        if n == 1:
+            # pin the one polygon: side 0 carries a least chord, the chord
+            # of side d being (partner[d] - d) mod S, so the new chord may be
+            # no shorter than side 0's from either end
+            if lo:
+                cands = range(lo + partner[0], min(S, lo + S - partner[0] + 1))
+            else:
+                cands = range(1, S // 2 + 1)
+        elif p:
             cands = range(lo + 1, S)
         else:
             # pin polygon 0: side 0 goes to a class's first polygon, the
@@ -1264,8 +1287,9 @@ def _search(spec: GluingSpec) -> int:
             unglue(lo, c, trail)
 
     rec(0, 0, 1)
-    # a rotation orbit of polygon 0 holds exactly k leaves with side 0 in
-    # the anchor's class; n = 1 leaves count once (k = n0)
+    # a rotation orbit of polygon 0 whose gluings s turns fix holds k / s
+    # leaves with side 0 in the anchor's class (with one polygon, with a
+    # least chord at side 0), each counting n0 / k: n0 / s, the orbit's size
     total = sum(Fraction(acc * n0, k) for k, acc in by_k.items())
     if total.denominator != 1:
         raise ConsistencyError(f"pinned leaf total {total} is not an integer")

@@ -266,13 +266,18 @@ def free_energy(genus: int, moments: list, cap: int):
 class CountPolynomial:
     """A finished counting polynomial, sum_lambda c_lambda(b)
     m_lambda(l_1^2, ..., l_n^2): ``mlambda`` maps each partition lambda
-    (weakly decreasing, no zeros) to c_lambda over ``B_ONLY``.  The hash
-    reads (genus, nfaces) alone.
+    (weakly decreasing, no zeros) to c_lambda over ``B_ONLY``; a zero
+    c_lambda is dropped, so equal polynomials have equal ``mlambda``.  The
+    hash reads (genus, nfaces) alone.
     """
 
     genus: int
     nfaces: int
     mlambda: dict[tuple[int, ...], MultiPoly] = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mlambda", {lam: c for lam, c in self.mlambda.items()
+                                             if not c.is_zero()})
 
     @property
     def gens(self) -> tuple[str, ...]:

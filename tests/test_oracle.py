@@ -12,6 +12,7 @@ from irrmaps.oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError,
                             enumerate_matchings, polygon_layout,
                             simple_cycles_up_to)
 from irrmaps.pipeline import count_exact, girth_count
+from irrmaps.verify import harer_zagier_numbers
 from test_reference_cover import ball_verdict
 
 F = Fraction
@@ -337,6 +338,14 @@ def _count_leaf_checks(monkeypatch):
     return calls
 
 
+def _count_leaves(monkeypatch):
+    leaves = []
+    rotation_code = oracle._rotation_code
+    monkeypatch.setattr(oracle, "_rotation_code",
+                        lambda d, p: leaves.append(p) or rotation_code(d, p))
+    return leaves
+
+
 def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
     # an untouched polygon is entered once per class of equal faces, at its
     # first side, and polygon 0 turns only until a side glued to its least
@@ -344,10 +353,7 @@ def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
     # made 45,360, pinning all but polygon 0 made 360 and pinning polygon 0
     # by its least neighbour alone made 160; the memo checks 15 of them
     calls = _count_leaf_checks(monkeypatch)
-    leaves = []
-    rotation_code = oracle._rotation_code
-    monkeypatch.setattr(oracle, "_rotation_code",
-                        lambda d, p: leaves.append(p) or rotation_code(d, p))
+    leaves = _count_leaves(monkeypatch)
     spec = GluingSpec(0, (3, 3, 3, 3), 2, constraint="girth", guard_sides=24)
     assert _search(spec) == 29 * 6 ** 4
     assert len(leaves) <= 35
@@ -355,12 +361,25 @@ def test_pinning_cuts_criterion_10_leaf_checks(monkeypatch):
 
 
 def test_memo_checks_one_leaf_per_rotation_orbit_of_a_single_face(monkeypatch):
-    # a single face is never pinned: one face of 10 sides reaches each
-    # genus-2 map once per rotation (273 leaves), the memo checks 32 orbits
+    # a single face is pinned by its least chord: one face of 10 sides
+    # reaches 52 genus-2 leaves, not one per rotation of each map, and the
+    # memo checks 32 orbits
     calls = _count_leaf_checks(monkeypatch)
+    leaves = _count_leaves(monkeypatch)
     assert _search(GluingSpec(2, (5,), 2)) == 273
+    assert len(leaves) <= 52
     assert len(calls) <= 40
     assert len({_rotation_code((5,), p) for p in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_one_face_counts_match_harer_zagier(genus):
+    # every gluing of a 2l-gon: the least-chord weights n0 / k must add up
+    # to whole rotation orbits, symmetric gluings included
+    want = harer_zagier_numbers(genus, 7)
+    for l in range(1, 8):
+        spec = GluingSpec(genus, (l,), 0, allow_degree_one=True)
+        assert 2 * l * brute_count(spec) == want[l], (genus, l)
 
 
 def _connected_partners(degrees):

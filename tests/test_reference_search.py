@@ -9,7 +9,7 @@ polygon 0.  ``oracle._search`` must count exactly the same matchings.
 """
 
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -345,3 +345,23 @@ def _repeated_degree_specs(draw):
 @given(_repeated_degree_specs())
 def test_search_equals_reference_on_repeated_degrees(spec):
     assert _search(spec) == reference_search(spec)
+
+
+def _one_face_specs(max_sides: int):
+    """Every admissible one-face spec of at most ``max_sides`` sides, genus
+    1-2, b 0-3, both constraints, with and without degree-one vertices."""
+    for l in range(1, max_sides // 2 + 1):
+        for genus, b, constraint, allow in product(
+                (1, 2), range(4), ("irreducible", "girth"), (False, True)):
+            if b <= l and (b or constraint == "irreducible"):
+                yield GluingSpec(genus, (l,), b, allow_degree_one=allow,
+                                 constraint=constraint)
+
+
+def test_search_equals_reference_on_every_one_face_spec():
+    # the one polygon is pinned by its least chord, which the reference
+    # search does not do; neither strategy above draws a single face
+    specs = list(_one_face_specs(10))
+    assert len(specs) == 116
+    for spec in specs:
+        assert _search(spec) == reference_search(spec), spec

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from irrmaps import serialize
-from irrmaps.pipeline import MAX_FACES, SUPPORTED_GENERA, CountPolynomial, nhat
+from irrmaps.pipeline import B_ONLY, MAX_FACES, SUPPORTED_GENERA, CountPolynomial, nhat
+from irrmaps.ring import MultiPoly
 from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json, format_monomials,
                                parse_polynomial_json)
 from fractions import Fraction
@@ -37,6 +38,17 @@ def test_json_round_trip_and_stability():
         assert (back.genus, back.nfaces) == (g, n)
         assert emit_polynomial_json(back) == text  # byte-stable
 
+
+
+def test_a_zero_m_basis_coefficient_is_dropped_and_round_trips():
+    # a zero c_lambda is no term of the count: it compares equal to the
+    # count without it and emits a document the parser takes back
+    real = nhat(1, 1)
+    padded = CountPolynomial(1, 1, {**real.mlambda, (2,): MultiPoly.constant(B_ONLY, 0)})
+    assert padded == real and (2,) not in padded.mlambda
+    text = emit_polynomial_json(padded)
+    assert text == emit_polynomial_json(real)
+    assert parse_polynomial_json(text) == real
 
 @pytest.mark.parametrize("change,message", [
     ({"genus": 3}, "genus 3 is not supported"),
