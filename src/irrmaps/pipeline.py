@@ -2,21 +2,23 @@
 
 In a graded ring (one nilpotent marker e_i per labeled face) the fundamental
 series R is the root of Z(r) = J(b; r) - t - sum_i e_i I(b, l_i; r), the
-moment series are Q operators applied to Z at R, the genus-1 and genus-2
-free energies are built from them, and the counting polynomial is the
-coefficient of e_1 ... e_n.  The paper's equations carry a deformation
-variable t, the weight of the smallest admissible face degree, and the
-polynomial is the t^0 part; setting t = 0 is a ring map that commutes with
-composition, the unit log and inverse and the Q operator, so the solve and
-the moments run at t = 0 and the ring has no t.  Only the moment-route
-check at no faces keeps t: there R is J^{-1}(b; t), a plain series in t
-(``moment_hat_via_Q`` and ``moment_hat_via_T``).  Genus 0 has a closed
-formula: by Lagrange-Buermann inversion, N_{0,n} = (n-3)! [r^(n-3)]
-prod_i I(b, l_i; r) (1+r)^(-2b-1) (r / J(b; r))^(n-2), the product over
-the faces formed in the same ring.
+moment M_p is Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r) at r = R, the genus-1 and
+genus-2 free energies are built from M_0..M_(3g-3), and the counting
+polynomial is the coefficient of e_1 ... e_n.  All moments of a genus come
+from one pass (``moment_hats``): one Z, one chain of (1+r) d/dr steps taken
+on the coefficients, and one list of powers of R.  The paper's equations
+carry a deformation variable t, the weight of the smallest admissible face
+degree, and the polynomial is the t^0 part; setting t = 0 is a ring map that
+commutes with composition, the unit log and inverse and the Q operator, so
+the solve and the moments run at t = 0 and the ring has no t.  Only the
+moment-route check at no faces keeps t: there R is J^{-1}(b; t), a plain
+series in t (``moment_hats_via_Q``, the same pass, and ``moment_hat_via_T``).
+Genus 0 has a closed formula: by Lagrange-Buermann inversion,
+N_{0,n} = (n-3)! [r^(n-3)] prod_i I(b, l_i; r) (1+r)^(-2b-1) (r / J(b; r))^(n-2),
+the product over the faces formed in the same ring.
 
 R, the moments and the free energy are symmetric under permuting the faces,
-so the ring keeps one coefficient per multiset of face exponents, a
+so the ring keeps one coefficient per multiset of face exponents, a dense
 polynomial in b alone (see ``ring.GradedSeries``).  The only index data is
 the face count n, which is also the grading cap: no coefficient read marks
 more faces.  I enters split by powers of l as b-only series,
@@ -24,11 +26,9 @@ I(b, l; r) = sum_a l^a I_a(r), and the face markers as
 E_a = sum_i e_i l_i^a: ``_marked_faces`` is sum_a E_a I_a(b; r), for Z
 and the genus-0 product alike.  The graded keys of the final e_1...e_n
 coefficient are the monomial symmetric basis m_lambda(l_1^2, ..., l_n^2),
-and a ``CountPolynomial`` is that basis alone.
-
-Everything is symbolic in the irreducibility parameter b and the face
-half-degrees l1..ln, with exact rational coefficients.  Numeric evaluations
-(exact counts, girth counts) sit on top of the symbolic polynomials.
+and a ``CountPolynomial`` is that basis alone.  Everything is exact and
+symbolic in b and the face half-degrees l1..ln; exact and girth counts
+evaluate the symbolic polynomials.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutation
 SUPPORTED_GENERA = (0, 1, 2)
 
 #: largest face count per genus that ``nhat`` computes.  In a fresh process
-#: on a 2-vCPU Xeon VM with Python 3.11.7, (0, 11) takes 0.2-0.3 s with
-#: ``--format mlambda``, 0.7-0.8 s and 78 MB with json and 0.6-0.7 s and
-#: 65 MB with monomials; (1, 10) 0.6-0.8 s, 1.6-1.8 s and 194 MB, and
-#: 1.5-1.8 s and 159 MB; (2, 8) 0.7-0.9 s, 1.2-1.5 s and 101 MB, and 1.5 s
-#: and 85 MB.  All stay within a 5 s budget.  With json one face more
-#: takes 6.7 s and 712 MB at genus 1, past it, but only 2.4-3.0 s and
-#: 273 MB at genus 0 and 3.2-3.4 s and 350 MB at genus 2: those two bounds
-#: stay so that every guarded command and the 20-side formula sweep, which
-#: skips the genus-2 tuples of 9 and 10 faces, answer as before
+#: on a 2-vCPU Xeon VM with Python 3.11.7, with ``--format`` mlambda, json
+#: and monomials: (0, 11) 0.24-0.26 s, 0.73-0.75 s and 78 MB, 0.70-0.78 s
+#: and 65 MB; (1, 10) 0.31-0.35 s, 1.55-1.73 s and 190 MB, 1.59-1.71 s
+#: and 159 MB; (2, 8) 0.46-0.47 s, 0.87-1.08 s and 100 MB, 0.95-1.01 s and
+#: 85 MB, all within a 5 s budget.  With json one face more takes 6.2 s
+#: and 668 MB at genus 1, past it, but only 2.2 s and 254 MB at genus 0
+#: and 2.7 s and 340 MB at genus 2: those two bounds stay so that every
+#: guarded command and the 20-side formula sweep, which skips the genus-2
+#: tuples of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
@@ -98,7 +98,7 @@ def _zhat_series(cap: int, order: int) -> Series:
     """The series Z(r) = J(b; r) - sum_a E_a I_a(b; r) in r, graded
     coefficients at ``cap``: Z = J(b; r) - t - sum_i e_i I(b, l_i; r) at
     t = 0, for ``order`` >= 1.  Its root is R (see :func:`solve_R_hat`), and
-    the moments are Q operators applied to it (see :func:`moment_hat`)."""
+    the moments are Q operators applied to it (see :func:`moment_hats`)."""
     return -_marked_faces(cap, order) + series_J(order)
 
 
@@ -131,56 +131,57 @@ def solve_R_hat(cap: int) -> GradedSeries:
     return R
 
 
-def _apply_q_operator(by_j: dict, w: Series, one_plus: Series) -> Series:
-    """Apply Q_p(b, (1+r) d/dr) to the r-series ``w``.
-
-    ``by_j`` maps each power of j to its nonzero coefficient in Q_p(b, j)
-    and ``one_plus`` is the series 1 + r, both in the ring of the
-    coefficients of ``w``.
-    """
-    acc = None
-    cur = w
-    for e in range(max(by_j) + 1):
-        if e > 0:
-            cur = cur.derivative() * one_plus.truncate(cur.order - 1)
-        if e in by_j:
-            term = cur * by_j[e]
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def _q_moment(p: int, f: Series) -> Series:
-    """Q_p(b, (1+r) d/dr) (1+r)^(-b) f(r) for an r-series ``f`` whose
-    coefficient ring absorbs b-only polynomials; exact to f.order - p - 1,
-    because each application of (1+r) d/dr consumes one order."""
+def _moments(ps, build, inner) -> list:
+    """Q_p(b, D) (1+r)^(-b) f(r) at r = ``inner``, D = (1+r) d/dr, for each
+    p in ``ps``, exact to the order (Series) or cap (GradedSeries) of
+    ``inner``; f = build(k) is an r-series exact to k over a ring absorbing
+    b-only polynomials.  Q_p has degree p + 1 in j, so with top = max(ps) + 1
+    one f and one chain w, Dw, ..., D^top w of w = (1+r)^(-b) f serve every
+    p: (Dw)_k = (k+1) w_(k+1) + k w_k, each step exact one order lower.  The
+    outer series sum_e [j^e] Q_p(b, j) D^e w share one list of the powers of
+    ``inner``.  An index past the Q table raises DomainError first."""
     table = qpoly_table()
-    if p >= len(table):
-        raise DomainError(f"moment index {p} beyond the available Q table")
-    w = f * power_one_plus_r(0, -1, f.order)
-    by_j = {e: c.with_context(B_ONLY) for e, c in table[p].coefficients_in("j").items()}
-    return _apply_q_operator(by_j, w, power_one_plus_r(1, 0, f.order))
+    if max(ps) >= len(table):
+        raise DomainError(f"moment index {max(ps)} beyond the available Q table")
+    order = inner.order if isinstance(inner, Series) else inner.cap
+    top = max(ps) + 1
+    chain = [build(order + top) * power_one_plus_r(0, -1, order + top)]
+    for _ in range(top):
+        w = chain[-1].coeffs
+        chain.append(Series([w[k + 1] * (k + 1) + w[k] * k for k in range(len(w) - 1)],
+                            len(w) - 2, chain[0].zero))
+    powers, zero, out = [], chain[0].truncate(order) * 0, []
+    for p in ps:
+        outer = sum((chain[e].truncate(order) * c.with_context(B_ONLY)
+                     for e, c in table[p].coefficients_in("j").items()), zero)
+        out.append(outer.compose(inner, powers))
+    return out
+
+
+def moment_hats(ps, rhat: GradedSeries) -> list[GradedSeries]:
+    """The moment series Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r) at r = R for each
+    p in ``ps``: with ``rhat`` = R from :func:`solve_R_hat` and Z at t = 0,
+    the t^0 part of each moment, exact to the cap of ``rhat``."""
+    return _moments(ps, lambda order: _zhat_series(rhat.cap, order), rhat)
 
 
 def moment_hat(p: int, rhat: GradedSeries) -> GradedSeries:
-    """Moment series: Q_p(b, (1+r) d/dr) (1+r)^(-b) Z(r), evaluated at r = R.
+    """The moment series of index p alone (see :func:`moment_hats`)."""
+    return moment_hats((p,), rhat)[0]
 
-    ``rhat`` is R from :func:`solve_R_hat` and Z is taken at t = 0, so the
-    result is the t^0 part of the moment, exact to the cap of ``rhat``.
-    """
-    cap = rhat.cap
-    return _q_moment(p, _zhat_series(cap, cap + p + 1)).compose(rhat)
+
+def moment_hats_via_Q(ps, R: Series, order: int) -> list[Series]:
+    """The moment series with no faces, in t, by the Q-operator route, for
+    each p in ``ps``, exact to ``order``; ``R`` is J^{-1}(b; t) exact to at
+    least ``order``.  With no faces Z = J(b; r) - t, and the -t term adds
+    nothing: (1+r) d/dr (1+r)^(-b) = -b (1+r)^(-b), and Q_p(b, j) has the
+    factor b + j, so the moment is Q_p(b, (1+r) d/dr) (1+r)^(-b) J(b; r) at R."""
+    return _moments(ps, series_J, R.truncate(order))
 
 
 def moment_hat_via_Q(p: int, R: Series, order: int) -> Series:
-    """The moment series with no faces, in t, by the Q-operator route.
-
-    With no faces Z = J(b; r) - t, and the -t term adds nothing:
-    (1+r) d/dr (1+r)^(-b) = -b (1+r)^(-b), and Q_p(b, j) has the factor
-    b + j.  So the moment is Q_p(b, (1+r) d/dr) (1+r)^(-b) J(b; r), a
-    b-only series in r, evaluated at r = R.  ``R`` is J^{-1}(b; t) exact to
-    at least ``order``; the result is exact to ``order``.
-    """
-    return _q_moment(p, series_J(order + p + 1)).compose(R.truncate(order))
+    """The moment series of index p alone (see :func:`moment_hats_via_Q`)."""
+    return moment_hats_via_Q((p,), R, order)[0]
 
 
 # Moment weights T_p: fixed data, homogeneous of degree 2p in
@@ -356,9 +357,7 @@ def nhat_higher_genus(genus: int, n: int) -> CountPolynomial:
         raise UnsupportedGenusError(f"genus {genus} is not supported here")
     if n < 1:
         raise DomainError("need at least one face")
-    R = solve_R_hat(n)
-    moments = [moment_hat(p, R) for p in range(3 * genus - 2)]
-    F = free_energy(genus, moments, n)
+    F = free_energy(genus, moment_hats(range(3 * genus - 2), solve_R_hat(n)), n)
     return CountPolynomial(genus, n, _graded_m_basis(F))
 
 

@@ -18,16 +18,10 @@ Conventions
   exact through ``order`` inclusive.  Coefficients may be any commutative
   ring element supporting ``+``, ``-``, ``*`` (Fractions, MultiPoly,
   GradedSeries, ...).
-* A :class:`GradedSeries` is a polynomial in nilpotent markers
-  ``e_1, ..., e_n`` (``e_i**2 = 0``), one per face of half-degree ``l_i``,
-  graded by the number of marked faces and truncated at ``cap`` = n.  It
-  stores only the part invariant under permuting the faces: one
-  :class:`MultiPoly` coefficient in b alone (context :data:`B_ONLY`) per
-  sorted tuple of l-exponents of the marked faces.  A product merges the
-  tuples.  The series is never expanded into monomials in
-  ``face_generators(cap)`` = (b, l1..l_cap): its top-degree keys are read
-  as the monomial symmetric basis, which :func:`distinct_permutations`
-  expands.
+* A :class:`GradedSeries` is a face-symmetric polynomial in nilpotent face
+  markers ``e_1, ..., e_n`` (``e_i**2 = 0``), graded by the number of marked
+  faces and truncated at ``cap`` = n, with one dense polynomial in b per
+  sorted tuple of marked-face exponents, all over one denominator.
 * The three types share one ``**``: repeated multiplication by the base,
   which keeps a sparse base sparse on the right of every product.  A
   series is evaluated at a ring element by :meth:`Series.compose` alone;
@@ -45,8 +39,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, zip_longest
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, eq, sub
 from typing import Union
 
 Rational = Fraction
@@ -221,8 +216,11 @@ class MultiPoly:
             return MultiPoly.constant(self.gens, other)
         return None
 
-    def _plus(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+    def _plus(self, other, sign: int) -> "MultiPoly":
         """self + sign * other, over the least common denominator."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if not other.num:
             return self
         if not self.num:
@@ -241,9 +239,6 @@ class MultiPoly:
         return MultiPoly.from_numerators(self.gens, out, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._plus(other, 1)
 
     __radd__ = __add__
@@ -252,9 +247,6 @@ class MultiPoly:
         return _canonical(self.gens, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._plus(other, -1)
 
     def __rsub__(self, other):
@@ -498,32 +490,28 @@ class Series:
             raise TruncationError(f"cannot extend truncated series ({self.order} -> {order})")
         return Series(self.coeffs[: order + 1], order, self.zero)
 
-    def _common(self, other: "Series") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other):
+    def _combine(self, other, op) -> "Series":
+        """op(self, other) for op = add or sub, coefficient by coefficient."""
         if not isinstance(other, Series):
             cs = list(self.coeffs)
-            cs[0] = cs[0] + other
+            cs[0] = op(cs[0], other)
             return Series(cs, self.order, self.zero)
-        n = self._common(other)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n, self.zero)
+        return Series(list(map(op, self.coeffs, other.coeffs)), min(self.order, other.order),
+                      self.zero)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __neg__(self):
         return Series([-c for c in self.coeffs], self.order, self.zero)
 
     def __sub__(self, other):
-        if not isinstance(other, Series):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] - other
-            return Series(cs, self.order, self.zero)
-        n = self._common(other)
-        return Series([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n, self.zero)
+        return self._combine(other, sub)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return Series([c * other for c in self.coeffs], self.order, self.zero)
-        n = self._common(other)
+        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         # products with a zero operand add nothing: form only the others
         a_nonzero = [j for j in range(n + 1) if not _is_zero_elem(a[j])]
@@ -547,8 +535,7 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        n = self._common(other)
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
+        return all(map(eq, self.coeffs, other.coeffs))
 
     __hash__ = None  # unhashable
 
@@ -559,7 +546,7 @@ class Series:
         return Series([self.coeffs[k] * k for k in range(1, self.order + 1)],
                       self.order - 1, self.zero)
 
-    def compose(self, inner):
+    def compose(self, inner, powers: list | None = None):
         """Evaluate the series at ``inner`` as the sum of c_k * inner**k.
 
         ``inner`` may be a Series, a GradedSeries or any truncated ring
@@ -571,15 +558,18 @@ class Series:
         The powers of ``inner`` are accumulated one by one: inner**k has
         valuation >= k, so its low coefficients are zero and, in a graded
         ring, it thins out and vanishes past the cap, where the sum stops.
+        A list ``powers`` of inner, inner**2, ... is read and extended, so
+        series composed into one ``inner`` can share it.
         """
         _require_no_constant(inner)
+        powers = [] if powers is None else powers
         acc = inner * 0 + self.coeffs[0]
-        power = None
-        for c in self.coeffs[1:]:
-            power = inner if power is None else power * inner
-            if _is_zero_elem(power):
+        for k, c in enumerate(self.coeffs[1:]):
+            if k == len(powers):
+                powers.append(powers[-1] * inner if powers else inner)
+            if _is_zero_elem(powers[k]):
                 break
-            acc = acc + power * c
+            acc = acc + powers[k] * c
         return acc
 
     def __str__(self):
@@ -603,9 +593,7 @@ def inverse_unit(u, order: int):
 
 
 def _is_zero_elem(c) -> bool:
-    if isinstance(c, MultiPoly):
-        return c.is_zero()
-    if isinstance(c, GradedSeries):
+    if isinstance(c, (MultiPoly, GradedSeries)):
         return c.is_zero()
     return c == 0
 
@@ -662,64 +650,68 @@ class GradedSeries:
 
     The face markers e_1..e_n (e_i**2 = 0) come with face half-degrees
     l_1..l_n, and only elements invariant under permuting the faces are
-    stored.  Keys are sorted tuples ``lam`` of l-exponents, one per marked
-    face; the key stands for the augmented monomial
+    stored.  The key ``lam``, a sorted tuple of l-exponents, one per marked
+    face, stands for M_lam = sum over injective f: {1..k} -> {1..n} of
+    prod_j e_f(j) l_f(j)^lam_j.  Assignments whose marker sets overlap
+    vanish (e_i^2 = 0), so M_lam * M_mu = M_(lam + mu): a product merges
+    the tuples.  The grading is len(lam), and terms above ``cap`` are
+    dropped; M_lam vanishes once len(lam) > n, so the arithmetic is the
+    same for every n >= cap and the series keeps no face count.  The terms
+    of degree n = cap are the e_1...e_n coefficient in the monomial
+    symmetric basis (see ``pipeline._graded_m_basis``).
 
-        M_lam = sum over injective f: {1..k} -> {1..n} of
-                prod_j e_f(j) l_f(j)^lam_j.
-
-    Values are MultiPoly coefficients in b alone, over :data:`B_ONLY`; the
-    constructor refuses any other context.  In M_lam * M_mu the pairs of
-    assignments whose marker sets overlap vanish (e_i^2 = 0) and the rest
-    are the injective assignments of the joined tuple, so
-    M_lam * M_mu = M_(lam + mu): a product merges the two tuples.  The
-    grading is the number of marked faces, len(lam), and terms of degree
-    above ``cap`` are dropped.  M_lam vanishes once
-    len(lam) > n, so for any n >= cap that one bound is also marker
-    nilpotency and the arithmetic does not depend on n: the series keeps no
-    face count.  The terms of degree n = cap are the e_1...e_n coefficient
-    in the monomial symmetric basis (see ``pipeline._graded_m_basis``).
-    The constructor sorts each ``lam`` and adds up the terms that then
-    share a key.
+    ``num`` maps each key to the int numerators of its coefficient, a
+    polynomial in b alone, by power of b, over the one denominator ``den``.
+    The form is canonical (no list empty or ending in 0, ``den > 0``,
+    ``gcd(den, *numerators) == 1``), so equality is structural.  A product
+    convolves the lists of each pair of keys and reduces once, by one gcd;
+    a sum rescales both operands to one common denominator.  The
+    constructor takes, and ``terms`` builds, the ``{lam: MultiPoly over
+    B_ONLY}`` form; the constructor refuses another context, sorts each
+    ``lam`` and adds up the terms that then share a key.  Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("cap", "terms")
+    __slots__ = ("cap", "num", "den")
 
     def __init__(self, cap: int, terms: Mapping[tuple, MultiPoly] | None = None):
         if cap < 0:
             raise TruncationError("cap must be nonnegative")
-        self.cap = cap
-        clean: dict[tuple, MultiPoly] = {}
-        if terms:
-            for lam, coeff in terms.items():
-                if len(lam) > cap:
-                    continue
-                if coeff.gens != B_ONLY:
-                    raise ContextError(f"coefficient over {coeff.gens}, not {B_ONLY}")
-                key = tuple(sorted(lam))
-                if key in clean:
-                    coeff = clean[key] + coeff
-                if coeff.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = coeff
-        self.terms = clean
+        terms, num = terms or {}, {}
+        den = lcm(*(c.den for c in terms.values()))
+        for lam, coeff in terms.items():
+            if coeff.gens != B_ONLY:
+                raise ContextError(f"coefficient over {coeff.gens}, not {B_ONLY}")
+            if len(lam) > cap or not coeff.num:
+                continue
+            row = num.setdefault(tuple(sorted(lam)), [])
+            row.extend([0] * (max(coeff.num)[0] + 1 - len(row)))
+            scale = den // coeff.den
+            for (k,), x in coeff.num.items():
+                row[k] += x * scale
+        self.cap, (self.num, self.den) = cap, _reduced(num, den)
 
-    # ---------- constructors ----------
+    # ---------- constructors and views ----------
 
     @classmethod
     def constant(cls, cap: int, value) -> "GradedSeries":
-        if isinstance(value, (int, Fraction)):
-            value = MultiPoly.constant(B_ONLY, value)
-        return cls(cap, {(): value})
+        poly = value if isinstance(value, MultiPoly) else MultiPoly.constant(B_ONLY, value)
+        return cls(cap, {(): poly})
+
+    @property
+    def terms(self) -> dict[tuple, MultiPoly]:
+        """``{lam: coefficient}``, the coefficients as MultiPoly over B_ONLY."""
+        return {lam: MultiPoly.from_numerators(
+                    B_ONLY, {(k,): x for k, x in enumerate(row) if x}, self.den)
+                for lam, row in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def truncate(self, cap: int) -> "GradedSeries":
         if cap > self.cap:
             raise TruncationError(f"cannot extend truncated series ({self.cap} -> {cap})")
-        return GradedSeries(cap, self.terms)
+        return _graded(cap, {k: row for k, row in self.num.items() if len(k) <= cap}, self.den)
 
     # ---------- ring operations ----------
 
@@ -732,96 +724,108 @@ class GradedSeries:
             return GradedSeries.constant(self.cap, other)
         return None
 
-    def _empty(self) -> "GradedSeries":
-        return GradedSeries(self.cap)
-
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "GradedSeries":
+        """self + sign * other, over the least common denominator."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        out = self._empty()
-        out.terms = terms
-        return out
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, sign * (self.den // g)
+        out = dict(self.num) if m1 == 1 else \
+            {k: [x * m1 for x in row] for k, row in self.num.items()}
+        for k, row in other.num.items():
+            out[k] = [x + y * m2 for x, y in zip_longest(out.get(k, ()), row, fillvalue=0)]
+        return _graded(self.cap, out, self.den * m1)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = self._empty()
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return _graded(self.cap, {k: [-x for x in row] for k, row in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            out = self._empty()
-            for k, v in self.terms.items():
-                p = v * other
-                if not p.is_zero():
-                    out.terms[k] = p
-            return out
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            p, q = _num_den(other)
+            return _graded(self.cap, {k: [x * p for x in row] for k, row in self.num.items()},
+                           self.den * q)
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         cap = self.cap
-        prod_terms: dict[tuple, MultiPoly] = {}
-        for l1, c1 in self.terms.items():
-            k1 = len(l1)
-            for l2, c2 in other.terms.items():
-                if k1 + len(l2) > cap:
-                    continue
-                key = tuple(sorted(l1 + l2))
-                c = c1 * c2
-                s = prod_terms.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    prod_terms.pop(key, None)
-                else:
-                    prod_terms[key] = s
-        out = self._empty()
-        out.terms = prod_terms
-        return out
+        right = sorted((len(l2), l2, r2, len(r2) - 1) for l2, r2 in other.num.items())
+        out: dict[tuple, list[int]] = {}
+        get = out.get
+        for l1, r1 in self.num.items():
+            room = cap - len(l1)
+            n1 = len(r1)
+            for n2, l2, r2, d2 in right:
+                if n2 > room:
+                    break
+                key = l2 if not l1 else l1 if not l2 else tuple(sorted(l1 + l2))
+                acc = get(key) or out.setdefault(key, [])
+                if len(acc) < n1 + d2:
+                    acc.extend([0] * (n1 + d2 - len(acc)))
+                for i, x in enumerate(r1):
+                    if x:
+                        for j, y in enumerate(r2, i):
+                            acc[j] += x * y
+        return _graded(cap, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     __pow__ = _power
 
     def __eq__(self, other):
-        if isinstance(other, GradedSeries) and other.cap != self.cap:
+        if isinstance(other, GradedSeries) and other.cap != self.cap \
+                or isinstance(other, MultiPoly) and other.gens != B_ONLY:
             return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 
     def valuation_positive(self) -> bool:
-        return () not in self.terms
+        return () not in self.num
 
     def __str__(self):
-        bits = []
-        for lam, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            mark = f"*M{lam}" if lam else ""
-            bits.append(f"({c}){mark}")
-        return join_terms(bits)
+        return join_terms(f"({c})*M{lam}" if lam else f"({c})" for lam, c in
+                          sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
     __repr__ = __str__
+
+
+def _reduced(num: dict[tuple, list[int]], den: int) -> tuple[dict, int]:
+    """Numerator lists and a denominator in canonical form: zero lists
+    dropped, trailing zeros trimmed in place, the common factor divided out."""
+    num = {k: row for k, row in num.items() if any(row)}
+    for row in num.values():
+        while not row[-1]:
+            row.pop()
+    g = 1 if den == 1 else gcd(den, *chain.from_iterable(num.values()))
+    if g == 1:
+        return num, den
+    return {k: [x // g for x in row] for k, row in num.items()}, den // g
+
+
+def _graded(cap: int, num: dict[tuple, list[int]], den: int) -> GradedSeries:
+    """A GradedSeries from numerator lists and a positive denominator."""
+    out = object.__new__(GradedSeries)
+    out.cap, (out.num, out.den) = cap, _reduced(num, den)
+    return out
 
 
 # ============================================================

@@ -23,7 +23,7 @@ from .families import (Q_GENS, qpoly_alternating_sum, qpoly_direct_sum_oracle, q
                        series_J_inverse)
 from .oracle import GluingSpec, SizeError, brute_count, check_sides
 from .pipeline import (B_ONLY, CountPolynomial, DomainError, a_transform_coeff,
-                       b_transform_coeff, count_exact, moment_hat_via_Q, moment_hat_via_T,
+                       b_transform_coeff, count_exact, moment_hat_via_T, moment_hats_via_Q,
                        nhat, to_m_basis)
 # unused here, but perfbench/layertrace.py patches verify.solve_R_hat and
 # verify.moment_hat by name, so both stay bound in this module
@@ -312,12 +312,9 @@ def verify_moments(t_order: int = 5) -> VerificationReport:
     report = VerificationReport("tpoly")
     # one R at the order the T route needs for p = 3 serves every p
     R = series_J_inverse(t_order + 4)
-    for p in range(4):
-        a = moment_hat_via_Q(p, R, t_order)
-        via_t = moment_hat_via_T(p, R, t_order)
-        ok = a == via_t
+    for p, a in enumerate(moment_hats_via_Q(range(4), R, t_order)):
         report.add(f"moment routes agree for p = {p} at t-order {t_order}",
-                   ok, "series differ" if not ok else "")
+                   a == moment_hat_via_T(p, R, t_order), "series differ")
         const = a[0]
         want = MultiPoly.constant(B_ONLY, 1 if p == 0 else 0)
         report.add(f"moment p = {p} has constant term {1 if p == 0 else 0}",

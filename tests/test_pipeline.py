@@ -5,10 +5,10 @@ from itertools import permutations
 import pytest
 
 from irrmaps.families import series_J_inverse
-from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _q_moment,
+from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _moments,
                               UnsupportedGenusError,
                               a_transform_coeff, b_transform_coeff, count_exact,
-                              girth_count, moment_hat,
+                              girth_count, moment_hat, moment_hats, moment_hats_via_Q,
                               moment_hat_via_Q, moment_hat_via_T, nhat,
                               planar_correction, solve_R_hat, to_m_basis)
 from irrmaps.ring import MultiPoly, Series, TruncationError, face_generators, log_unit
@@ -74,9 +74,11 @@ def test_moment_at_b_one_is_trivial():
 def test_the_t_term_of_Z_adds_nothing_to_a_moment():
     # (1+r) d/dr (1+r)^(-b) = -b (1+r)^(-b), and Q_p(b, j) has the factor
     # b + j, so the Q route with no faces may drop Z's -t term
+    # (the outer series composed into the identity series r is itself)
     one, zero = MultiPoly.constant(B_ONLY, 1), MultiPoly(B_ONLY)
     for p in range(4):
-        w = _q_moment(p, Series([one], 8, zero))
+        identity = Series([zero, one], 8 - p - 1, zero)
+        w, = _moments((p,), lambda order: Series([one], order, zero), identity)
         assert w.order == 8 - p - 1
         assert all(c.is_zero() for c in w.coeffs)
 
@@ -270,6 +272,37 @@ def test_every_moment_route_refuses_p_4():
                   lambda: moment_hat(4, solve_R_hat(2))):
         with pytest.raises(DomainError, match="moment index 4 beyond"):
             route()
+
+
+def test_the_all_moments_routes_refuse_p_4_before_building_a_series(monkeypatch):
+    import irrmaps.pipeline as pl
+
+    def refused(*args):
+        raise AssertionError("a series was built for a refused moment index")
+
+    R, Rt = solve_R_hat(2), series_J_inverse(9)
+    monkeypatch.setattr(pl, "_zhat_series", refused)
+    monkeypatch.setattr(pl, "series_J", refused)
+    for route in (lambda: moment_hats(range(5), R), lambda: moment_hats((4, 0), R),
+                  lambda: moment_hats_via_Q(range(5), Rt, 4)):
+        with pytest.raises(DomainError, match="moment index 4 beyond"):
+            route()
+
+
+def test_higher_genus_builds_Z_once_for_the_solve_and_once_for_the_moments(monkeypatch):
+    # every moment reads one Z, one chain of derivatives and one list of
+    # the powers of R; the solve builds its own Z at a lower order
+    import irrmaps.pipeline as pl
+    calls = []
+    zhat = pl._zhat_series
+
+    def counted(cap, order):
+        calls.append((cap, order))
+        return zhat(cap, order)
+
+    monkeypatch.setattr(pl, "_zhat_series", counted)
+    pl.nhat_higher_genus(2, 3)
+    assert calls == [(3, 3), (3, 7)]
 
 
 def test_the_q_table_evaluates_no_binomial_sum(monkeypatch):

@@ -29,12 +29,14 @@ from hypothesis import strategies as st
 
 from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_table,
                               series_I, series_J, series_J_inverse)
-from irrmaps.pipeline import (B_ONLY, _apply_q_operator, face_generators,
+from irrmaps.pipeline import (B_ONLY, face_generators,
                               free_energy, moment_hat,
                               moment_hat_via_Q, moment_hat_via_T, nhat_genus0,
                               solve_R_hat, t_weight)
 from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
                           TruncationError, distinct_permutations)
+
+from test_reference_sparse import apply_q_operator
 
 
 class MarkerGradedSeries:
@@ -289,7 +291,7 @@ def marker_moment(n, cap, p, R):
     order = cap + p + 1
     w = marker_zhat(n, cap, order) * widen(power_one_plus_r(0, -1, order), n)
     by_j = {e: c.with_context(gens) for e, c in qpoly_table()[p].coefficients_in("j").items()}
-    return _apply_q_operator(by_j, w, widen(power_one_plus_r(1, 0, order), n)).compose(R)
+    return apply_q_operator(by_j, w, widen(power_one_plus_r(1, 0, order), n)).compose(R)
 
 
 def marker_moment_via_T(n, cap, p):

@@ -4,7 +4,8 @@
 at numeric b: one variable x_l per face half-degree replaces the nilpotent
 face markers of the pipeline's graded ring, and the solve for R, the moment
 series and the coefficient extraction are its own.  It shares the series
-families, the Q-operator application and ``free_energy`` with the pipeline.
+families and ``free_energy`` with the pipeline, and applies each Q operator
+by the earlier per-p route, ``test_reference_sparse.apply_q_operator``.
 ``numeric_defining_residual`` checks the defining identity of R in the same
 ring.  Both settled the genus-1 oracle disagreement at b = 1, where the
 oracle was at fault; they live here as references, not in the package.
@@ -17,11 +18,12 @@ import pytest
 
 from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_table,
                               series_I, series_J, series_J_inverse)
-from irrmaps.pipeline import (DomainError, _apply_q_operator, _check_admissible,
+from irrmaps.pipeline import (DomainError, _check_admissible,
                               free_energy, nhat)
 from irrmaps.ring import MultiPoly, Series
 
 from test_reference_graded import antiderivative
+from test_reference_sparse import apply_q_operator
 
 
 class TruncatedPoly:
@@ -210,7 +212,7 @@ def numeric_series_crosscheck(genus: int, n: int, b: int, degrees,
         qp = qt[p].evaluate({"b": b})
         by_j = {e: c.as_fraction() for e, c in qp.coefficients_in("j").items()}
         one_plus = _numeric_series(power_one_plus_r(1, 0, rod), {"b": b})
-        moments.append(_apply_q_operator(by_j, w, one_plus).compose(R))
+        moments.append(apply_q_operator(by_j, w, one_plus).compose(R))
     F = free_energy(genus, moments, cap)
     exps = [0] * len(gens)
     for d in degrees:

@@ -263,6 +263,17 @@ def test_graded_constructor_adds_terms_whose_sorted_keys_agree():
     assert GradedSeries(2, {(0, 0, 0): one}).is_zero()
 
 
+def test_graded_equality_with_a_polynomial_over_another_context_is_false():
+    two = MultiPoly.constant(("b", "l"), 2)
+    assert not GradedSeries.constant(2, 2) == two
+    assert GradedSeries.constant(2, 2) != two
+    # as MultiPoly answers a context mismatch
+    assert not MultiPoly.constant(B_ONLY, 2) == two
+    assert GradedSeries.constant(2, 2) == MultiPoly.constant(B_ONLY, 2)
+    with pytest.raises(ContextError):
+        _ = GradedSeries.constant(2, 2) + two
+
+
 def test_graded_cap_mismatch():
     with pytest.raises(TruncationError):
         _ = marker(2) + marker(3)
