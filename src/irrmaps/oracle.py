@@ -80,19 +80,20 @@ exactly when the original is.  The cycle checks thus run once per rotation
 orbit of the leaves the search reaches.  With b = 0 every leaf passes, and
 no code is built.
 
-Essential irreducibility of a higher-genus map is decided on the simple
-cycles of its universal cover, without building any part of it.  A
-tree-cotree decomposition labels every dart by a word in the 2g generators
-of the fundamental group, and a closed walk lifts to a closed walk exactly
-when its word is trivial: at genus 1 the group is Z^2 and exponent sums
-decide, at genus >= 2 the one relator is C'(1/6) and Dehn's algorithm
-decides.  The cycles of length at most 2b are walked once each up to deck
-transformations, comparing the lifts of their prefixes exactly, so no
-radius has to be chosen.  ``CoverBall`` builds finite balls of the
-universal cover, face by face around a lift of a vertex; the leaf check
-does not use it, because a ball identifies two lifts of a vertex only once
-it has developed the disk between them, and no radius fixed by b is known
-to suffice.
+Essential irreducibility is decided on the simple cycles of the universal
+cover, for every genus by one check and without building any part of the
+cover.  A planar map is its own universal cover, so its walks need no
+words.  At genus >= 1 a tree-cotree decomposition labels every dart by a
+word in the 2g generators of the fundamental group, and a closed walk
+lifts to a closed walk exactly when its word is trivial: at genus 1 the
+group is Z^2 and exponent sums decide, at genus >= 2 the one relator is
+C'(1/6) and Dehn's algorithm decides.  The cycles of length at most 2b are
+walked once each up to deck transformations, comparing the lifts of their
+prefixes exactly, so no radius has to be chosen.  ``CoverBall`` builds
+finite balls of the universal cover, face by face around a lift of a
+vertex; the leaf check does not use it, because a ball identifies two
+lifts of a vertex only once it has developed the disk between them, and no
+radius fixed by b is known to suffice.
 """
 
 from __future__ import annotations
@@ -273,18 +274,8 @@ class HalfEdgeMap:
         self.vertices = vertices
         self.vertex_of = vertex_of
 
-        # edges: one id per alpha-orbit
-        edge_of = [-1] * S
-        nedges = 0
-        for s in range(S):
-            if edge_of[s] == -1:
-                edge_of[s] = nedges
-                edge_of[partner[s]] = nedges
-                nedges += 1
-        self.edge_of = edge_of
-        self.nedges = nedges
-
-        chi = len(vertices) - nedges + len(degrees)
+        self.nedges = S // 2
+        chi = len(vertices) - self.nedges + len(degrees)
         if chi % 2:
             raise ConsistencyError("odd Euler characteristic from an oriented gluing")
         self.genus = (2 - chi) // 2
@@ -310,30 +301,6 @@ class HalfEdgeMap:
     def min_degree(self) -> int:
         return min(self.vertex_degrees())
 
-    def cycle_graph(self):
-        """Adjacency view: (num vertices, adj) with adj[v] = [(w, edge id)]."""
-        adj = [[] for _ in self.vertices]
-        for s in range(self.S):
-            if s < self.partner[s]:
-                u = self.vertex_of[s]
-                w = self.vertex_of[self.partner[s]]
-                e = self.edge_of[s]
-                adj[u].append((w, e))
-                if w != u:
-                    adj[w].append((u, e))
-        return len(self.vertices), adj
-
-    def face_contours(self) -> list[tuple[int, frozenset | None]]:
-        """(degree, edge set) per face; None when the contour repeats an edge."""
-        out = []
-        base = 0
-        for l in self.degrees:
-            k = 2 * l
-            ids = [self.edge_of[base + j] for j in range(k)]
-            out.append((k, frozenset(ids) if len(set(ids)) == k else None))
-            base += k
-        return out
-
 
 def assemble_map(spec: GluingSpec, matching) -> HalfEdgeMap | None:
     """Assemble a matching; reject (None) if disconnected or the wrong genus."""
@@ -348,11 +315,13 @@ def assemble_map(spec: GluingSpec, matching) -> HalfEdgeMap | None:
 # ============================================================
 
 
+# No leaf check calls this: it stays for the CoverBall routes of the tests
+# and as a patch site of perfbench/layertrace.py.
 def simple_cycles_up_to(graph, L: int, through: int | None = None) -> list[frozenset]:
     """All vertex-simple cycles of edge-length <= L, as edge-id sets.
 
-    ``graph`` is a HalfEdgeMap, a CoverBall, or a (num vertices, adjacency)
-    pair as produced by ``cycle_graph``.  A simple cycle is determined by
+    ``graph`` is a CoverBall or a (num vertices, adjacency) pair as produced
+    by ``CoverBall.cycle_graph``.  A simple cycle is determined by
     its edge set, so each one is reported once regardless of traversal
     direction or starting point.  ``through`` restricts the search to
     cycles passing through the given vertex.
@@ -412,41 +381,8 @@ def simple_cycles_up_to(graph, L: int, through: int | None = None) -> list[froze
     return sorted(found, key=lambda f: (len(f), sorted(f)))
 
 
-def _cycles_ok(cycles, two_b: int, contours: set, girth_only: bool) -> bool:
-    for cyc in cycles:
-        k = len(cyc)
-        if k < two_b:
-            return False
-        if k == two_b and not girth_only and cyc not in contours:
-            return False
-    return True
-
-
-def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bool:
-    """Essential 2b-irreducibility (or just essential girth >= 2b).
-
-    Planar maps are checked directly: no simple cycle shorter than 2b, and
-    every simple 2b-cycle equals the contour of a face of degree 2b (edge-set
-    equality; a contour that repeats an edge is not a simple cycle and cannot
-    certify).  For genus >= 1 the same two tests run on the simple cycles of
-    the universal cover, found as closed walks of length <= 2b whose lifts
-    are simple, with lifts compared exactly by words in the fundamental
-    group (``Pi1Words``); a 2b-cycle passes when the walk goes once around a
-    face.  With ``girth_only`` the bounding-face condition is skipped.
-    """
-    if b == 0:
-        return True
-    two_b = 2 * b
-    if hmap.genus == 0:
-        cycles = simple_cycles_up_to(hmap.cycle_graph(), two_b)
-        contours = {c for (deg, c) in hmap.face_contours()
-                    if deg == two_b and c is not None}
-        return _cycles_ok(cycles, two_b, contours, girth_only)
-    return _cover_cycles_ok(hmap, b, girth_only)
-
-
 # ============================================================
-# Contractibility by words in the fundamental group
+# The leaf check: cycles of the universal cover, lifts compared by words
 # ============================================================
 
 
@@ -605,30 +541,43 @@ def _follows_face(walk, nxt, partner) -> bool:
                    for i in range(len(walk))))
 
 
-def _cover_cycles_ok(hmap: HalfEdgeMap, b: int, girth_only: bool) -> bool:
-    """The irreducibility tests on the simple cycles of the universal cover.
+def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bool:
+    """Essential 2b-irreducibility (or just essential girth >= 2b).
 
-    Each cover cycle of length <= 2b is walked once up to deck
-    transformations, from its least dart d0 (d0 < partner[d0], and every
-    later dart and its partner at least d0).  The lifts of the walk's
-    prefixes are compared exactly: two prefixes end at one cover vertex when
-    they end at one homology-cover vertex (``Pi1Words.steps``; exact at genus
-    1) and the word of the walk between them is trivial.  A step onto an
-    earlier lift is refused unless it closes the cycle at the start;
-    breadth-first distances in the homology cover, which bound those of the
-    universal cover from below, prune walks that could not come back in time.
+    Both tests run on the simple cycles of the universal cover: none is
+    shorter than 2b, and each of length 2b goes once around a face, either
+    way round; with ``girth_only`` the second test is skipped.  Each cover
+    cycle of length <= 2b is walked once up to deck transformations, from
+    its least dart d0 (d0 < partner[d0], and every later dart and its
+    partner at least d0).  The lifts of the walk's prefixes are compared
+    exactly: two prefixes end at one cover vertex when they end at one
+    homology-cover vertex and the word of the walk between them is trivial.
+    A planar map is its own universal cover: a dart steps from its tail to
+    its head, and every word is trivial.  At genus 1 the homology cover
+    (``Pi1Words.steps``) is the universal cover, and at genus >= 2
+    ``Pi1Words.is_trivial`` decides the word.  A step onto an earlier lift
+    is refused unless it closes the cycle at the start; breadth-first
+    distances in the homology cover, which bound those of the universal
+    cover from below, prune walks that could not come back in time.
     """
+    if b == 0:
+        return True
     two_b = 2 * b
-    words = Pi1Words(hmap)
     nxt, partner, out = hmap.nxt, hmap.partner, hmap.vertices
-    step, word = words.steps(two_b), words.word
+    vertex_of = hmap.vertex_of
+    if hmap.genus:
+        words = Pi1Words(hmap)
+        step = words.steps(two_b)
+    else:   # no words: each dart steps from its tail to its head
+        step = [vertex_of[partner[d]] - vertex_of[d] for d in range(hmap.S)]
     V = hmap.num_vertices
-    exact = hmap.genus == 1
+    exact = hmap.genus <= 1
     path: list[int] = []
     keys: list[int] = []   # keys[i]: the homology-cover vertex after path[:i]
 
     def same_lift(i: int, d: int) -> bool:
-        return exact or words.is_trivial([x for e in path[i:] + [d] for x in word[e]])
+        return exact or words.is_trivial([x for e in path[i:] + [d]
+                                          for x in words.word[e]])
 
     def walk(key: int, darts, d0: int, dist: dict[int, int]) -> bool:
         """Extend the path from the lift ``key`` along each of ``darts``;
@@ -664,7 +613,7 @@ def _cover_cycles_ok(hmap: HalfEdgeMap, b: int, girth_only: bool) -> bool:
     for d0 in range(hmap.S):
         if partner[d0] < d0:
             continue
-        v0 = hmap.vertex_of[d0]
+        v0 = vertex_of[d0]
         dist = dists.get(v0)
         if dist is None:
             dist = dists[v0] = {v0: 0}

@@ -42,8 +42,8 @@ from .families import ConsistencyError, power_one_plus_r, qpoly_table, series_I,
 # by name, so it stays bound in this module
 from .families import series_J_inverse  # noqa: F401
 from .oracle import SizeError
-from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, distinct_permutations,
-                   face_generators, inverse_unit, log_unit)
+from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, _graded,
+                   distinct_permutations, face_generators, inverse_unit, log_unit)
 
 SUPPORTED_GENERA = (0, 1, 2)
 
@@ -122,7 +122,7 @@ def solve_R_hat(cap: int) -> GradedSeries:
     Z = _zhat_series(cap, max(cap, 1))
     R = GradedSeries(0)
     for k in range(1, cap + 1):
-        lift = GradedSeries(k, R.terms)
+        lift = _graded(k, R.num, R.den)
         Z_k = Series([c.truncate(k) for c in Z.coeffs[:k + 1]], k, GradedSeries(k))
         R_next = lift - Z_k.compose(lift)
         if R_next.truncate(k - 1) != R:

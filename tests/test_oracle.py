@@ -14,6 +14,7 @@ from irrmaps.oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError,
 from irrmaps.pipeline import count_exact, girth_count
 from irrmaps.verify import harer_zagier_numbers
 from test_reference_cover import ball_verdict
+from test_reference_edge_set import cycle_graph, edge_set_verdict
 
 F = Fraction
 
@@ -64,16 +65,16 @@ def test_assemble_map_rejects():
 
 def test_simple_cycles():
     theta = HalfEdgeMap((1, 1, 1), THETA)
-    two_cycles = simple_cycles_up_to(theta.cycle_graph(), 2)
+    two_cycles = simple_cycles_up_to(cycle_graph(theta), 2)
     assert len(two_cycles) == 3 and all(len(c) == 2 for c in two_cycles)
     torus = HalfEdgeMap((2,), TORUS)
-    loops = simple_cycles_up_to(torus.cycle_graph(), 1)
+    loops = simple_cycles_up_to(cycle_graph(torus), 1)
     assert len(loops) == 2 and all(len(c) == 1 for c in loops)
     # a tree has no cycles: two digons glued into a path has cycles, so use
     # a single polygon glued as a pendant chain instead
     tree = HalfEdgeMap((2,), [(0, 1), (2, 3)])
     # consecutive gluings backtrack; any cycle list of length <= 4 is empty
-    assert simple_cycles_up_to(tree.cycle_graph(), 4) == []
+    assert simple_cycles_up_to(cycle_graph(tree), 4) == []
 
 
 def test_irreducibility_fixtures():
@@ -98,6 +99,24 @@ def test_irreducibility_monotone():
         results = [check_irreducible(hm, b) for b in (0, 1, 2)]
         for lo, hi in zip(results, results[1:]):
             assert lo or not hi  # true at b implies true below
+
+
+def test_planar_leaf_checks_build_no_words_and_no_edge_sets(monkeypatch):
+    # one walk decides every genus: a planar map is its own universal cover,
+    # so its check needs neither fundamental group words nor cycle sets
+    theta = HalfEdgeMap((1, 1, 1), THETA)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a planar leaf check took another route")
+
+    monkeypatch.setattr(oracle, "simple_cycles_up_to", refuse)
+    monkeypatch.setattr(oracle, "Pi1Words", refuse)
+    assert check_irreducible(theta, 1)
+    assert not check_irreducible(theta, 2)
+    assert not check_irreducible(theta, 2, girth_only=True)
+    assert brute_count(GluingSpec(0, (2, 2, 2), 1)) == count_exact(0, 3, 1, (2, 2, 2))
+    assert brute_count(GluingSpec(0, (2, 2, 2), 2, constraint="girth")) == \
+        girth_count(0, 3, 2, (2, 2, 2))
 
 
 def test_cover_ball_of_the_square_torus_is_the_grid():
@@ -213,7 +232,7 @@ def test_enumerate_matchings_guard():
 
 def test_simple_cycles_accepts_map_and_ball():
     theta = HalfEdgeMap((1, 1, 1), THETA)
-    assert len(simple_cycles_up_to(theta, 2)) == 3
+    assert len(simple_cycles_up_to(cycle_graph(theta), 2)) == 3
     torus = HalfEdgeMap((2,), TORUS)
     ball = CoverBall(torus, 0, 1)
     cycles = simple_cycles_up_to(ball, 4, through=ball.base_lift)
@@ -246,9 +265,10 @@ def test_brute_vs_formula_on_six_planar_faces():
 def _naive_count(spec):
     """Accepted matchings by a filter over the full canonical enumeration.
 
-    Higher-genus maps are decided by large cover balls (``ball_verdict``),
-    which share no code with the oracle's word test; each map's verdict is
-    kept under the least of its polygon rotations.
+    Planar maps are decided by their edge-set cycles (``edge_set_verdict``)
+    and higher-genus maps by large cover balls (``ball_verdict``), neither
+    of which shares code with the oracle's leaf check; each higher-genus
+    map's verdict is kept under the least of its polygon rotations.
     """
     hits = 0
     girth_only = spec.constraint == "girth"
@@ -263,7 +283,7 @@ def _naive_count(spec):
         if not spec.allow_degree_one and hm.min_degree() < 2:
             return
         if spec.b and hm.genus == 0:
-            if not check_irreducible(hm, spec.b, girth_only=girth_only):
+            if not edge_set_verdict(hm, spec.b, girth_only):
                 return
         elif spec.b:
             orbit = min(tuple(_rotate(spec.degrees, hm.partner, s)) for s in shifts)
