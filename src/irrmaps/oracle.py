@@ -33,6 +33,13 @@ circles of one component once the handle budget is spent, and, without
 degree-one vertices, a gluing of two consecutive sides of one polygon
 (which closes a degree-1 vertex).
 
+The partial surface is kept once, as its vertex chains: maximal runs d,
+sigma(d), ... of glued sides around an unfinished vertex, known by their
+ends.  A chain ends at an unglued side and phi(d) starts one for unglued d,
+so the unglued side after d on its boundary circle is the end of the chain
+starting at phi(d).  Untouched polygons are entered only at their first
+side (see below), so one is touched exactly when its first side is glued.
+
 It also enters each class of interchangeable polygons once.  Sorting the
 half-degrees in descending order makes polygon 0 a largest one and each
 class, the other polygons of one half-degree, a block.  When the smallest
@@ -216,23 +223,21 @@ def enumerate_matchings(degrees, visitor=None,
 
 @lru_cache(maxsize=256)
 def polygon_layout(degrees: tuple[int, ...]):
-    """The sides of labeled polygons: (nxt, prv, poly_of, offsets), as tuples.
+    """The sides of labeled polygons: (nxt, poly_of, offsets), as tuples.
 
     Polygon i owns the 2*degrees[i] consecutive sides from offsets[i]; nxt
-    (phi) and prv step counterclockwise and clockwise along its boundary.
+    (phi) steps counterclockwise along its boundary.
     """
-    nxt, prv, poly_of, offsets = [], [], [], []
+    nxt, poly_of, offsets = [], [], []
     base = 0
     for i, l in enumerate(degrees):
         k = 2 * l
         offsets.append(base)
         nxt += range(base + 1, base + k)
         nxt.append(base)
-        prv.append(base + k - 1)
-        prv += range(base, base + k - 1)
         poly_of += [i] * k
         base += k
-    return tuple(nxt), tuple(prv), tuple(poly_of), tuple(offsets)
+    return tuple(nxt), tuple(poly_of), tuple(offsets)
 
 
 class HalfEdgeMap:
@@ -240,21 +245,25 @@ class HalfEdgeMap:
 
     def __init__(self, degrees, matching):
         degrees = tuple(degrees)
-        nxt, prv, poly_of, offsets = polygon_layout(degrees)
+        nxt, poly_of, offsets = polygon_layout(degrees)
         S = len(nxt)
         if matching and isinstance(matching[0], (list, tuple)):
             partner = [-1] * S
             for a, c in matching:
+                if not (0 <= a < S and 0 <= c < S and partner[a] == partner[c] == -1):
+                    partner = []      # not a matching: refused below
+                    break
                 partner[a] = c
                 partner[c] = a
         else:
             partner = list(matching)
-        if len(partner) != S or any(p < 0 for p in partner):
+        # an involution of the sides without fixed points
+        if len(partner) != S or not all(0 <= p < S and p != d and partner[p] == d
+                                        for d, p in enumerate(partner)):
             raise OracleError("matching is not a perfect matching of the sides")
         self.degrees = degrees
         self.S = S
         self.nxt = nxt
-        self.prv = prv
         self.poly_of = poly_of
         self.partner = partner
 
@@ -420,7 +429,7 @@ class Pi1Words:
         if hmap.genus < 1:
             raise OracleError("fundamental group words are for genus >= 1 maps")
         S, nxt, partner, vertex_of = hmap.S, hmap.nxt, hmap.partner, hmap.vertex_of
-        poly_of, offsets = hmap.poly_of, polygon_layout(hmap.degrees)[3]
+        poly_of, offsets = hmap.poly_of, polygon_layout(hmap.degrees)[2]
         self.genus = g = hmap.genus
 
         in_tree = [False] * S
@@ -957,7 +966,7 @@ def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
     other polygon changes neither that set nor any walk, so the least
     relabeling is the same for every rotation of the gluing.
     """
-    nxt, _, poly_of, offsets = polygon_layout(degrees)
+    nxt, poly_of, offsets = polygon_layout(degrees)
     S = len(partner)
     n0 = 2 * degrees[0]
     if len(degrees) == 1:
@@ -997,8 +1006,9 @@ def _search(spec: GluingSpec) -> int:
     and checking each rotation orbit of leaves once.
 
     At each node the boundary circle of the smallest unmatched dart is
-    walked once; candidates that would add a handle beyond the target genus
-    or close a degree-one vertex are skipped before any state changes.
+    walked once, each unglued dart d stepping to the end of the vertex chain
+    at phi(d); candidates that would add a handle beyond the target genus or
+    close a degree-one vertex are skipped before any state changes.
     """
     spec = replace(spec, degrees=sorted(spec.degrees, reverse=True))
     degrees = spec.degrees
@@ -1011,11 +1021,8 @@ def _search(spec: GluingSpec) -> int:
         return 0
     mindeg2 = not spec.allow_degree_one
 
-    nxt, prv, poly_of, offsets = polygon_layout(degrees)
+    nxt, poly_of, offsets = polygon_layout(degrees)
     partner = [-1] * S
-    used = [0] * n            # matched darts per polygon
-    bnx = list(nxt)
-    bpv = list(prv)
     cstart = list(range(S))   # valid at chain ends
     cend = list(range(S))     # valid at chain starts
     clen = [1] * S            # valid at chain starts
@@ -1065,18 +1072,14 @@ def _search(spec: GluingSpec) -> int:
         trail = []
         partner[a] = c
         partner[c] = a
-        used[poly_of[a]] += 1
-        used[poly_of[c]] += 1
 
         # components and boundary circles
         ra = find(poly_of[a])
         rc = find(poly_of[c])
-        if same_circle:
-            trail.append((3, ra, popen[ra], 0, 0))
-            popen[ra] -= 2
-        elif ra == rc:
-            genus_acc += 1
-            trail.append((4, ra, popen[ra], 0, 0))
+        if ra == rc:
+            handle = 0 if same_circle else 1
+            genus_acc += handle
+            trail.append((3, ra, popen[ra], handle, 0))
             popen[ra] -= 2
         else:
             trail.append((5, rc, ra, popen[ra], popen[rc]))
@@ -1084,53 +1087,14 @@ def _search(spec: GluingSpec) -> int:
             popen[ra] = popen[ra] + popen[rc] - 2
             ncomp -= 1
         # a sealed component can never connect to the rest
-        ok = popen[ra] != 0 or ncomp == 1
-
+        ok = ((popen[ra] != 0 or ncomp == 1)
+              and link(a, nxt[c], trail) and link(c, nxt[a], trail)
+              and closedV <= V_target)
         if ok:
-            na, pa = bnx[a], bpv[a]
-            nc, pc = bnx[c], bpv[c]
-            if same_circle:
-                if na != c:
-                    trail.append((6, pc, bnx[pc], na, bpv[na]))
-                    bnx[pc] = na
-                    bpv[na] = pc
-                if nc != a:
-                    trail.append((6, pa, bnx[pa], nc, bpv[nc]))
-                    bnx[pa] = nc
-                    bpv[nc] = pa
-            else:
-                if na == a and nc == c:
-                    pass
-                elif na == a:
-                    trail.append((6, pc, bnx[pc], nc, bpv[nc]))
-                    bnx[pc] = nc
-                    bpv[nc] = pc
-                elif nc == c:
-                    trail.append((6, pa, bnx[pa], na, bpv[na]))
-                    bnx[pa] = na
-                    bpv[na] = pa
-                else:
-                    trail.append((6, pa, bnx[pa], nc, bpv[nc]))
-                    bnx[pa] = nc
-                    bpv[nc] = pa
-                    trail.append((6, pc, bnx[pc], na, bpv[na]))
-                    bnx[pc] = na
-                    bpv[na] = pc
-
-        if ok:
-            ok = link(a, nxt[c], trail)
-        if ok:
-            ok = link(c, nxt[a], trail)
-
-        if ok:
-            if closedV > V_target:
-                ok = False
-            else:
-                chains = 2 * remaining
-                vmax = closedV + (chains - singles) + singles // 2 if mindeg2 \
-                    else closedV + chains
-                if vmax < V_target:
-                    ok = False
+            chains = 2 * remaining
+            vmax = closedV + (chains - singles) + singles // 2 if mindeg2 \
+                else closedV + chains
+            ok = vmax >= V_target
         return trail, ok
 
     def unglue(a: int, c: int, trail):
@@ -1149,23 +1113,15 @@ def _search(spec: GluingSpec) -> int:
                 singles += d
             elif tag == 3:
                 popen[rec[1]] = rec[2]
-            elif tag == 4:
-                popen[rec[1]] = rec[2]
-                genus_acc -= 1
-            elif tag == 5:
+                genus_acc -= rec[3]
+            else:
                 _, rc, ra, oa, oc = rec
                 proot[rc] = rc
                 popen[ra] = oa
                 popen[rc] = oc
                 ncomp += 1
-            elif tag == 6:
-                _, i, oldn, j, oldp = rec
-                bnx[i] = oldn
-                bpv[j] = oldp
         partner[a] = -1
         partner[c] = -1
-        used[poly_of[a]] -= 1
-        used[poly_of[c]] -= 1
 
     def rec(lo: int, matched: int, weight: int):
         if matched == E:
@@ -1205,10 +1161,10 @@ def _search(spec: GluingSpec) -> int:
             anchor = poly_of[partner[0]] if lo else 1
             cands = chain(range(lo + 1 if lo else n0, n0), range(offsets[anchor], S))
         circle = set()            # lo's boundary circle
-        cur = bnx[lo]
+        cur = cend[nxt[lo]]
         while cur != lo:
             circle.add(cur)
-            cur = bnx[cur]
+            cur = cend[nxt[cur]]
         root = find(p)
         no_handle = genus_acc == g_target
         remaining = E - matched - 1
@@ -1217,12 +1173,13 @@ def _search(spec: GluingSpec) -> int:
                 continue
             w = weight
             q = poly_of[c]
-            if q != p and not used[q]:
+            if q != p and partner[offsets[q]] == -1:
                 # every rotation of q, and each untouched polygon of its
                 # class (always the class's last ones), counts the same:
                 # enter only the least of them, at its first side
                 if c != offsets[q] or not (degrees[q - 1] != degrees[q]
-                                           or used[q - 1] or q - 1 == p):
+                                           or partner[offsets[q - 1]] != -1
+                                           or q - 1 == p):
                     continue
                 w *= 2 * degrees[q] * (end[q] - q)
             if mindeg2 and (c == nxt[lo] or lo == nxt[c]):

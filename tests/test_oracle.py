@@ -34,6 +34,18 @@ def test_matchings_visited_once():
     assert len(seen) == len(set(seen)) == 3
 
 
+@pytest.mark.parametrize("degrees, matching", [
+    ((1,), [1, 1]),                        # side 1 glued to itself
+    ((2, 1), [3, 2, 1, 0, 0, 0]),          # sides 4 and 5 both claim side 0
+    ((2,), [(0, 1), (1, 2), (3, 3)]),      # side 1 in two pairs, side 3 to itself
+    ((1,), [(0, 5)]),                      # no side 5
+    ((1,), [5, 0]),
+])
+def test_half_edge_map_refuses_what_is_not_a_matching(degrees, matching):
+    with pytest.raises(OracleError, match="not a perfect matching"):
+        HalfEdgeMap(degrees, matching)
+
+
 def test_assemble_square_torus():
     hm = HalfEdgeMap((2,), TORUS)
     assert (hm.num_vertices, hm.nedges, hm.genus) == (1, 2, 1)
@@ -416,7 +428,7 @@ def _connected_partners(degrees):
 
 def _rotate(degrees, partner, shifts):
     """The partner list after turning polygon i by shifts[i] sides."""
-    _, _, poly_of, offsets = polygon_layout(degrees)
+    _, poly_of, offsets = polygon_layout(degrees)
 
     def moved(d):
         p = poly_of[d]

@@ -19,7 +19,7 @@ OCTAGON = [(0, 2), (1, 3), (4, 6), (5, 7)]   # a b a^-1 b^-1 c d c^-1 d^-1
 
 
 def face_walks(hm):
-    nxt, _, _, offsets = polygon_layout(hm.degrees)
+    nxt, _, offsets = polygon_layout(hm.degrees)
     for p in range(len(hm.degrees)):
         walk = [offsets[p]]
         while nxt[walk[-1]] != walk[0]:

@@ -35,7 +35,7 @@ def cycle_graph(hmap):
 
 def face_contours(hmap):
     """(degree, edge set) per face; None when the contour repeats an edge."""
-    offsets = polygon_layout(hmap.degrees)[3]
+    offsets = polygon_layout(hmap.degrees)[2]
     out = []
     for base, l in zip(offsets, hmap.degrees):
         ids = [min(d, hmap.partner[d]) for d in range(base, base + 2 * l)]
@@ -92,7 +92,7 @@ def planar_gluings(draw):
         extra = draw(st.integers(0, budget))
         budget -= extra
         degrees.append(1 + extra)
-    nxt, _, _, offsets = polygon_layout(tuple(degrees))
+    nxt, _, offsets = polygon_layout(tuple(degrees))
     partner = [-1] * len(nxt)
 
     def around(d):

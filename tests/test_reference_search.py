@@ -5,7 +5,10 @@ untouched polygons other than polygon 0 were entered at their first side:
 it reaches every map once per rotation of polygon 0, tests the handle
 budget and the degree-one rule after a gluing is applied, and keys its leaf
 verdicts by ``reference_rotation_code``, which tries every rotation of
-polygon 0.  ``oracle._search`` must count exactly the same matchings.
+polygon 0.  It also keeps each boundary circle as a linked list
+(``bnx``/``bpv``) spliced at every gluing, and a count of glued sides per
+polygon, where ``_search`` reads both off its vertex chains and its
+matching.  ``oracle._search`` must count exactly the same matchings.
 """
 
 from dataclasses import replace
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from irrmaps.families import ConsistencyError
 from irrmaps.oracle import GluingSpec, _leaf_passes, _search, polygon_layout
+from irrmaps.verify import sweep_tuples
 
 
 def reference_rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
@@ -27,7 +31,7 @@ def reference_rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...
     rotations.  Rotating any polygon of the input changes no walk, so the
     least relabeling is the same for every rotation of the gluing.
     """
-    nxt, _, poly_of, offsets = polygon_layout(degrees)
+    nxt, poly_of, offsets = polygon_layout(degrees)
     S = len(partner)
     best = None
     for r0 in range(2 * degrees[0]):
@@ -67,7 +71,10 @@ def reference_search(spec: GluingSpec) -> int:
         return 0
     mindeg2 = not spec.allow_degree_one
 
-    nxt, prv, poly_of, offsets = polygon_layout(degrees)
+    nxt, poly_of, offsets = polygon_layout(degrees)
+    prv = [0] * S
+    for d in range(S):
+        prv[nxt[d]] = d
     partner = [-1] * S
     used = [0] * n            # matched darts per polygon
     bnx = list(nxt)
@@ -363,5 +370,23 @@ def test_search_equals_reference_on_every_one_face_spec():
     # search does not do; neither strategy above draws a single face
     specs = list(_one_face_specs(10))
     assert len(specs) == 116
+    for spec in specs:
+        assert _search(spec) == reference_search(spec), spec
+
+
+def _sweep_specs():
+    """Every tuple of ``sweep_tuples(12, 0)`` and ``sweep_tuples(10, 2)``,
+    with and without degree-one vertices, and in girth mode where b >= 1."""
+    for max_sides, b_max in ((12, 0), (10, 2)):
+        for genus, _, b, degrees in sweep_tuples(max_sides, b_max):
+            for allow, constraint in product(
+                    (False, True), ("irreducible", "girth") if b else ("irreducible",)):
+                yield GluingSpec(genus, degrees, b, allow_degree_one=allow,
+                                 constraint=constraint)
+
+
+def test_search_equals_reference_on_every_sweep_spec():
+    specs = list(_sweep_specs())
+    assert len(specs) == 450
     for spec in specs:
         assert _search(spec) == reference_search(spec), spec
