@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import comb, factorial, lcm, prod
 
 from .families import ConsistencyError, power_one_plus_r, qpoly_table, series_I, series_J
@@ -60,10 +61,9 @@ SUPPORTED_GENERA = (0, 1, 2)
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
-#: answer has about 0.6 digits per unit of the sum (2,420 digits at 4000,
-#: inside Python's 4,300-digit limit on printing an int), and one face of
-#: half-degree 4000 takes 3.4-3.9 s on the VM above, the cost growing with
-#: the square of the largest half-degree
+#: answer has about 0.6 digits per unit of the sum (2,405-2,421 characters
+#: at 4000), inside Python's 4,300-digit limit on printing an int; at 4000
+#: one count takes 0.01-0.06 s on the VM above
 MAX_DEGREE_ONE_SUM = 4000
 
 
@@ -300,29 +300,46 @@ class CountPolynomial:
         every sub-multiset mu of the partitions.  Plain evaluation is the
         case of one point of weight 1 per face.
         """
+        return self._weighted_sums((b,), faces)[0]
+
+    def _weighted_sums(self, bs, faces) -> list[Fraction]:
+        """:meth:`weighted_sum` at each b in ``bs`` from one walk: V does not
+        depend on b, and the sums over lambda per power of b are read by Horner."""
         if len(faces) != self.nfaces:
             raise DomainError(f"expected {self.nfaces} degrees, got {len(faces)}")
-        # each sub-multiset with its (2a, mu - a) for the distinct parts a
-        steps = {}
-        level = set(self.mlambda)
+        steps, exps, rows, den = self._plan
+        V = [0] * (len(steps) - 1) + [1]
+        for face in faces:
+            m = [sum([w * p ** e for p, w in face]) for e in exps] if len(face) > 1 \
+                else [face[0][1] * face[0][0] ** e for e in exps]
+            for i, step in enumerate(steps):
+                v = V[i] * m[0]
+                for e, rest in step:
+                    v += V[rest] * m[e]
+                V[i] = v
+        sums = [sum([a * V[i] for i, a in row]) for row in rows]
+        return [Fraction(reduce(lambda total, s: total * b + s, sums, 0), den) for b in bs]
+
+    @cached_property
+    def _plan(self):
+        """What :meth:`weighted_sum` reads, built on its first call: the
+        sub-multisets mu, longest first so that V(mu - a) still holds the
+        previous face, each with its (index of 2a in the exponents, index of
+        mu - a) for the distinct parts a; the exponents, 0 first; and per
+        power of b, top first, the (index of lambda, numerator) over ``den``."""
+        steps, level = {}, set(self.mlambda) | {()}
         while level:
             for mu in level:
                 steps[mu] = [(2 * a, mu[:j] + mu[j + 1:])
                              for j, a in enumerate(mu) if j == 0 or mu[j - 1] != a]
             level = {rest for mu in level for _, rest in steps[mu]} - steps.keys()
-        exps = {0} | {e for s in steps.values() for e, _ in s}
-        # longest first, so that V(mu - a) still holds the previous face
-        order = sorted(steps, key=len, reverse=True)
-        V = dict.fromkeys(order, 0)
-        V[()] = 1
-        for face in faces:
-            m = {e: sum(w * p ** e for p, w in face) for e in exps}
-            for mu in order:
-                V[mu] = V[mu] * m[0] + sum(V[rest] * m[e] for e, rest in steps[mu])
+        at = {mu: i for i, mu in enumerate(sorted(steps, key=len, reverse=True))}
+        exps = sorted({0} | {e for s in steps.values() for e, _ in s})
         den = lcm(*(c.den for c in self.mlambda.values()))
-        total = sum(sum(bc * b ** k for (k,), bc in c.num.items()) * (den // c.den) * V[lam]
-                    for lam, c in self.mlambda.items())
-        return Fraction(total, den)
+        top = max((k for c in self.mlambda.values() for (k,) in c.num), default=0)
+        rows = [[(at[lam], c.num[(k,)] * (den // c.den)) for lam, c in self.mlambda.items()
+                 if (k,) in c.num] for k in range(top, -1, -1)]
+        return [[(exps.index(e), at[rest]) for e, rest in steps[mu]] for mu in at], exps, rows, den
 
     def m_basis(self) -> dict[tuple[int, ...], MultiPoly]:
         return to_m_basis(self)
@@ -432,6 +449,19 @@ def a_transform_coeff(b: int, ell: int, p: int) -> Fraction:
         val += Fraction(p * comb(2 * ell, ell - p), ell)
     return val
 
+
+def _degree_one_weights(b: int, d: int) -> list[tuple[int, int]]:
+    """The points (p, d a(b, d, p)) of a face of half-degree d with a nonzero
+    weight: p C(2d, d - p) for d >= p > b, each binomial from the one before
+    by C(2d, d - p + 1) = C(2d, d - p) (d + p) / (d - p + 1), and d at
+    p = d = b."""
+    points, c = [(d, d)] if d == b else [], 1
+    for p in range(d, b, -1):
+        points.append((p, p * c))
+        c = c * (d + p) // (d - p + 1)
+    return points
+
+
 def b_transform_coeff(b: int, p: int, ell: int) -> Fraction:
     """Inverse weight of the tree transform."""
     val = Fraction(0)
@@ -472,11 +502,11 @@ def count_exact(genus: int, n: int, b: int, degrees,
     count at p.  The weight of face i depends on (d_i, p_i) alone, so the
     transform is applied face by face: ``CountPolynomial.weighted_sum``
     replaces each power l_i^e by the moment sum_p a(b, d_i, p) p^e and
-    reads the m-basis once.  The cost is about n x (sub-multisets of the
-    partitions of N-hat) x (their distinct parts) multiplications plus
-    sum_i d_i table entries per moment, where evaluating at every point of
-    the grid cost prod_i (d_i - b + 1) full evaluations.  Half-degrees
-    summing past ``MAX_DEGREE_ONE_SUM`` raise SizeError before any work.
+    reads the m-basis once.  The weights of a face take one product and one
+    exact division per point, each of its moments d_i - b terms, and the
+    walk costs about one evaluation; evaluating at every point of the grid
+    cost prod_i (d_i - b + 1) of them.  Half-degrees summing past
+    ``MAX_DEGREE_ONE_SUM`` raise SizeError before any work.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))
@@ -486,8 +516,7 @@ def count_exact(genus: int, n: int, b: int, degrees,
                             f"degree-one guard of {MAX_DEGREE_ONE_SUM}")
         # d a(b, d, p) is an integer, so with the weights scaled by d the
         # moments stay integers; the sum is divided by prod(d) at the end
-        faces = [[(p, int(d * w)) for p in range(b, d + 1)
-                  if (w := a_transform_coeff(b, d, p))] for d in degrees]
+        faces = [_degree_one_weights(b, d) for d in degrees]
         scale = prod(degrees)
     else:
         faces = [((d, 1),) for d in degrees]
@@ -513,5 +542,6 @@ def girth_count(genus: int, n: int, b: int, degrees, mode: str = "at-least") -> 
         return nhat(genus, n).evaluate(b - 1, degrees)
     if mode == "exactly":
         _check_admissible(genus, n, b, degrees, b + 1)
-        return nhat(genus, n).evaluate(b - 1, degrees) - nhat(genus, n).evaluate(b, degrees)
+        below, at = nhat(genus, n)._weighted_sums((b - 1, b), [((d, 1),) for d in degrees])
+        return below - at
     raise DomainError(f"unknown girth mode {mode!r}")

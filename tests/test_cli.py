@@ -234,6 +234,14 @@ def test_count_with_degree_one_beyond_the_guard_fails_fast(capsys, monkeypatch):
     assert code == 0 and out == "formula: 1\n"
 
 
+def test_count_with_degree_one_at_the_guard_answers(capsys):
+    # one face of half-degree MAX_DEGREE_ONE_SUM: the answer prints whole
+    code, out, err = run(capsys, "count", "--genus", "2", "--degrees",
+                         str(pipeline.MAX_DEGREE_ONE_SUM), "--with-deg-one")
+    assert code == 0 and err == ""
+    assert out.startswith("formula: ") and 2300 < len(out) < 4300
+
+
 def test_count_with_degree_one_walks_the_polynomial_once(capsys, monkeypatch):
     # five faces of half-degree 30 span a grid of 31^5 points; evaluating the
     # polynomial at each of them would never finish, so every walk over its

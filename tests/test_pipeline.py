@@ -1,12 +1,16 @@
 import json
+import time
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import irrmaps.pipeline as pipeline
 from irrmaps.families import series_J_inverse
-from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _moments,
-                              UnsupportedGenusError,
+from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _degree_one_weights,
+                              _moments, UnsupportedGenusError,
                               a_transform_coeff, b_transform_coeff, count_exact,
                               girth_count, moment_hat, moment_hats, moment_hats_via_Q,
                               moment_hat_via_Q, moment_hat_via_T, nhat,
@@ -188,6 +192,64 @@ def test_transform_coefficients():
     assert a_transform_coeff(0, 3, 1) == F(1 * 15, 3)
     assert b_transform_coeff(1, 2, 2) == 1
     assert b_transform_coeff(1, 3, 2) == -4
+
+
+@st.composite
+def weight_args(draw):
+    b = draw(st.integers(0, 6))
+    return b, draw(st.integers(max(b, 1), 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_args())
+@example((1, 1))
+@example((3, 3))
+@example((6, 6))
+@example((0, 1))
+def test_degree_one_weights_are_the_scaled_transform_coefficients(args):
+    b, d = args
+    want = [(p, d * a_transform_coeff(b, d, p)) for p in range(b, d + 1)
+            if a_transform_coeff(b, d, p)]
+    got = _degree_one_weights(b, d)
+    assert sorted(got) == want
+    assert all(type(w) is int for _, w in got)
+
+
+def test_the_evaluation_plan_is_built_on_the_first_evaluation(monkeypatch):
+    builds = []
+    plan = CountPolynomial._plan
+    real = plan.func
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(plan, "func", counted)
+    monkeypatch.setattr(pipeline, "_NHAT_CACHE", {})
+    count = nhat(1, 3)
+    # building the polynomial does no evaluation work
+    assert builds == [] and "_plan" not in vars(count)
+    first = count.evaluate(2, (3, 4, 5))
+    assert count_exact(1, 3, 1, (2, 3, 2), allow_degree_one=True) > 0
+    assert builds == [count]
+    assert count.evaluate(2, (3, 4, 5)) == first
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("genus,n,b,degrees", [(0, 3, 0, (3998, 1, 1)),
+                                               (1, 1, 1, (4000,)),
+                                               (2, 1, 0, (4000,))])
+def test_degree_one_counts_at_the_guard_answer_and_print(genus, n, b, degrees):
+    assert sum(degrees) == pipeline.MAX_DEGREE_ONE_SUM
+    start = time.perf_counter()
+    value = count_exact(genus, n, b, degrees, allow_degree_one=True)
+    elapsed = time.perf_counter() - start
+    text = str(value)
+    assert value > 0
+    assert max(len(str(value.numerator)), len(str(value.denominator))) < 4300
+    assert 2300 < len(text) < 2600
+    # about 0.05 s on a 2-vCPU VM; a binomial per point took about 4 s
+    assert elapsed < 2.0
 
 
 def test_count_exact_values():

@@ -6,18 +6,22 @@ range(b, d_1 + 1) x ... x range(b, d_n + 1) and weights each point by the
 product of the tree-transform coefficients.  ``multipoly_value`` evaluates
 through ``MultiPoly.evaluate``.  ``term_walk`` is the earlier
 ``CountPolynomial.weighted_sum``, one pass over the expanded monomials.
-All three are kept here only as references.
+``lattice_weighted_sum`` is the walk over the sub-multisets of the m-basis
+that rebuilt its lattice on every call, before the evaluation plan was held
+on the polynomial.  All four are kept here only as references.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrmaps.pipeline import (a_transform_coeff, count_exact, girth_count, nhat,
-                              planar_correction)
+from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, a_transform_coeff,
+                              count_exact, girth_count, nhat, planar_correction)
+from irrmaps.ring import MultiPoly
 
 from test_reference_mbasis import expand
 
@@ -58,6 +62,36 @@ def term_walk(count, b, faces):
             c *= table[e]
         total += c
     return Fraction(total, poly.den)
+
+
+def lattice_weighted_sum(count, b, faces):
+    """``CountPolynomial.weighted_sum`` with its lattice rebuilt on each call:
+    V_0(()) = 1 and V_i(mu) = V_{i-1}(mu) m_i[0] + sum_a V_{i-1}(mu - a)
+    m_i[2a] over the distinct parts a of each sub-multiset mu, and the sum
+    is sum_lambda c_lambda(b) V_n(lambda)."""
+    if len(faces) != count.nfaces:
+        raise DomainError(f"expected {count.nfaces} degrees, got {len(faces)}")
+    # each sub-multiset with its (2a, mu - a) for the distinct parts a
+    steps = {}
+    level = set(count.mlambda)
+    while level:
+        for mu in level:
+            steps[mu] = [(2 * a, mu[:j] + mu[j + 1:])
+                         for j, a in enumerate(mu) if j == 0 or mu[j - 1] != a]
+        level = {rest for mu in level for _, rest in steps[mu]} - steps.keys()
+    exps = {0} | {e for s in steps.values() for e, _ in s}
+    # longest first, so that V(mu - a) still holds the previous face
+    order = sorted(steps, key=len, reverse=True)
+    V = dict.fromkeys(order, 0)
+    V[()] = 1
+    for face in faces:
+        m = {e: sum(w * p ** e for p, w in face) for e in exps}
+        for mu in order:
+            V[mu] = V[mu] * m[0] + sum(V[rest] * m[e] for e, rest in steps[mu])
+    den = lcm(*(c.den for c in count.mlambda.values()))
+    total = sum(sum(bc * b ** k for (k,), bc in c.num.items()) * (den // c.den) * V[lam]
+                for lam, c in count.mlambda.items())
+    return Fraction(total, den)
 
 
 def small_tuples(n, b):
@@ -139,3 +173,35 @@ def test_weighted_sum_over_the_m_basis_matches_the_term_walk(case):
     genus, n, b, faces = case
     count = nhat(genus, n)
     assert count.weighted_sum(b, faces) == term_walk(count, b, faces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_faces(), st.lists(st.integers(0, 6), min_size=1, max_size=3))
+def test_planned_weighted_sum_matches_the_lattice_walk_and_the_term_walk(case, bs):
+    genus, n, b, faces = case
+    count = nhat(genus, n)
+    got = count.weighted_sum(b, faces)
+    assert got == lattice_weighted_sum(count, b, faces) == term_walk(count, b, faces)
+    # the several-b path reads every b from one walk
+    assert count._weighted_sums(bs, faces) == [count.weighted_sum(x, faces) for x in bs]
+
+
+@pytest.mark.parametrize("b", [0, 1, 3])
+def test_planned_weighted_sum_of_the_zero_polynomial(b):
+    zero = CountPolynomial(0, 3, {})
+    faces = [((2, 1),), ((3, 5), (4, 7)), ((b + 1, 2),)]
+    assert zero.weighted_sum(b, faces) == lattice_weighted_sum(zero, b, faces) == 0
+    assert zero._weighted_sums((b, b + 1), faces) == [0, 0]
+    with pytest.raises(DomainError):
+        zero.weighted_sum(b, faces[:2])
+
+
+@pytest.mark.parametrize("b", [0, 1, 3])
+def test_planned_weighted_sum_of_a_constant_in_the_half_degrees(b):
+    # only the key (): c(b) times the product of the face weights
+    c = MultiPoly(B_ONLY, {(0,): Fraction(5, 6), (2,): Fraction(-1, 4)})
+    count = CountPolynomial(1, 2, {(): c})
+    faces = [((2, 3), (5, 7)), ((4, 2),)]
+    want = c.evaluate({"b": b}).as_fraction() * 10 * 2
+    assert count.weighted_sum(b, faces) == lattice_weighted_sum(count, b, faces) == want
+    assert count._weighted_sums((b, 0), faces) == [want, 2 * 10 * Fraction(5, 6)]
