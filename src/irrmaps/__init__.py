@@ -9,12 +9,11 @@ contractibility exactly, by words in the fundamental group.
 from .families import (ConsistencyError, power_one_plus_r, qpoly_direct_sum_oracle,
                        qpoly_table, series_I, series_J, series_J_inverse)
 from .oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError, SizeError,
-                     assemble_map, brute_count, check_irreducible,
-                     enumerate_matchings, simple_cycles_up_to)
+                     brute_count, check_irreducible, simple_cycles_up_to)
 from .pipeline import (CountPolynomial, DomainError, InvariantViolation,
                        UnsupportedGenusError, count_exact, girth_count, moment_hat,
-                       moment_hat_via_Q, moment_hat_via_T, moment_hats, moment_hats_via_Q,
-                       nhat, nhat_genus0, nhat_higher_genus, solve_R_hat, to_m_basis)
+                       moment_hat_via_T, moment_hats, moment_hats_via_Q, nhat,
+                       nhat_genus0, nhat_higher_genus, solve_R_hat, to_m_basis)
 from .ring import (ContextError, GradedSeries, MultiPoly, Rational, Series,
                    TruncationError, bernoulli_plus, power_sum_coeffs)
 from .serialize import count_csv_rows, emit_polynomial_json, parse_polynomial_json

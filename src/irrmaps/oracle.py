@@ -172,51 +172,6 @@ class GluingSpec:
 
 
 # ============================================================
-# Plain matching enumeration (no pruning)
-# ============================================================
-
-
-def enumerate_matchings(degrees, visitor=None,
-                        guard_sides: int = DEFAULT_GUARD_SIDES) -> int:
-    """Visit every perfect matching of the polygon sides exactly once.
-
-    Canonical order: repeatedly pair the smallest unmatched side with each
-    larger unmatched side.  Returns the number of matchings visited; if
-    ``visitor`` is given it is called with each matching (tuple of pairs).
-    """
-    S = sum(2 * l for l in degrees)
-    if S % 2:
-        raise OracleError("odd number of sides")
-    check_sides(S, guard_sides)
-    partner = [-1] * S
-    pairs: list[tuple[int, int]] = []
-    count = 0
-
-    def rec(lo: int):
-        nonlocal count
-        while lo < S and partner[lo] != -1:
-            lo += 1
-        if lo >= S:
-            count += 1
-            if visitor is not None:
-                visitor(tuple(pairs))
-            return
-        for c in range(lo + 1, S):
-            if partner[c] != -1:
-                continue
-            partner[lo] = c
-            partner[c] = lo
-            pairs.append((lo, c))
-            rec(lo + 1)
-            pairs.pop()
-            partner[lo] = -1
-            partner[c] = -1
-
-    rec(0)
-    return count
-
-
-# ============================================================
 # Assembled maps
 # ============================================================
 
@@ -303,20 +258,6 @@ class HalfEdgeMap:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    def vertex_degrees(self) -> list[int]:
-        return [len(o) for o in self.vertices]
-
-    def min_degree(self) -> int:
-        return min(self.vertex_degrees())
-
-
-def assemble_map(spec: GluingSpec, matching) -> HalfEdgeMap | None:
-    """Assemble a matching; reject (None) if disconnected or the wrong genus."""
-    hmap = HalfEdgeMap(spec.degrees, matching)
-    if not hmap.connected or hmap.genus != spec.genus:
-        return None
-    return hmap
 
 
 # ============================================================
@@ -564,10 +505,12 @@ def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bo
     A planar map is its own universal cover: a dart steps from its tail to
     its head, and every word is trivial.  At genus 1 the homology cover
     (``Pi1Words.steps``) is the universal cover, and at genus >= 2
-    ``Pi1Words.is_trivial`` decides the word.  A step onto an earlier lift
-    is refused unless it closes the cycle at the start; breadth-first
-    distances in the homology cover, which bound those of the universal
-    cover from below, prune walks that could not come back in time.
+    ``Pi1Words.is_trivial`` decides the word.  The step straight back along
+    the last edge lands on the previous lift, so it is refused before any
+    lookup; a step onto another earlier lift is refused unless it closes
+    the cycle at the start; breadth-first distances in the homology cover,
+    which bound those of the universal cover from below, prune walks that
+    could not come back in time.
     """
     if b == 0:
         return True
@@ -592,14 +535,15 @@ def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bo
         """Extend the path from the lift ``key`` along each of ``darts``;
         False as soon as a cycle fails."""
         j = len(path) + 1
+        back = partner[path[-1]] if path else -1
         for d in darts:
-            if d < d0 or partner[d] < d0:
+            if d < d0 or partner[d] < d0 or d == back:
                 continue
             nk = key + step[d]
             if nk in keys:
                 i = next((i for i, k in enumerate(keys)
                           if k == nk and same_lift(i, d)), None)
-                if i == 0 and not (j == 2 and d == partner[d0]):
+                if i == 0:
                     # back at the start lift: a simple cycle of length j
                     if j < two_b or not (girth_only
                                          or _follows_face(path + [d], nxt, partner)):

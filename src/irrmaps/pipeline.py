@@ -179,11 +179,6 @@ def moment_hats_via_Q(ps, R: Series, order: int) -> list[Series]:
     return _moments(ps, series_J, R.truncate(order))
 
 
-def moment_hat_via_Q(p: int, R: Series, order: int) -> Series:
-    """The moment series of index p alone (see :func:`moment_hats_via_Q`)."""
-    return moment_hats_via_Q((p,), R, order)[0]
-
-
 # Moment weights T_p: fixed data, homogeneous of degree 2p in
 # (r_0, ..., r_{p+1}) with polynomial coefficients in b.  The tests certify
 # every coefficient against an independent derivation (operator commutation,
@@ -303,8 +298,14 @@ class CountPolynomial:
         return self._weighted_sums((b,), faces)[0]
 
     def _weighted_sums(self, bs, faces) -> list[Fraction]:
-        """:meth:`weighted_sum` at each b in ``bs`` from one walk: V does not
-        depend on b, and the sums over lambda per power of b are read by Horner."""
+        """:meth:`weighted_sum` at each b in ``bs`` from one walk."""
+        nums, den = self._numerators(bs, faces)
+        return [Fraction(x, den) for x in nums]
+
+    def _numerators(self, bs, faces) -> tuple[list[int], int]:
+        """The numerators of :meth:`_weighted_sums` over the plan's
+        denominator: V does not depend on b, and the sums over lambda per
+        power of b are read by Horner, in integers for integer b and weights."""
         if len(faces) != self.nfaces:
             raise DomainError(f"expected {self.nfaces} degrees, got {len(faces)}")
         steps, exps, rows, den = self._plan
@@ -318,7 +319,7 @@ class CountPolynomial:
                     v += V[rest] * m[e]
                 V[i] = v
         sums = [sum([a * V[i] for i, a in row]) for row in rows]
-        return [Fraction(reduce(lambda total, s: total * b + s, sums, 0), den) for b in bs]
+        return [reduce(lambda total, s: total * b + s, sums, 0) for b in bs], den
 
     @cached_property
     def _plan(self):
@@ -505,8 +506,11 @@ def count_exact(genus: int, n: int, b: int, degrees,
     reads the m-basis once.  The weights of a face take one product and one
     exact division per point, each of its moments d_i - b terms, and the
     walk costs about one evaluation; evaluating at every point of the grid
-    cost prod_i (d_i - b + 1) of them.  Half-degrees summing past
-    ``MAX_DEGREE_ONE_SUM`` raise SizeError before any work.
+    cost prod_i (d_i - b + 1) of them.  A plain count builds one
+    ``Fraction``; a count with degree-one vertices divides it once by
+    prod(d_i), and only the planar all-degrees-equal case adds the
+    correction.  Half-degrees summing past ``MAX_DEGREE_ONE_SUM`` raise
+    SizeError before any work.
     """
     degrees = tuple(degrees)
     _check_admissible(genus, n, b, degrees, max(b, 1))
@@ -516,16 +520,16 @@ def count_exact(genus: int, n: int, b: int, degrees,
                             f"degree-one guard of {MAX_DEGREE_ONE_SUM}")
         # d a(b, d, p) is an integer, so with the weights scaled by d the
         # moments stay integers; the sum is divided by prod(d) at the end
-        faces = [_degree_one_weights(b, d) for d in degrees]
-        scale = prod(degrees)
+        count = nhat(genus, n).weighted_sum(b, [_degree_one_weights(b, d) for d in degrees])
+        count /= prod(degrees)
     else:
-        faces = [((d, 1),) for d in degrees]
-        scale = 1
+        count = nhat(genus, n).weighted_sum(b, [((d, 1),) for d in degrees])
     # the planar correction lives at the single point p = (b, ..., b); its
     # transform weight prod_i a(b, d_i, b) is 1 when every d_i = b and 0
     # otherwise, which is exactly when the correction at the degrees applies
-    return nhat(genus, n).weighted_sum(b, faces) / scale \
-        + planar_correction(genus, n, b, degrees)
+    if genus == 0 and n >= 4 and all(d == b for d in degrees):
+        count += planar_correction(genus, n, b, degrees)
+    return count
 
 
 def girth_count(genus: int, n: int, b: int, degrees, mode: str = "at-least") -> Fraction:
@@ -542,6 +546,6 @@ def girth_count(genus: int, n: int, b: int, degrees, mode: str = "at-least") -> 
         return nhat(genus, n).evaluate(b - 1, degrees)
     if mode == "exactly":
         _check_admissible(genus, n, b, degrees, b + 1)
-        below, at = nhat(genus, n)._weighted_sums((b - 1, b), [((d, 1),) for d in degrees])
-        return below - at
+        (below, at), den = nhat(genus, n)._numerators((b - 1, b), [((d, 1),) for d in degrees])
+        return Fraction(below - at, den)
     raise DomainError(f"unknown girth mode {mode!r}")

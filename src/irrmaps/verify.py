@@ -116,7 +116,7 @@ def _expand(n: int, *groups) -> MultiPoly:
     return out
 
 
-def _string_check(genus: int, n: int) -> tuple[MultiPoly, bool]:
+def string_check(genus: int, n: int) -> tuple[MultiPoly, bool]:
     """LHS - RHS of the string equation over (b, l1..ln), and whether the
     RHS is even in the face generators: no face sum in use has an odd power
     of l.  LHS is the (n+1)-face polynomial at l_(n+1) = 1.  RHS takes each
@@ -130,16 +130,6 @@ def _string_check(genus: int, n: int) -> tuple[MultiPoly, bool]:
            for e, rest, c in faces for k, sigma in enumerate(sums[e]) if not sigma.is_zero())
     even = all(sigma.is_zero() for face in sums.values() for sigma in face[1::2])
     return _expand(n, [(rest, c) for _, rest, c in _one_face_out(big)], rhs), even
-
-
-def string_equation_delta(genus: int, n: int) -> MultiPoly:
-    """LHS - RHS of the string equation, as a polynomial in (b, l1..ln)."""
-    return _string_check(genus, n)[0]
-
-
-def string_rhs_even(genus: int, n: int) -> bool:
-    """The combined string RHS must be even in every face generator."""
-    return _string_check(genus, n)[1]
 
 
 def dilaton_equation_delta(genus: int, n: int) -> MultiPoly:
@@ -162,7 +152,7 @@ def _pairs(genus: int | None, n: int | None):
 def verify_string(genus: int | None = None, n: int | None = None) -> VerificationReport:
     report = VerificationReport("string")
     for g, m in _pairs(genus, n):
-        delta, even = _string_check(g, m)
+        delta, even = string_check(g, m)
         report.add(f"string equation at genus {g}, {m} faces",
                    delta.is_zero(), str(delta))
         report.add(f"string RHS even in the face degrees at genus {g}, {m} faces",

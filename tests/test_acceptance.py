@@ -9,12 +9,11 @@ from fractions import Fraction
 
 from irrmaps.families import qpoly_direct_sum_oracle, qpoly_table, series_J_inverse
 from irrmaps.oracle import GluingSpec, brute_count
-from irrmaps.pipeline import (count_exact, girth_count, moment_hat_via_Q,
-                              moment_hat_via_T, nhat, to_m_basis)
+from irrmaps.pipeline import (count_exact, girth_count, moment_hat_via_T,
+                              moment_hats_via_Q, nhat, to_m_basis)
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import (TABLE1_ROWS, _bpoly, dilaton_equation_delta,
-                            string_equation_delta, verify_ab_inverse,
-                            verify_qpoly)
+                            string_check, verify_ab_inverse, verify_qpoly)
 
 from test_reference_mbasis import expand
 
@@ -48,7 +47,7 @@ def test_criterion_2_special_values():
 
 def test_criterion_3_string_and_dilaton():
     for g, n in ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1)):
-        s = string_equation_delta(g, n)
+        s = string_check(g, n)[0]
         report(f"criterion 3: string equation exact at genus {g}, {n} faces",
                s.is_zero(), str(s) if not s.is_zero() else "")
         d = dilaton_equation_delta(g, n)
@@ -126,7 +125,7 @@ def test_criterion_8_moment_crosscheck():
     R = series_J_inverse(5)
     for p in range(4):
         raised = series_J_inverse(5 + p + 1)
-        agree = moment_hat_via_Q(p, R, 5) == moment_hat_via_T(p, raised, 5)
+        agree = moment_hats_via_Q((p,), R, 5)[0] == moment_hat_via_T(p, raised, 5)
         report(f"criterion 8: moment routes agree for p={p} at symbolic b, t-order 5",
                agree)
 

@@ -13,7 +13,7 @@ from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _degree_one_
                               _moments, UnsupportedGenusError,
                               a_transform_coeff, b_transform_coeff, count_exact,
                               girth_count, moment_hat, moment_hats, moment_hats_via_Q,
-                              moment_hat_via_Q, moment_hat_via_T, nhat,
+                              moment_hat_via_T, nhat,
                               planar_correction, solve_R_hat, to_m_basis)
 from irrmaps.ring import MultiPoly, Series, TruncationError, face_generators, log_unit
 from irrmaps.serialize import emit_polynomial_json, parse_polynomial_json
@@ -68,7 +68,7 @@ def test_moment_constant_terms():
 
 
 def test_moment_at_b_one_is_trivial():
-    m0 = moment_hat_via_Q(0, series_J_inverse(4), 4)
+    m0 = moment_hats_via_Q((0,), series_J_inverse(4), 4)[0]
     # at b = 1 the fundamental series is t and the zeroth moment is 1
     assert m0.order == 4
     for k, coeff in enumerate(m0.coeffs):
@@ -95,7 +95,7 @@ def raised_R(order, p):
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_moment_routes_agree_symbolic(p):
     R = series_J_inverse(5)
-    via_q, via_t = moment_hat_via_Q(p, R, 5), moment_hat_via_T(p, raised_R(5, p), 5)
+    via_q, via_t = moment_hats_via_Q((p,), R, 5)[0], moment_hat_via_T(p, raised_R(5, p), 5)
     assert via_q.order == via_t.order == 5
     assert via_q == via_t
 
@@ -300,7 +300,7 @@ def test_free_energy_log_form():
     # through the derivative route as well: with no faces on series in t,
     # with a face against the t^0 part of the marker ring's T route
     R = raised_R(5, 0)
-    via_q = log_unit(moment_hat_via_Q(0, R, 5), 5) * Fraction(-1, 12)
+    via_q = log_unit(moment_hats_via_Q((0,), R, 5)[0], 5) * Fraction(-1, 12)
     via_t = log_unit(moment_hat_via_T(0, R, 5), 5) * Fraction(-1, 12)
     assert via_q == via_t
     via_q = log_unit(moment_hat(0, solve_R_hat(1)), 1) * Fraction(-1, 12)
@@ -330,7 +330,7 @@ def test_every_moment_route_refuses_p_4():
     from irrmaps.families import qpoly_table
     assert len(qpoly_table()) == 4
     R = series_J_inverse(9)
-    for route in (lambda: moment_hat_via_Q(4, R, 4), lambda: moment_hat_via_T(4, R, 4),
+    for route in (lambda: moment_hats_via_Q((4,), R, 4)[0], lambda: moment_hat_via_T(4, R, 4),
                   lambda: moment_hat(4, solve_R_hat(2))):
         with pytest.raises(DomainError, match="moment index 4 beyond"):
             route()

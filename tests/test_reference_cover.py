@@ -24,8 +24,8 @@ from collections import Counter, deque
 import pytest
 
 from irrmaps.families import ConsistencyError
-from irrmaps.oracle import (CoverBall, HalfEdgeMap, enumerate_matchings,
-                            simple_cycles_up_to)
+from irrmaps.oracle import CoverBall, HalfEdgeMap, simple_cycles_up_to
+from test_reference_search import enumerate_matchings
 
 
 class ReferenceCoverBall(CoverBall):
@@ -241,7 +241,7 @@ def test_rotations_around_degree_one_vertices_are_always_zipped():
     # it owes its zip even where no growth round reaches it
     checked = 0
     for hm in higher_genus_maps((3,)) + higher_genus_maps((1, 2)):
-        if hm.min_degree() != 1:
+        if min(map(len, hm.vertices)) != 1:
             continue
         for v in range(hm.num_vertices):
             for radius in (0, 1):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrmaps.oracle import (HalfEdgeMap, check_irreducible, enumerate_matchings,
-                            polygon_layout, simple_cycles_up_to)
+from irrmaps.oracle import HalfEdgeMap, check_irreducible, polygon_layout, simple_cycles_up_to
+from test_reference_search import enumerate_matchings
 
 
 def cycle_graph(hmap):
@@ -140,7 +140,7 @@ def test_leaf_check_matches_edge_sets_on_every_small_planar_gluing():
             hm = HalfEdgeMap(degrees, matching)
             if not hm.connected or hm.genus:
                 return
-            seen["degree one"] += hm.min_degree() == 1
+            seen["degree one"] += min(map(len, hm.vertices)) == 1
             seen["digon face"] += 1 in degrees
             seen["double edge"] += any(c not in {e for _, e in face_contours(hm)}
                                        for c in simple_cycles_up_to(cycle_graph(hm), 2))

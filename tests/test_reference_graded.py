@@ -31,7 +31,7 @@ from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_table,
                               series_I, series_J, series_J_inverse)
 from irrmaps.pipeline import (B_ONLY, face_generators,
                               free_energy, moment_hat,
-                              moment_hat_via_Q, moment_hat_via_T, nhat_genus0,
+                              moment_hat_via_T, moment_hats_via_Q, nhat_genus0,
                               solve_R_hat, t_weight)
 from irrmaps.ring import (ContextError, GradedSeries, MultiPoly, Series,
                           TruncationError, distinct_permutations)
@@ -472,7 +472,7 @@ def test_R_moments_and_free_energy_match_the_marker_ring(genus, nfaces, cap):
         marker_R = marker_solve_R(0, cap)
         R = series_J_inverse(max(cap, 1)).truncate(cap)
         assert same_series(R, at_no_faces(marker_R))
-        moments = [moment_hat_via_Q(p, R, cap) for p in range(3 * genus - 2)]
+        moments = [moment_hats_via_Q((p,), R, cap)[0] for p in range(3 * genus - 2)]
         marker_moments = [marker_moment(0, cap, p, marker_R) for p in range(3 * genus - 2)]
         assert all(same_series(m, at_no_faces(mm)) for m, mm in zip(moments, marker_moments))
         F = free_energy(genus, moments, cap)
@@ -508,7 +508,7 @@ def test_series_routes_match_the_marker_ring_without_faces(order, p):
     R = series_J_inverse(order + p + 1)
     assert same_series(R.truncate(order), at_no_faces(marker_R))
     want = at_no_faces(marker_moment(0, order, p, marker_R))
-    assert same_series(moment_hat_via_Q(p, R, order), want)
+    assert same_series(moment_hats_via_Q((p,), R, order)[0], want)
     assert same_series(moment_hat_via_T(p, R, order), want)
 
 

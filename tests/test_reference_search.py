@@ -9,6 +9,11 @@ polygon 0.  It also keeps each boundary circle as a linked list
 (``bnx``/``bpv``) spliced at every gluing, and a count of glued sides per
 polygon, where ``_search`` reads both off its vertex chains and its
 matching.  ``oracle._search`` must count exactly the same matchings.
+
+``enumerate_matchings`` visits every perfect matching of the polygon sides
+with no pruning at all, and ``assemble_map`` keeps the connected gluings of
+the spec's genus: with a leaf verdict that shares no code with the oracle,
+they are the naive filter the other oracle tests compare the search with.
 """
 
 from dataclasses import replace
@@ -18,8 +23,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrmaps.families import ConsistencyError
-from irrmaps.oracle import GluingSpec, _leaf_passes, _search, polygon_layout
+from irrmaps.oracle import (DEFAULT_GUARD_SIDES, GluingSpec, HalfEdgeMap, OracleError,
+                            _leaf_passes, _search, check_sides, polygon_layout)
 from irrmaps.verify import sweep_tuples
+
+
+def enumerate_matchings(degrees, visitor=None,
+                        guard_sides: int = DEFAULT_GUARD_SIDES) -> int:
+    """Visit every perfect matching of the polygon sides exactly once.
+
+    Canonical order: repeatedly pair the smallest unmatched side with each
+    larger unmatched side.  Returns the number of matchings visited; if
+    ``visitor`` is given it is called with each matching (tuple of pairs).
+    """
+    S = sum(2 * l for l in degrees)
+    if S % 2:
+        raise OracleError("odd number of sides")
+    check_sides(S, guard_sides)
+    partner = [-1] * S
+    pairs: list[tuple[int, int]] = []
+    count = 0
+
+    def rec(lo: int):
+        nonlocal count
+        while lo < S and partner[lo] != -1:
+            lo += 1
+        if lo >= S:
+            count += 1
+            if visitor is not None:
+                visitor(tuple(pairs))
+            return
+        for c in range(lo + 1, S):
+            if partner[c] != -1:
+                continue
+            partner[lo] = c
+            partner[c] = lo
+            pairs.append((lo, c))
+            rec(lo + 1)
+            pairs.pop()
+            partner[lo] = -1
+            partner[c] = -1
+
+    rec(0)
+    return count
+
+
+def assemble_map(spec: GluingSpec, matching) -> HalfEdgeMap | None:
+    """Assemble a matching; reject (None) if disconnected or the wrong genus."""
+    hmap = HalfEdgeMap(spec.degrees, matching)
+    if not hmap.connected or hmap.genus != spec.genus:
+        return None
+    return hmap
 
 
 def reference_rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:

@@ -102,8 +102,7 @@ def routes_agree(genus, n, small, big):
     expanded evenness verdict."""
     table = {(genus, n): small, (genus, n + 1): big}
     with mock.patch.object(verify, "nhat", lambda g, m: table[(g, m)]):
-        delta = verify.string_equation_delta(genus, n)
-        even = verify.string_rhs_even(genus, n)
+        delta, even = verify.string_check(genus, n)
         dilaton = verify.dilaton_equation_delta(genus, n)
     lhs, rhs = expanded_string_sides(small, big)
     assert delta == lhs - rhs

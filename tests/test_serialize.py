@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import irrmaps
 from irrmaps import serialize
 from irrmaps.pipeline import B_ONLY, MAX_FACES, SUPPORTED_GENERA, CountPolynomial, nhat
 from irrmaps.ring import MultiPoly
@@ -285,3 +287,37 @@ def test_every_unused_import_is_a_benchmark_patch_site():
                 found += [(path.stem, name.strip()) for name in names.split(",")]
     assert found, "no unused import left"
     assert [site for site in found if site not in sites] == []
+
+
+def _names_read(path: Path, by_string: bool) -> set[str]:
+    """The identifiers a module reads: names, attributes and the modules it
+    imports from, and with ``by_string`` also imported names and string
+    constants, which is how the benchmark looks up what it patches."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        elif by_string and isinstance(node, ast.alias):
+            names.add(node.name)
+        elif by_string and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a name the package exports is run by a command or read by the
+    # benchmark; code only the tests read belongs in the tests.  The one
+    # exception is the library reader of emit_polynomial_json's documents
+    package = Path(irrmaps.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _names_read(path, by_string=False)
+    for path in (package.parents[1] / "perfbench").glob("*.py"):
+        read |= _names_read(path, by_string=True)
+    unread = sorted(set(irrmaps.__all__) - read - {"parse_polynomial_json"})
+    assert unread == []

@@ -9,8 +9,8 @@ import irrmaps.ring as ring
 from irrmaps.pipeline import CountPolynomial, face_generators, nhat
 from irrmaps.ring import MultiPoly
 from irrmaps.verify import (cross_verify_counts, dilaton_equation_delta,
-                            harer_zagier_numbers, string_equation_delta,
-                            string_rhs_even, sweep_tuples, verify_ab_inverse,
+                            harer_zagier_numbers, string_check,
+                            sweep_tuples, verify_ab_inverse,
                             verify_dilaton, verify_harer_zagier, verify_moments,
                             verify_qpoly, verify_string, verify_table1)
 
@@ -33,9 +33,9 @@ def test_dilaton_suite_passes():
 
 def test_string_hand_checks():
     # genus 0, three faces: both sides equal sum l_j^2 - 3b^2 - 3b
-    delta = string_equation_delta(0, 3)
+    delta, even = string_check(0, 3)
     assert delta.is_zero()
-    assert string_rhs_even(0, 3)
+    assert even
     assert dilaton_equation_delta(1, 1).is_zero()
 
 
@@ -60,8 +60,9 @@ def test_string_dilaton_at_the_top_of_the_face_guard():
     # the largest pairs whose (n+1)-face polynomial MAX_FACES admits
     for g, n in ((0, 10), (1, 9), (2, 7)):
         assert n + 1 == pipeline.MAX_FACES[g]
-        assert string_equation_delta(g, n).is_zero(), (g, n)
-        assert string_rhs_even(g, n), (g, n)
+        delta, even = string_check(g, n)
+        assert delta.is_zero(), (g, n)
+        assert even, (g, n)
         assert dilaton_equation_delta(g, n).is_zero(), (g, n)
 
 
@@ -87,7 +88,7 @@ def test_perturbed_polynomial_fails_string(monkeypatch):
     cache = dict(pipeline._NHAT_CACHE)
     cache[(0, 4)] = bumped
     monkeypatch.setattr(pipeline, "_NHAT_CACHE", cache)
-    delta = string_equation_delta(0, 3)
+    delta = string_check(0, 3)[0]
     assert delta == MultiPoly.constant(face_generators(3), 1)
     report = verify_string(0, 3)
     assert not report.passed
@@ -213,7 +214,7 @@ def test_report_rendering():
 def test_string_dilaton_one_level_deeper():
     # beyond the default pairs: the genus-2 two-face identity needs the
     # three-face genus-2 polynomial
-    assert string_equation_delta(2, 2).is_zero()
+    assert string_check(2, 2)[0].is_zero()
     assert dilaton_equation_delta(2, 2).is_zero()
-    assert string_equation_delta(1, 3).is_zero()
+    assert string_check(1, 3)[0].is_zero()
     assert dilaton_equation_delta(0, 6).is_zero()
