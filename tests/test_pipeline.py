@@ -16,10 +16,11 @@ from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _degree_one_
                               moment_hat_via_T, nhat,
                               planar_correction, solve_R_hat, to_m_basis)
 from irrmaps.ring import MultiPoly, Series, TruncationError, face_generators, log_unit
-from irrmaps.serialize import emit_polynomial_json, parse_polynomial_json
+from irrmaps.serialize import emit_polynomial_json
 
 from test_reference_graded import (coefficient, expand, marker_moment, marker_moment_via_T,
                                    marker_solve_R, t0_part)
+from test_reference_json import parse_polynomial_json
 from test_reference_mbasis import M_BASIS_GRID, expanded_nhat, regroup
 from test_reference_mbasis import expand as expand_count
 

@@ -10,10 +10,11 @@ import irrmaps
 from irrmaps import serialize
 from irrmaps.pipeline import B_ONLY, MAX_FACES, SUPPORTED_GENERA, CountPolynomial, nhat
 from irrmaps.ring import MultiPoly
-from irrmaps.serialize import (CSV_HEADER, count_csv_rows, emit_polynomial_json, format_monomials,
-                               parse_polynomial_json)
+from irrmaps.serialize import CSV_HEADER, count_csv_rows, emit_polynomial_json, format_monomials
 from fractions import Fraction
 
+import test_reference_json
+from test_reference_json import parse_polynomial_json
 from test_reference_mbasis import expand
 
 
@@ -189,14 +190,14 @@ def test_parse_lets_an_internal_error_through(monkeypatch):
         raise TypeError("internal fault")
 
     text = emit_polynomial_json(nhat(1, 2))
-    monkeypatch.setattr(serialize, "CountPolynomial", broken)
+    monkeypatch.setattr(test_reference_json, "CountPolynomial", broken)
     with pytest.raises(TypeError, match="internal fault"):
         parse_polynomial_json(text)
 
 
 def test_json_and_counts_leave_the_expansion_unbuilt():
-    # the package never expands a count into monomials: the JSON rows, the
-    # monomial printer and the parse check are written from the m-basis
+    # the package never expands a count into monomials: the JSON rows and
+    # the monomial printer are written from the m-basis
     assert not hasattr(CountPolynomial, "poly")
 
 
@@ -310,8 +311,7 @@ def _names_read(path: Path, by_string: bool) -> set[str]:
 
 def test_every_exported_name_has_a_reader_outside_the_tests():
     # a name the package exports is run by a command or read by the
-    # benchmark; code only the tests read belongs in the tests.  The one
-    # exception is the library reader of emit_polynomial_json's documents
+    # benchmark; code only the tests read belongs in the tests
     package = Path(irrmaps.__file__).parent
     read = set()
     for path in package.glob("*.py"):
@@ -319,5 +319,5 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
             read |= _names_read(path, by_string=False)
     for path in (package.parents[1] / "perfbench").glob("*.py"):
         read |= _names_read(path, by_string=True)
-    unread = sorted(set(irrmaps.__all__) - read - {"parse_polynomial_json"})
+    unread = sorted(set(irrmaps.__all__) - read)
     assert unread == []
