@@ -8,8 +8,8 @@ contractibility exactly, by words in the fundamental group.
 
 from .families import (ConsistencyError, power_one_plus_r, qpoly_direct_sum_oracle,
                        qpoly_table, series_I, series_J, series_J_inverse)
-from .oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError, SizeError,
-                     brute_count, check_irreducible, simple_cycles_up_to)
+from .oracle import (GluingSpec, HalfEdgeMap, OracleError, SizeError, brute_count,
+                     check_irreducible)
 from .pipeline import (CountPolynomial, DomainError, InvariantViolation,
                        UnsupportedGenusError, count_exact, girth_count, moment_hat,
                        moment_hat_via_T, moment_hats, moment_hats_via_Q, nhat,

@@ -17,8 +17,7 @@ import sys
 from fractions import Fraction
 
 from .families import series_I, series_J, series_J_inverse
-from .oracle import (DEFAULT_GUARD_SIDES, GluingSpec, OracleError, SizeError, brute_count,
-                     check_sides)
+from .oracle import DEFAULT_GUARD_SIDES, GluingSpec, SizeError, brute_count, check_sides
 from .pipeline import DomainError, count_exact, nhat, to_m_basis
 from .ring import join_terms
 from .serialize import count_csv_rows, emit_polynomial_json, format_monomials
@@ -26,8 +25,8 @@ from .verify import (DEFAULT_SWEEP_SIDES, SUITES, SWEEP_B_MAX, cross_verify_coun
                      sweep_tuples, verify_dilaton, verify_string)
 
 #: largest ``series --order`` per series: in a fresh process on a 2-vCPU
-#: Xeon VM with Python 3.11 each takes at most 0.5 s (Jinv 15: 0.2 s,
-#: I 60: 0.44-0.46 s, J 60: 0.09 s), and Jinv 20 takes 0.6 s
+#: Xeon VM with Python 3.11 each takes at most 0.5 s (Jinv 15: 0.11-0.12 s,
+#: I 60: 0.44-0.46 s, J 60: 0.09 s), and Jinv 20 takes 0.17-0.18 s
 MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
 
 #: largest ``sweep --max-2e`` by formula alone: 20 keeps the sweep past the
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, OracleError, SizeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,10 @@ them against the binomial sums of the definition.
 
 Each family has one generator context: I is over (b, l), J, J^{-1} and the
 binomial powers over ``ring.B_ONLY`` = (b,), and the Q table, Q_0..Q_3 as
-one cached tuple, over (b, j).  J^{-1} is solved by a fixed point, the
-way ``pipeline.solve_R_hat`` solves R.
+one cached tuple, over (b, j).  J^{-1} and ``pipeline.solve_R_hat``'s R
+are the roots of one equation, J(b; R) = t + sum_i e_i I(b, l_i; R), with
+the faces or with t alone, and :func:`solve_root` finds both in the graded
+ring: for J^{-1}, t is the degree-one marker E_0.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .ring import B_ONLY, MultiPoly, Series
+from .ring import B_ONLY, GradedSeries, MultiPoly, Series, _graded
 
 #: generator context of I
 I_GENS = ("b", "l")
@@ -81,28 +83,42 @@ def series_J(order: int) -> Series:
     return Series(coeffs, order, zero)
 
 
-def series_J_inverse(order: int) -> Series:
-    """Compositional inverse of J over :data:`B_ONLY`: the unique g with
-    J(b; g(z)) = z + O(z^(order+1)), the root R of J(b; R) = t with no faces.
+def solve_root(Z: Series, cap: int) -> GradedSeries:
+    """The root R of Z(R) = 0 in the graded ring at ``cap``, for an r-series
+    Z of order at least ``cap`` with graded coefficients at ``cap``, equal
+    to r up to terms of grading degree >= 1 and terms O(r^2) of degree 0.
 
-    Order by order, by the fixed point g = z + N(g) with
-    N(r) = r - J(b; r) = O(r^2): from g = z at order 1, round
-    k = 2..order composes N, truncated to order k, into the round k - 1
-    result lifted to order k, which settles exactly the z^k coefficient,
-    since that coefficient of N(g) reads g only below order k.  Each round
-    must reproduce the previous one below order k; a mismatch is an
+    Degree by degree, by the fixed point R <- R - Z(R): round k = 1..cap
+    composes Z, truncated to order and cap k, into the round k - 1 result
+    lifted to cap k, which settles exactly grading degree k of R, since
+    degree k of R - Z(R) reads R only below degree k.  Each round must
+    reproduce the previous one below its top degree; a mismatch is an
     internal error.
     """
+    R = GradedSeries(0)
+    for k in range(1, cap + 1):
+        lift = _graded(k, R.num, R.den)
+        Z_k = Series([c.truncate(k) for c in Z.coeffs[:k + 1]], k, GradedSeries(k))
+        R_next = lift - Z_k.compose(lift)
+        if R_next.truncate(k - 1) != R:
+            raise ConsistencyError(f"round {k} of the root solve changed lower degrees")
+        R = R_next
+    return R
+
+
+def series_J_inverse(order: int) -> Series:
+    """Compositional inverse of J over :data:`B_ONLY`: the unique g with
+    J(b; g(t)) = t + O(t^(order+1)), the root R of J(b; R) = t with no faces.
+
+    :func:`solve_root` solves Z(r) = J(b; r) - E_0 at cap ``order``, the
+    marker E_0 = M_(0) standing for t.  E_0^k = M_(0,...,0) with k zeros, so
+    the coefficient of t^k is the one of that key.
+    """
+    E_0 = GradedSeries(order, {(0,): MultiPoly.constant(B_ONLY, 1)})
+    Z = -Series([E_0], order, GradedSeries(order)) + series_J(order)
+    R = solve_root(Z, order).terms
     zero = MultiPoly(B_ONLY)
-    z = Series([zero, MultiPoly.constant(B_ONLY, 1)], order, zero)
-    N = z - series_J(order)
-    g = z.truncate(1)
-    for k in range(2, order + 1):
-        g_next = z + N.truncate(k).compose(Series(g.coeffs, k, zero))
-        if g_next.truncate(k - 1) != g:
-            raise ConsistencyError(f"round {k} of the solve for J^-1 changed lower orders")
-        g = g_next
-    return g
+    return Series([R.get((0,) * k, zero) for k in range(order + 1)], order, zero)
 
 
 def power_one_plus_r(c0: int, c1: int, order: int) -> Series:

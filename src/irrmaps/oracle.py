@@ -987,18 +987,16 @@ def _search(spec: GluingSpec) -> int:
             x = proot[x]
         return x
 
-    def link(u: int, v: int, trail) -> bool:
+    def link(u: int, v: int, trail) -> None:
         nonlocal closedV, singles
         su = cstart[u]
         if su == v:
             length = clen[v]
-            if length == 1 and mindeg2:
-                return False
             closedV += 1
             if length == 1:
                 singles -= 1
             trail.append((1, length, 0, 0, 0))
-            return True
+            return
         ev = cend[v]
         lu, lv = clen[su], clen[v]
         clen[su] = lu + lv
@@ -1007,7 +1005,6 @@ def _search(spec: GluingSpec) -> int:
         d = (1 if lu == 1 else 0) + (1 if lv == 1 else 0)
         singles -= d
         trail.append((2, su, ev, (u, v, lu), d))
-        return True
 
     def glue(a: int, c: int, remaining: int, same_circle: bool):
         """Apply the gluing; return (trail, ok).  ``same_circle``: whether a
@@ -1031,14 +1028,14 @@ def _search(spec: GluingSpec) -> int:
             popen[ra] = popen[ra] + popen[rc] - 2
             ncomp -= 1
         # a sealed component can never connect to the rest
-        ok = ((popen[ra] != 0 or ncomp == 1)
-              and link(a, nxt[c], trail) and link(c, nxt[a], trail)
-              and closedV <= V_target)
+        ok = popen[ra] != 0 or ncomp == 1
         if ok:
+            link(a, nxt[c], trail)
+            link(c, nxt[a], trail)
             chains = 2 * remaining
             vmax = closedV + (chains - singles) + singles // 2 if mindeg2 \
                 else closedV + chains
-            ok = vmax >= V_target
+            ok = closedV <= V_target <= vmax
         return trail, ok
 
     def unglue(a: int, c: int, trail):

@@ -38,12 +38,12 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb, factorial, lcm, prod
 
-from .families import ConsistencyError, power_one_plus_r, qpoly_table, series_I, series_J
+from .families import power_one_plus_r, qpoly_table, series_I, series_J, solve_root
 # unused here, but perfbench/layertrace.py patches pipeline.series_J_inverse
 # by name, so it stays bound in this module
 from .families import series_J_inverse  # noqa: F401
 from .oracle import SizeError
-from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, _graded,
+from .ring import (B_ONLY, GradedSeries, MultiPoly, Series,
                    distinct_permutations, face_generators, inverse_unit, log_unit)
 
 SUPPORTED_GENERA = (0, 1, 2)
@@ -106,29 +106,13 @@ def solve_R_hat(cap: int) -> GradedSeries:
     """Solve J(b; R) = sum_i e_i I(b, l_i; R) for R in the graded ring with
     ``cap`` faces: the t^0 part of the solution of
     J(b; R) = t + sum_i e_i I(b, l_i; R), that is the root of Z(R) = 0 for
-    the series Z of :func:`_zhat_series`.  A cap below the face count gives
-    the same keys truncated to that cap.
-
-    Degree by degree, by the fixed point R <- R - Z(R): Z is built once,
-    and round k = 1..cap composes it, truncated to order and cap k, into
-    the round k - 1 result lifted to cap k, which settles exactly grading
-    degree k of R.  R - Z(R) is sum_a E_a I_a(R) - (J(b; R) - R); each
-    E_a has degree 1 and J(b; r) - r = O(r^2), so degree k of it reads R
-    only below degree k.  Each round must reproduce the previous one below
-    its top degree; a mismatch is an internal error.
+    the series Z of :func:`_zhat_series`, by :func:`families.solve_root`.
+    Z qualifies: each E_a has grading degree 1 and J(b; r) - r = O(r^2).
+    A cap below the face count gives the same keys truncated to that cap.
     """
     if cap < 0:
         raise DomainError("number of faces must be nonnegative")
-    Z = _zhat_series(cap, max(cap, 1))
-    R = GradedSeries(0)
-    for k in range(1, cap + 1):
-        lift = _graded(k, R.num, R.den)
-        Z_k = Series([c.truncate(k) for c in Z.coeffs[:k + 1]], k, GradedSeries(k))
-        R_next = lift - Z_k.compose(lift)
-        if R_next.truncate(k - 1) != R:
-            raise ConsistencyError(f"round {k} of the solve for R changed lower degrees")
-        R = R_next
-    return R
+    return solve_root(_zhat_series(cap, max(cap, 1)), cap)
 
 
 def _moments(ps, build, inner) -> list:
@@ -473,11 +457,12 @@ def b_transform_coeff(b: int, p: int, ell: int) -> Fraction:
     return val
 
 
-def planar_correction(genus: int, n: int, b: int, degrees) -> Fraction:
-    """Correction to the polynomial count when all planar faces have degree 2b."""
+def planar_correction(genus: int, n: int, b: int, degrees) -> Fraction | int:
+    """Correction to the polynomial count when all planar faces have degree
+    2b, and the int 0 where it does not apply."""
     if genus == 0 and n >= 4 and all(d == b for d in degrees):
         return Fraction(factorial(n - 1) * (-1) ** n, 2)
-    return Fraction(0)
+    return 0
 
 
 def _check_admissible(genus: int, n: int, b: int, degrees, minimum: int) -> None:
@@ -527,8 +512,9 @@ def count_exact(genus: int, n: int, b: int, degrees,
     # the planar correction lives at the single point p = (b, ..., b); its
     # transform weight prod_i a(b, d_i, b) is 1 when every d_i = b and 0
     # otherwise, which is exactly when the correction at the degrees applies
-    if genus == 0 and n >= 4 and all(d == b for d in degrees):
-        count += planar_correction(genus, n, b, degrees)
+    correction = planar_correction(genus, n, b, degrees)
+    if correction:
+        count += correction
     return count
 
 

@@ -202,6 +202,15 @@ def test_count_takes_max_sides_for_brute_force_only(capsys, monkeypatch):
     assert guards == [24, DEFAULT_GUARD_SIDES]
 
 
+def test_count_reports_an_oracle_refusal(capsys):
+    # GluingSpec.validate refuses two planar faces with an OracleError
+    code, out, err = run(capsys, "count", "--genus", "0", "--degrees", "1,1",
+                         "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert err == "error: planar counts need at least 3 faces\n"
+
+
 def test_large_formula_sweep_exits_2_within_a_second():
     # the sweep used to build every multiset of half-degrees first: at 80
     # sides it printed nothing for as long as it was left running

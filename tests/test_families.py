@@ -5,7 +5,7 @@ import pytest
 from irrmaps.families import (ConsistencyError, power_one_plus_r, qpoly_alternating_sum,
                               qpoly_direct_sum, qpoly_direct_sum_oracle, qpoly_table,
                               series_I, series_J, series_J_inverse)
-from irrmaps.ring import MultiPoly, Series
+from irrmaps.ring import B_ONLY, GradedSeries, MultiPoly, Series
 
 G = ("b", "l")
 BJ = ("b", "j")
@@ -158,30 +158,31 @@ def test_families_have_fixed_contexts():
 
 
 def test_series_J_inverse_composes_once_per_round(monkeypatch):
-    # from z at order 1, round k = 2..order composes N(r) = r - J(b; r) once
-    # into the round k - 1 result; no other series is evaluated
+    # round k = 1..order composes Z(r) = J(b; r) - E_0 once, at cap k, into
+    # the round k - 1 result; no other series is evaluated
     composes = []
     compose = Series.compose
 
     def counted(self, inner):
-        composes.append(inner.order)
+        composes.append(inner.cap)
         return compose(self, inner)
 
     monkeypatch.setattr(Series, "compose", counted)
     for order in (1, 2, 7, 15):
         composes.clear()
         series_J_inverse(order)
-        assert composes == list(range(2, order + 1))
+        assert composes == list(range(1, order + 1))
 
 
 def test_series_J_inverse_refuses_a_round_that_changes_lower_orders(monkeypatch):
-    # a compose that disturbs the z^1 coefficient must stop the solve
+    # a compose that disturbs the z^1 coefficient, the key (0,) of E_0,
+    # must stop the solve
     compose = Series.compose
 
     def disturbed(self, inner):
         out = compose(self, inner)
-        if out.order >= 3:
-            out.coeffs[1] = out.coeffs[1] + 1
+        if out.cap >= 3:
+            out = out + GradedSeries(out.cap, {(0,): MultiPoly.constant(B_ONLY, 1)})
         return out
 
     monkeypatch.setattr(Series, "compose", disturbed)
