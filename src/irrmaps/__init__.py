@@ -12,8 +12,8 @@ from .oracle import (GluingSpec, HalfEdgeMap, OracleError, SizeError, brute_coun
                      check_irreducible)
 from .pipeline import (CountPolynomial, DomainError, InvariantViolation,
                        UnsupportedGenusError, count_exact, girth_count, moment_hat,
-                       moment_hat_via_T, moment_hats, moment_hats_via_Q, nhat,
-                       nhat_genus0, nhat_higher_genus, solve_R_hat, to_m_basis)
+                       moment_hat_via_T, moment_hats, moment_hats_via_Q, moment_hats_via_T,
+                       nhat, nhat_genus0, nhat_higher_genus, solve_R_hat, to_m_basis)
 from .ring import (ContextError, GradedSeries, MultiPoly, Rational, Series,
                    TruncationError, bernoulli_plus, power_sum_coeffs)
 from .serialize import count_csv_rows, emit_polynomial_json

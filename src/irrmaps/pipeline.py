@@ -12,7 +12,7 @@ degree, and the polynomial is the t^0 part; setting t = 0 is a ring map that
 commutes with composition, the unit log and inverse and the Q operator, so
 the solve and the moments run at t = 0 and the ring has no t.  Only the
 moment-route check at no faces keeps t: there R is J^{-1}(b; t), a plain
-series in t (``moment_hats_via_Q``, the same pass, and ``moment_hat_via_T``).
+series in t (``moment_hats_via_Q``, the same pass, and ``moment_hats_via_T``).
 Genus 0 has a closed formula: by Lagrange-Buermann inversion,
 N_{0,n} = (n-3)! [r^(n-3)] prod_i I(b, l_i; r) (1+r)^(-2b-1) (r / J(b; r))^(n-2),
 the product over the faces formed in the same ring.
@@ -164,58 +164,64 @@ def moment_hats_via_Q(ps, R: Series, order: int) -> list[Series]:
 
 
 # Moment weights T_p: fixed data, homogeneous of degree 2p in
-# (r_0, ..., r_{p+1}) with polynomial coefficients in b.  The tests certify
-# every coefficient against an independent derivation (operator commutation,
-# Stirling expansion of ((1+r) d/dr)^k, inverse-function derivatives).
+# (r_0, ..., r_{p+1}) with polynomial coefficients in b, checked through the
+# moments: the T route agrees with the Q route (``verify --suite tpoly``).
 
 
 def t_weight(p: int, b, r: list):
     """Evaluate T_p(b, r_0, ..., r_{p+1}) in any commutative ring."""
-    one = r[0] ** 0
     if p == 0:
-        return one
-    r0, r1 = r[0], r[1]
+        return r[0] ** 0
+    # Horner form in r_0, with s = r_1^2: each power of r_0 and r_1 is formed once
+    r0, r1, s = r[0], r[1], r[1] * r[1]
     if p == 1:
-        r2 = r[2]
-        return r1 * r1 * (b * (b - 1)) * Fraction(2, 3) - r0 * r2 * Fraction(2, 3)
+        return (s * (b * (b - 1)) - r0 * r[2]) * Fraction(2, 3)
     if p == 2:
         r2, r3 = r[2], r[3]
-        return (r1 ** 4) * ((2 * b + 1) * b * (b - 1) * (2 * b - 3)) * Fraction(1, 30) \
-            - (r0 * r1 * r1 * r2) * (8 * b * b - 16 * b + 5) * Fraction(1, 30) \
-            + (r0 * r0 * r2 * r2) * Fraction(4, 5) \
-            - (r0 * r0 * r1 * r3) * Fraction(4, 15)
+        return (s * s * ((2 * b + 1) * b * (b - 1) * (2 * b - 3))
+                + r0 * (r0 * (r2 * r2 * 24 - r1 * r3 * 8)
+                        - s * r2 * (8 * b * b - 16 * b + 5))) * Fraction(1, 30)
     if p == 3:
         r2, r3, r4 = r[2], r[3], r[4]
-        return (r1 ** 6) * ((b - 2) * (b - 1) * b * (b + 1) * (2 * b - 3) * (2 * b + 1)) * Fraction(1, 315) \
-            - (r0 * r2 * r1 ** 4) * ((b - 2) * b * (2 * b * b - 4 * b + 1)) * Fraction(2, 105) \
-            + (r0 ** 2 * r1 ** 2 * r2 ** 2) * (4 * b * b - 12 * b + 7) * Fraction(2, 35) \
-            - (r0 ** 2 * r1 ** 3 * r3) * (4 * b * b - 12 * b + 7) * Fraction(2, 105) \
-            - (r0 ** 3 * r2 ** 3) * Fraction(8, 7) \
-            + (r0 ** 3 * r1 * r2 * r3) * Fraction(16, 21) \
-            - (r0 ** 3 * r1 ** 2 * r4) * Fraction(8, 105)
+        s2, q, r13 = s * s, r2 * r2, r1 * r3
+        inner = s * (q * 3 - r13) * ((4 * b * b - 12 * b + 7) * 6) \
+            + r0 * (r2 * (r13 * 10 - q * 15) - s * r4) * 24
+        return (s2 * s * ((b - 2) * (b - 1) * b * (b + 1) * (2 * b - 3) * (2 * b + 1))
+                + r0 * (r0 * inner - s2 * r2 * ((b - 2) * b * (2 * b * b - 4 * b + 1) * 6))) \
+            * Fraction(1, 315)
     raise DomainError(f"T_{p} is not available (moment weights stop at p = 3)")
 
 
-def moment_hat_via_T(p: int, R: Series, order: int) -> Series:
+def moment_hats_via_T(ps, R: Series, order: int) -> list[Series]:
     """Independent route to the moment series with no faces, via
-    t-derivatives of R = J^{-1}(b; t).
+    t-derivatives of R = J^{-1}(b; t), for each p in ``ps``.
 
     Computes (1+R)^(1-b) (dR/dt)^(-(2p+1)) T_p(b, 1+R, dR/dt, ..., d^{p+1}R/dt^{p+1})
     exact to ``order`` in t.  Each derivative consumes one order, so ``R``
-    must be exact to order + p + 1; one R at the largest such order serves
-    every p.
+    must be exact to order + max(ps) + 1.  One chain of derivatives, one
+    prefactor and one 1/R' serve every p: the odd powers of 1/R' come by
+    repeated multiplication.  An index past the T weights raises
+    DomainError first.
     """
-    if p > 3:
-        raise DomainError(f"moment index {p} beyond the available T weights")
-    derivs = [R.truncate(order + p + 1)]
-    for _ in range(p + 1):
+    top = max(ps) + 1
+    if top > 4:
+        raise DomainError(f"moment index {top - 1} beyond the available T weights")
+    derivs = [R.truncate(order + top)]
+    for _ in range(top):
         derivs.append(derivs[-1].derivative())
     rs = [(derivs[0] + 1).truncate(order)] + [d.truncate(order) for d in derivs[1:]]
+    inv = inverse_unit(rs[1], order)
+    inv2 = inv * inv
+    weights = [power_one_plus_r(1, -1, order).compose(rs[0] - 1) * inv]
+    for _ in range(top - 1):
+        weights.append(weights[-1] * inv2)
     bpol = MultiPoly.variable(B_ONLY, "b")
-    T = t_weight(p, bpol, rs)
-    pref = power_one_plus_r(1, -1, order).compose(derivs[0].truncate(order))
-    dinv = power_one_plus_r(-(2 * p + 1), 0, order).compose(rs[1] - 1)
-    return pref * dinv * T
+    return [weights[p] * t_weight(p, bpol, rs) for p in ps]
+
+
+def moment_hat_via_T(p: int, R: Series, order: int) -> Series:
+    """The T-route moment series of index p alone (see :func:`moment_hats_via_T`)."""
+    return moment_hats_via_T((p,), R, order)[0]
 
 
 # ============================================================

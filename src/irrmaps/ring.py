@@ -464,7 +464,7 @@ class Series:
 
     ``coeffs`` has length ``order + 1``; entries may be any ring element.
     ``zero`` is the additive identity of the coefficient ring, needed for
-    padding (Fractions and MultiPoly both qualify).
+    padding (Fractions and MultiPoly both qualify); equal series share their order.
     """
 
     __slots__ = ("coeffs", "order", "zero")
@@ -535,14 +535,14 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return all(map(eq, self.coeffs, other.coeffs))
+        return self.order == other.order and all(map(eq, self.coeffs, other.coeffs))
 
     __hash__ = None  # unhashable
 
     def derivative(self) -> "Series":
-        """d/dx; the result is exact one order lower."""
+        """d/dx; the result is exact one order lower, so order 0 has none."""
         if self.order == 0:
-            return Series([self.zero], 0, self.zero)
+            raise TruncationError("an order-0 series has no derivative exact to any order")
         return Series([self.coeffs[k] * k for k in range(1, self.order + 1)],
                       self.order - 1, self.zero)
 

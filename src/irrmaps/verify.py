@@ -23,11 +23,11 @@ from .families import (Q_GENS, qpoly_alternating_sum, qpoly_direct_sum_oracle, q
                        series_J_inverse)
 from .oracle import GluingSpec, SizeError, brute_count, check_sides
 from .pipeline import (B_ONLY, CountPolynomial, DomainError, a_transform_coeff,
-                       b_transform_coeff, count_exact, moment_hat_via_T, moment_hats_via_Q,
+                       b_transform_coeff, count_exact, moment_hats_via_Q, moment_hats_via_T,
                        nhat, to_m_basis)
-# unused here, but perfbench/layertrace.py patches verify.solve_R_hat and
-# verify.moment_hat by name, so both stay bound in this module
-from .pipeline import moment_hat, solve_R_hat  # noqa: F401
+# unused here, but perfbench/layertrace.py patches verify.solve_R_hat,
+# verify.moment_hat and verify.moment_hat_via_T by name, so they stay bound here
+from .pipeline import moment_hat, moment_hat_via_T, solve_R_hat  # noqa: F401
 from .ring import MultiPoly, distinct_permutations, face_generators, power_sum_coeffs
 
 # default (genus, faces) pairs for the equation suites
@@ -302,9 +302,10 @@ def verify_moments(t_order: int = 5) -> VerificationReport:
     report = VerificationReport("tpoly")
     # one R at the order the T route needs for p = 3 serves every p
     R = series_J_inverse(t_order + 4)
+    via_T = moment_hats_via_T(range(4), R, t_order)
     for p, a in enumerate(moment_hats_via_Q(range(4), R, t_order)):
         report.add(f"moment routes agree for p = {p} at t-order {t_order}",
-                   a == moment_hat_via_T(p, R, t_order), "series differ")
+                   a == via_T[p], "series differ")
         const = a[0]
         want = MultiPoly.constant(B_ONLY, 1 if p == 0 else 0)
         report.add(f"moment p = {p} has constant term {1 if p == 0 else 0}",

@@ -77,6 +77,15 @@ def test_verify_harer_zagier_exit_zero(capsys):
     assert "suite harer-zagier: PASS" in out
 
 
+def test_verify_tpoly_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "tpoly")
+    assert code == 0
+    assert out == "\n".join(
+        ["suite tpoly: PASS"]
+        + [f"  [PASS] moment p = {p} has constant term {int(p == 0)}" for p in range(4)]
+        + [f"  [PASS] moment routes agree for p = {p} at t-order 5" for p in range(4)]) + "\n"
+
+
 def test_verify_oracle_skips_guarded_tuples_and_exits_zero(capsys, monkeypatch):
     # a sweep tuple the nhat face guard refuses no longer aborts the suite
     monkeypatch.setitem(pipeline.MAX_FACES, 2, 2)

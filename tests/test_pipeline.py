@@ -13,7 +13,7 @@ from irrmaps.pipeline import (B_ONLY, CountPolynomial, DomainError, _degree_one_
                               _moments, UnsupportedGenusError,
                               a_transform_coeff, b_transform_coeff, count_exact,
                               girth_count, moment_hat, moment_hats, moment_hats_via_Q,
-                              moment_hat_via_T, nhat,
+                              moment_hat_via_T, moment_hats_via_T, nhat,
                               planar_correction, solve_R_hat, to_m_basis)
 from irrmaps.ring import MultiPoly, Series, TruncationError, face_generators, log_unit
 from irrmaps.serialize import emit_polynomial_json
@@ -346,8 +346,11 @@ def test_the_all_moments_routes_refuse_p_4_before_building_a_series(monkeypatch)
     R, Rt = solve_R_hat(2), series_J_inverse(9)
     monkeypatch.setattr(pl, "_zhat_series", refused)
     monkeypatch.setattr(pl, "series_J", refused)
+    monkeypatch.setattr(pl, "power_one_plus_r", refused)
+    monkeypatch.setattr(Series, "derivative", refused)
     for route in (lambda: moment_hats(range(5), R), lambda: moment_hats((4, 0), R),
-                  lambda: moment_hats_via_Q(range(5), Rt, 4)):
+                  lambda: moment_hats_via_Q(range(5), Rt, 4),
+                  lambda: moment_hats_via_T(range(5), Rt, 4)):
         with pytest.raises(DomainError, match="moment index 4 beyond"):
             route()
 

@@ -218,6 +218,23 @@ def test_series_truncation_commutes():
         f.truncate(9)
 
 
+def test_series_equality_compares_orders():
+    # a series exact to x^1 says nothing of x^2, so it differs from a longer
+    # series with the same prefix, as graded series of two caps differ
+    assert Series([1, 2], 1, 0) != Series([1, 2, 3], 2, 0)
+    assert not Series([1, 2, 3], 2, 0) == Series([1, 2], 1, 0)
+    assert Series([1, 2, 3], 2, 0).truncate(1) == Series([1, 2], 1, 0)
+
+
+def test_series_derivative_refuses_order_0():
+    # d/dx of a series exact to x^0 is known to no order: for s = 1 + x the
+    # answer 0 would contradict s.derivative().truncate(0) = 1
+    s = scalar_series([1, 1], 1)
+    assert s.derivative() == scalar_series([1], 0)
+    with pytest.raises(TruncationError):
+        s.truncate(0).derivative()
+
+
 def test_graded_nilpotent_markers():
     cap = 2
     e = marker(cap)  # e1 + e2
