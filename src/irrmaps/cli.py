@@ -25,8 +25,9 @@ from .verify import (DEFAULT_SWEEP_SIDES, SUITES, SWEEP_B_MAX, cross_verify_coun
                      sweep_tuples, verify_dilaton, verify_string)
 
 #: largest ``series --order`` per series: in a fresh process on a 2-vCPU
-#: Xeon VM with Python 3.11 each takes at most 0.5 s (Jinv 15: 0.11-0.12 s,
-#: I 60: 0.44-0.46 s, J 60: 0.09 s), and Jinv 20 takes 0.17-0.18 s
+#: Xeon VM with Python 3.11.7 (2026-10-20), Jinv 15 takes 0.11-0.13 s, J 60
+#: 0.11-0.12 s and I 60 0.57-0.91 s, most of it printing 12 MB of text
+#: (building the series takes 0.05 s); Jinv 20 takes 0.18-0.21 s
 MAX_SERIES_ORDER = {"I": 60, "J": 60, "Jinv": 15}
 
 #: largest ``sweep --max-2e`` by formula alone: 20 keeps the sweep past the

@@ -47,22 +47,36 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; results cannot be trusted."""
 
 
+def series_I_rows(order: int) -> list[tuple[list[list[int]], int]]:
+    """[r^p] I for p = 0..``order`` as (rows, (p!)^2), rows[i] the int
+    coefficients, by power of b, of [x^i] prod_{m<p} (x - (b - m)^2) in
+    x = l^2: each product is the one before times x - (b - p + 1)^2.  The
+    lists are fresh on every call."""
+    out, rows = [], [[1]]
+    for p in range(order + 1):
+        out.append((rows, factorial(p) ** 2))
+        # times x - (b - p)^2 = x - p^2 + 2p b - b^2
+        nxt = [[0] * (2 * p + 3)] + [list(row) for row in rows]
+        for i, row in enumerate(rows):
+            for k, c in enumerate(row):
+                nxt[i][k] -= c * p * p
+                nxt[i][k + 1] += 2 * p * c
+                nxt[i][k + 2] -= c
+        rows = nxt
+    return out
+
+
 def series_I(order: int) -> Series:
     """The series I(b, l; r) truncated at ``order``, over :data:`I_GENS`.
 
-    Coefficients are polynomials in b and l^2; the coefficient of r^p has
-    degree exactly p in l^2.
+    Coefficients are polynomials in b and l^2, read off
+    :func:`series_I_rows`; the coefficient of r^p has degree exactly p in l^2.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    bp = MultiPoly.variable(I_GENS, "b")
-    lp2 = MultiPoly.variable(I_GENS, "l") ** 2
-    coeffs = [MultiPoly.constant(I_GENS, 1)]
-    prod = MultiPoly.constant(I_GENS, 1)
-    for p in range(1, order + 1):
-        m = p - 1
-        prod = prod * (lp2 - (bp - m) ** 2)
-        coeffs.append(prod * Fraction(1, factorial(p) ** 2))
+    coeffs = [MultiPoly.from_numerators(I_GENS, {(k, 2 * i): c for i, row in enumerate(rows)
+                                                 for k, c in enumerate(row)}, den)
+              for rows, den in series_I_rows(order)]
     return Series(coeffs, order, MultiPoly(I_GENS))
 
 
@@ -71,16 +85,18 @@ def series_J(order: int) -> Series:
     over :data:`B_ONLY`."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    bp = MultiPoly.variable(B_ONLY, "b")
-    zero = MultiPoly(B_ONLY)
-    coeffs = [zero, MultiPoly.constant(B_ONLY, 1)]
-    prod = MultiPoly.constant(B_ONLY, 1)
-    for p in range(2, order + 1):
-        m = p - 2
-        prod = prod * (bp - m) * (bp - m - 1)
-        c = Fraction((-1) ** (p + 1), factorial(p) * factorial(p - 1))
-        coeffs.append(prod * c)
-    return Series(coeffs, order, zero)
+    coeffs, row = [MultiPoly(B_ONLY)], [1]
+    for p in range(1, order + 1):
+        coeffs.append(MultiPoly.from_numerators(
+            B_ONLY, {(k,): c for k, c in enumerate(row) if c}, factorial(p) * factorial(p - 1)))
+        # times -(b - p + 1)(b - p) = -b^2 + (2p - 1) b - p(p - 1)
+        nxt = [0] * (len(row) + 2)
+        for k, c in enumerate(row):
+            nxt[k] -= c * p * (p - 1)
+            nxt[k + 1] += c * (2 * p - 1)
+            nxt[k + 2] -= c
+        row = nxt
+    return Series(coeffs, order, coeffs[0])
 
 
 def solve_root(Z: Series, cap: int) -> GradedSeries:

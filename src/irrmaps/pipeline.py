@@ -21,12 +21,14 @@ R, the moments and the free energy are symmetric under permuting the faces,
 so the ring keeps one coefficient per multiset of face exponents, a dense
 polynomial in b alone (see ``ring.GradedSeries``).  The only index data is
 the face count n, which is also the grading cap: no coefficient read marks
-more faces.  I enters split by powers of l as b-only series,
-I(b, l; r) = sum_a l^a I_a(r), and the face markers as
-E_a = sum_i e_i l_i^a: ``_marked_faces`` is sum_a E_a I_a(b; r), for Z
-and the genus-0 product alike.  The graded keys of the final e_1...e_n
-coefficient are the monomial symmetric basis m_lambda(l_1^2, ..., l_n^2),
-and a ``CountPolynomial`` is that basis alone.  Everything is exact and
+more faces.  I enters split by powers of l, I(b, l; r) = sum_a l^a I_a(b; r),
+and the face markers as E_a = sum_i e_i l_i^a: ``_marked_faces`` is
+sum_a E_a I_a(b; r), for Z and the genus-0 product alike, read off the int
+rows of ``families.series_I_rows``.  Each coefficient of a series product,
+composition, (1+r) d/dr step or Q operator is one ``ring.sum_of_products``.
+The graded keys of the final e_1...e_n coefficient are the monomial
+symmetric basis m_lambda(l_1^2, ..., l_n^2), and a ``CountPolynomial`` is
+that basis alone.  Everything is exact and
 symbolic in b and the face half-degrees l1..ln; exact and girth counts
 evaluate the symbolic polynomials.
 """
@@ -38,26 +40,26 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb, factorial, lcm, prod
 
-from .families import power_one_plus_r, qpoly_table, series_I, series_J, solve_root
-# unused here, but perfbench/layertrace.py patches pipeline.series_J_inverse
-# by name, so it stays bound in this module
-from .families import series_J_inverse  # noqa: F401
+from .families import power_one_plus_r, qpoly_table, series_I_rows, series_J, solve_root
+# unused here, but perfbench/layertrace.py patches pipeline.series_I and
+# pipeline.series_J_inverse by name, so they stay bound in this module
+from .families import series_I, series_J_inverse  # noqa: F401
 from .oracle import SizeError
-from .ring import (B_ONLY, GradedSeries, MultiPoly, Series,
-                   distinct_permutations, face_generators, inverse_unit, log_unit)
+from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, _graded, distinct_permutations,
+                   face_generators, inverse_unit, log_unit, sum_of_products)
 
 SUPPORTED_GENERA = (0, 1, 2)
 
 #: largest face count per genus that ``nhat`` computes.  In a fresh process
-#: on a 2-vCPU Xeon VM with Python 3.11.7, with ``--format`` mlambda, json
-#: and monomials: (0, 11) 0.24-0.26 s, 0.73-0.75 s and 78 MB, 0.70-0.78 s
-#: and 65 MB; (1, 10) 0.31-0.35 s, 1.55-1.73 s and 190 MB, 1.59-1.71 s
-#: and 159 MB; (2, 8) 0.46-0.47 s, 0.87-1.08 s and 100 MB, 0.95-1.01 s and
-#: 85 MB, all within a 5 s budget.  With json one face more takes 6.2 s
-#: and 668 MB at genus 1, past it, but only 2.2 s and 254 MB at genus 0
-#: and 2.7 s and 340 MB at genus 2: those two bounds stay so that every
-#: guarded command and the 20-side formula sweep, which skips the genus-2
-#: tuples of 9 and 10 faces, answer as before
+#: on a 2-vCPU Xeon VM with Python 3.11.7 (2026-10-20), with ``--format``
+#: mlambda, json and monomials: (0, 11) 0.12 s, 0.35-0.38 s and 79 MB,
+#: 0.35 s and 65 MB; (1, 10) 0.16-0.17 s, 0.88-1.01 s and 192 MB,
+#: 0.97-1.02 s and 157 MB; (2, 8) 0.20-0.22 s, 0.52-0.57 s and 99 MB,
+#: 0.54-0.65 s and 85 MB, all within a 5 s budget.  With json one face
+#: more takes 3.7-3.8 s and 667 MB at genus 1, near it, 1.4-1.7 s and
+#: 255 MB at genus 0 and 1.6 s and 341 MB at genus 2: the bounds stay so
+#: that every guarded command and the 20-side formula sweep, which skips
+#: the genus-2 tuples of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
 
 #: largest sum of half-degrees for a count with degree-one vertices: the
@@ -87,10 +89,10 @@ class InvariantViolation(RuntimeError):
 def _marked_faces(cap: int, order: int) -> Series:
     """The series sum_i e_i I(b, l_i; r) = sum_a E_a I_a(b; r) in r, graded
     coefficients at ``cap``: the l^a-part of each coefficient of I goes to
-    the key (a,) of E_a."""
-    coeffs = [GradedSeries(cap, {(a,): ca.with_context(B_ONLY)
-                                 for a, ca in c.coefficients_in("l").items()})
-              for c in series_I(order).coeffs]
+    the key (a,) of E_a, read straight from :func:`families.series_I_rows`;
+    at cap 0 no key is left."""
+    coeffs = [_graded(cap, {(2 * i,): row for i, row in enumerate(rows)} if cap else {}, den)
+              for rows, den in series_I_rows(order)]
     return Series(coeffs, order, GradedSeries(cap))
 
 
@@ -99,7 +101,9 @@ def _zhat_series(cap: int, order: int) -> Series:
     coefficients at ``cap``: Z = J(b; r) - t - sum_i e_i I(b, l_i; r) at
     t = 0, for ``order`` >= 1.  Its root is R (see :func:`solve_R_hat`), and
     the moments are Q operators applied to it (see :func:`moment_hats`)."""
-    return -_marked_faces(cap, order) + series_J(order)
+    J, marked = series_J(order), _marked_faces(cap, order)
+    return Series([sum_of_products(((J[k], 1), (e, -1)), e) for k, e in enumerate(marked.coeffs)],
+                  order, marked.zero)
 
 
 def solve_R_hat(cap: int) -> GradedSeries:
@@ -130,15 +134,16 @@ def _moments(ps, build, inner) -> list:
     order = inner.order if isinstance(inner, Series) else inner.cap
     top = max(ps) + 1
     chain = [build(order + top) * power_one_plus_r(0, -1, order + top)]
+    zero = chain[0].zero
     for _ in range(top):
         w = chain[-1].coeffs
-        chain.append(Series([w[k + 1] * (k + 1) + w[k] * k for k in range(len(w) - 1)],
-                            len(w) - 2, chain[0].zero))
-    powers, zero, out = [], chain[0].truncate(order) * 0, []
+        chain.append(Series([sum_of_products(((w[k + 1], k + 1), (w[k], k)), zero)
+                             for k in range(len(w) - 1)], len(w) - 2, zero))
+    powers, out = [], []
     for p in ps:
-        outer = sum((chain[e].truncate(order) * c.with_context(B_ONLY)
-                     for e, c in table[p].coefficients_in("j").items()), zero)
-        out.append(outer.compose(inner, powers))
+        q = [(e, c.with_context(B_ONLY)) for e, c in table[p].coefficients_in("j").items()]
+        outer = [sum_of_products([(chain[e][k], c) for e, c in q], zero) for k in range(order + 1)]
+        out.append(Series(outer, order, zero).compose(inner, powers))
     return out
 
 
@@ -355,7 +360,8 @@ def nhat_genus0(n: int) -> CountPolynomial:
     rest = power_one_plus_r(-1, -2, order) \
         * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(factorial(n - 3), factorial(n))
     # only [r^(n-3)] of faces * rest is needed
-    total = sum((faces[k] * rest[order - k] for k in range(order + 1)), GradedSeries(n))
+    total = sum_of_products([(faces[k], rest[order - k]) for k in range(order + 1)],
+                            GradedSeries(n))
     return CountPolynomial(0, n, _graded_m_basis(total))
 
 

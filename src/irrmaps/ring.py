@@ -27,6 +27,10 @@ Conventions
   series is evaluated at a ring element by :meth:`Series.compose` alone;
   the compositional inverse J^{-1} is a fixed point solved with it in
   ``families``.
+* :func:`sum_of_products` is the one kernel for sums of products: it
+  accumulates int numerators over one common denominator and reduces
+  once.  A MultiPoly or graded product and a graded sum are one call, and
+  a series product or composition forms each coefficient with one call.
 * Power sums use the Bernoulli convention ``B_1 = +1/2``, so that the
   polynomial with coefficients ``power_sum_coeffs(m)``, evaluated at an
   integer ``x >= 0``, equals ``sum(k**m for k in range(1, x + 1))``.
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, zip_longest
 from math import comb, gcd, lcm
 from operator import add, eq, sub
@@ -261,20 +265,7 @@ class MultiPoly:
                 self.gens, {e: c * p for e, c in self.num.items()}, self.den * q)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check(other)
-        out: dict[tuple, int] = {}
-        get = out.get
-        if len(self.gens) == 1:
-            for (a,), c1 in self.num.items():
-                for (b,), c2 in other.num.items():
-                    key = (a + b,)
-                    out[key] = get(key, 0) + c1 * c2
-        else:
-            for e1, c1 in self.num.items():
-                for e2, c2 in other.num.items():
-                    key = tuple(map(add, e1, e2))
-                    out[key] = get(key, 0) + c1 * c2
-        return MultiPoly.from_numerators(self.gens, out, self.den * other.den)
+        return _sum(((self, other),), self.gens, None)
 
     __rmul__ = __mul__
 
@@ -327,15 +318,11 @@ class MultiPoly:
         self._check(value)
         i = self._index(name)
         powers = [self.one]
-        acc = self.zero
-        for exps, c in self.num.items():
-            k = exps[i]
-            while len(powers) <= k:
-                powers.append(powers[-1] * value)
-            mono = MultiPoly.from_numerators(
-                self.gens, {exps[:i] + (0,) + exps[i + 1:]: c}, self.den)
-            acc = acc + mono * powers[k]
-        return acc
+        for _ in range(self.degree_in(name)):
+            powers.append(powers[-1] * value)
+        return _sum([(MultiPoly.from_numerators(
+            self.gens, {exps[:i] + (0,) + exps[i + 1:]: c}, self.den), powers[exps[i]])
+            for exps, c in self.num.items()], self.gens, None)
 
     def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
         """View as a polynomial in one generator: exponent -> coefficient.
@@ -512,20 +499,12 @@ class Series:
         if not isinstance(other, Series):
             return Series([c * other for c in self.coeffs], self.order, self.zero)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # products with a zero operand add nothing: form only the others
-        a_nonzero = [j for j in range(n + 1) if not _is_zero_elem(a[j])]
-        b_zero = [_is_zero_elem(b[k]) for k in range(n + 1)]
-        out = []
-        for k in range(n + 1):
-            acc = self.zero
-            for j in a_nonzero:
-                if j > k:
-                    break
-                if not b_zero[k - j]:
-                    acc = acc + a[j] * b[k - j]
-            out.append(acc)
-        return Series(out, n, self.zero)
+        # products with a zero operand add nothing: pair only the others
+        a = [(j, x) for j, x in enumerate(self.coeffs[:n + 1]) if not _is_zero_elem(x)]
+        b = [None if _is_zero_elem(y) else y for y in other.coeffs[:n + 1]]
+        total = _summer(self.zero, [x for _, x in a] + [y for y in b if y is not None])
+        return Series([total([(x, b[k - j]) for j, x in a if j <= k and b[k - j] is not None])
+                       for k in range(n + 1)], n, self.zero)
 
     def __rmul__(self, other):
         return Series([other * c for c in self.coeffs], self.order, self.zero)
@@ -555,22 +534,27 @@ class Series:
         coefficient ring of ``inner`` must absorb this series' coefficients
         under ``+`` and ``*``.
 
-        The powers of ``inner`` are accumulated one by one: inner**k has
+        The powers of ``inner`` are formed one by one: inner**k has
         valuation >= k, so its low coefficients are zero and, in a graded
         ring, it thins out and vanishes past the cap, where the sum stops.
         A list ``powers`` of inner, inner**2, ... is read and extended, so
-        series composed into one ``inner`` can share it.
+        series composed into one ``inner`` can share it.  The sum is one
+        :func:`sum_of_products`, per coefficient for a Series ``inner``.
         """
         _require_no_constant(inner)
         powers = [] if powers is None else powers
-        acc = inner * 0 + self.coeffs[0]
+        c0, terms = self.coeffs[0], []
         for k, c in enumerate(self.coeffs[1:]):
             if k == len(powers):
                 powers.append(powers[-1] * inner if powers else inner)
             if _is_zero_elem(powers[k]):
                 break
-            acc = acc + powers[k] * c
-        return acc
+            terms.append((powers[k], c))
+        if not isinstance(inner, Series):
+            return sum_of_products([(c0, 1)] + terms, inner * 0)
+        total = _summer(inner.zero, [c0, *chain.from_iterable(x.coeffs + [c] for x, c in terms)])
+        return Series([total([(c0 if m == 0 else 0, 1)] + [(x.coeffs[m], c) for x, c in terms])
+                       for m in range(inner.order + 1)], inner.order, inner.zero)
 
     def __str__(self):
         return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs)) or "0"
@@ -664,8 +648,8 @@ class GradedSeries:
     polynomial in b alone, by power of b, over the one denominator ``den``.
     The form is canonical (no list empty or ending in 0, ``den > 0``,
     ``gcd(den, *numerators) == 1``), so equality is structural.  A product
-    convolves the lists of each pair of keys and reduces once, by one gcd;
-    a sum rescales both operands to one common denominator.  The
+    or a sum is one :func:`sum_of_products`, which convolves the lists of
+    each pair of keys and reduces once, by one gcd.  The
     constructor takes, and ``terms`` builds, the ``{lam: MultiPoly over
     B_ONLY}`` form; the constructor refuses another context, sorts each
     ``lam`` and adds up the terms that then share a key.  Instances are
@@ -677,26 +661,16 @@ class GradedSeries:
     def __init__(self, cap: int, terms: Mapping[tuple, MultiPoly] | None = None):
         if cap < 0:
             raise TruncationError("cap must be nonnegative")
-        terms, num = terms or {}, {}
-        den = lcm(*(c.den for c in terms.values()))
-        for lam, coeff in terms.items():
-            if coeff.gens != B_ONLY:
-                raise ContextError(f"coefficient over {coeff.gens}, not {B_ONLY}")
-            if len(lam) > cap or not coeff.num:
-                continue
-            row = num.setdefault(tuple(sorted(lam)), [])
-            row.extend([0] * (max(coeff.num)[0] + 1 - len(row)))
-            scale = den // coeff.den
-            for (k,), x in coeff.num.items():
-                row[k] += x * scale
-        self.cap, (self.num, self.den) = cap, _reduced(num, den)
+        # M_lam times its coefficient, summed; a key past the cap adds 0
+        total = _sum([(_graded(cap, {tuple(sorted(lam)): [1]}, 1) if len(lam) <= cap else 0, c)
+                      for lam, c in (terms or {}).items()], B_ONLY, cap)
+        self.cap, self.num, self.den = cap, total.num, total.den
 
     # ---------- constructors and views ----------
 
     @classmethod
     def constant(cls, cap: int, value) -> "GradedSeries":
-        poly = value if isinstance(value, MultiPoly) else MultiPoly.constant(B_ONLY, value)
-        return cls(cap, {(): poly})
+        return cls(cap, {(): value})
 
     @property
     def terms(self) -> dict[tuple, MultiPoly]:
@@ -715,31 +689,11 @@ class GradedSeries:
 
     # ---------- ring operations ----------
 
-    def _coerce(self, other) -> "GradedSeries | None":
-        if isinstance(other, GradedSeries):
-            if other.cap != self.cap:
-                raise TruncationError(f"cap mismatch: {self.cap} vs {other.cap}")
-            return other
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return GradedSeries.constant(self.cap, other)
-        return None
-
     def _plus(self, other, sign: int) -> "GradedSeries":
-        """self + sign * other, over the least common denominator."""
-        other = self._coerce(other)
-        if other is None:
+        """self + sign * other, by :func:`sum_of_products`."""
+        if not isinstance(other, (GradedSeries, MultiPoly, int, Fraction)):
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other if sign == 1 else -other
-        g = gcd(self.den, other.den)
-        m1, m2 = other.den // g, sign * (self.den // g)
-        out = dict(self.num) if m1 == 1 else \
-            {k: [x * m1 for x in row] for k, row in self.num.items()}
-        for k, row in other.num.items():
-            out[k] = [x + y * m2 for x, y in zip_longest(out.get(k, ()), row, fillvalue=0)]
-        return _graded(self.cap, out, self.den * m1)
+        return _sum(((self, 1), (other, sign)), B_ONLY, self.cap)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -760,41 +714,22 @@ class GradedSeries:
             p, q = _num_den(other)
             return _graded(self.cap, {k: [x * p for x in row] for k, row in self.num.items()},
                            self.den * q)
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (GradedSeries, MultiPoly)):
             return NotImplemented
-        cap = self.cap
-        right = sorted((len(l2), l2, r2, len(r2) - 1) for l2, r2 in other.num.items())
-        out: dict[tuple, list[int]] = {}
-        get = out.get
-        for l1, r1 in self.num.items():
-            room = cap - len(l1)
-            n1 = len(r1)
-            for n2, l2, r2, d2 in right:
-                if n2 > room:
-                    break
-                key = l2 if not l1 else l1 if not l2 else tuple(sorted(l1 + l2))
-                acc = get(key) or out.setdefault(key, [])
-                if len(acc) < n1 + d2:
-                    acc.extend([0] * (n1 + d2 - len(acc)))
-                for i, x in enumerate(r1):
-                    if x:
-                        for j, y in enumerate(r2, i):
-                            acc[j] += x * y
-        return _graded(cap, out, self.den * other.den)
+        return _sum(((self, other),), B_ONLY, self.cap)
 
     __rmul__ = __mul__
 
     __pow__ = _power
 
     def __eq__(self, other):
-        if isinstance(other, GradedSeries) and other.cap != self.cap \
-                or isinstance(other, MultiPoly) and other.gens != B_ONLY:
+        if isinstance(other, MultiPoly) and other.gens != B_ONLY:
             return False
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction, MultiPoly)):
+            other = GradedSeries.constant(self.cap, other)
+        if not isinstance(other, GradedSeries):
             return NotImplemented
-        return self.den == other.den and self.num == other.num
+        return self.cap == other.cap and self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -826,6 +761,126 @@ def _graded(cap: int, num: dict[tuple, list[int]], den: int) -> GradedSeries:
     out = object.__new__(GradedSeries)
     out.cap, (out.num, out.den) = cap, _reduced(num, den)
     return out
+
+
+# ============================================================
+# Sums of products
+# ============================================================
+
+
+def sum_of_products(pairs, zero):
+    """sum(x * y for x, y in pairs), starting from ``zero``, formed at once.
+
+    The sum is graded if ``zero`` or a factor is (factors GradedSeries,
+    b-only MultiPoly, int or Fraction), else a polynomial if one is; the
+    products go as int numerators over one common denominator, the lcm of
+    theirs, reduced once by one gcd.  As under ``*``, a factor at another
+    cap raises TruncationError and one over another context ContextError.
+    In any other ring the products are added one by one to ``zero``.
+    """
+    pairs = list(pairs)
+    return _summer(zero, list(chain(*pairs)))(pairs)
+
+
+def _summer(zero, factors: list):
+    """:func:`sum_of_products` in the ring of ``zero`` and ``factors``, as
+    a function of the pairs: the sums of one series product or
+    composition pick their ring once."""
+    if isinstance(zero, GradedSeries):
+        return lambda pairs: _sum(pairs, B_ONLY, zero.cap)
+    kinds = set(map(type, factors)) | {type(zero)}
+    if not (kinds <= {int, Fraction, MultiPoly, GradedSeries} and kinds - {int, Fraction}):
+        return lambda pairs: reduce(lambda acc, xy: acc + xy[0] * xy[1], pairs, zero)
+    ring = GradedSeries if GradedSeries in kinds else MultiPoly
+    first = next(f for f in [zero, *factors] if isinstance(f, ring))
+    gens, cap = (B_ONLY, first.cap) if ring is GradedSeries else (first.gens, None)
+    _factor(zero, gens, cap)
+    return lambda pairs: _sum(pairs, gens, cap)
+
+
+def _factor(f, gens: tuple, cap: int | None) -> tuple[dict, int]:
+    """A factor as (numerators, denominator).  In the graded ring at
+    ``cap`` the numerators are lists by key, a b-only MultiPoly or a scalar
+    being one list on the key (); with ``cap`` None, ints by exponents."""
+    if isinstance(f, GradedSeries):
+        if f.cap != cap:
+            raise TruncationError(f"cap mismatch: {cap} vs {f.cap}")
+        return f.num, f.den
+    if isinstance(f, MultiPoly):
+        if f.gens != gens:
+            raise ContextError(f"context mismatch: {gens} vs {f.gens}")
+        if cap is None:
+            return f.num, f.den
+        return {(): [f.num.get((k,), 0) for k in range(max(f.num)[0] + 1)]} if f.num else {}, f.den
+    p, q = _num_den(f)
+    return ({(0,) * len(gens): p} if cap is None else {(): [p]}) if p else {}, q
+
+
+def _sum(pairs, gens: tuple, cap: int | None):
+    """:func:`sum_of_products` over GradedSeries at ``cap``, or with
+    ``cap`` None over MultiPoly in ``gens``.  The factor with more keys
+    goes on the left.  A graded pair of keys convolves their two lists,
+    keys past the cap dropped, and a factor constant in b scales the
+    other's lists; polynomial terms multiply into one dict of exponents."""
+    parts, scaled, den = [], [], 1
+    for x, y in pairs:
+        (rx, dx), (ry, dy) = _factor(x, gens, cap), _factor(y, gens, cap)
+        if rx and ry:
+            den = lcm(den, dx * dy)
+            if len(rx) < len(ry):
+                rx, ry = ry, rx
+            # a factor constant in b scales the other's lists: such pairs go
+            # last, after every pair that changes a list in place, and share
+            const = cap is not None and len(ry) == 1 and len(ry.get((), ())) == 1
+            (scaled if const else parts).append((rx, ry, dx * dy))
+    out: dict = {}
+    get = out.get
+    for rx, ry, d in parts:
+        s = den // d
+        if cap is None and len(gens) == 1:
+            for (i,), c1 in rx.items():
+                c1 *= s
+                for (j,), c2 in ry.items():
+                    key = (i + j,)
+                    out[key] = get(key, 0) + c1 * c2
+            continue
+        if cap is None:
+            for e1, c1 in rx.items():
+                c1 *= s
+                for e2, c2 in ry.items():
+                    key = tuple(map(add, e1, e2))
+                    out[key] = get(key, 0) + c1 * c2
+            continue
+        right = sorted((len(l2), l2, r2 if s == 1 else [y * s for y in r2], len(r2) - 1)
+                       for l2, r2 in ry.items())
+        for l1, r1 in rx.items():
+            room = cap - len(l1)
+            n1 = len(r1)
+            for n2, l2, r2, d2 in right:
+                if n2 > room:
+                    break
+                key = l2 if not l1 else l1 if not l2 else tuple(sorted(l1 + l2))
+                acc = get(key)
+                if acc is None:
+                    acc = out[key] = [0] * (n1 + d2)
+                elif len(acc) < n1 + d2:
+                    acc.extend([0] * (n1 + d2 - len(acc)))
+                if n1 == 1 or not d2:
+                    # one factor is constant in b: scale the other row
+                    (c,), row = (r1, r2) if n1 == 1 else (r2, r1)
+                    for j, y in enumerate(row):
+                        acc[j] += c * y
+                    continue
+                for i, x in enumerate(r1):
+                    for j, y in enumerate(r2, i):
+                        acc[j] += x * y
+    for rx, ry, d in scaled:
+        c = ry[()][0] * (den // d)
+        for l1, r1 in rx.items():
+            acc = get(l1)
+            out[l1] = (r1 if c == 1 else [x * c for x in r1]) if acc is None else \
+                [a + x * c for a, x in zip_longest(acc, r1, fillvalue=0)]
+    return MultiPoly.from_numerators(gens, out, den) if cap is None else _graded(cap, out, den)
 
 
 # ============================================================

@@ -11,23 +11,64 @@ solves J(b; R) = t as a plain series in t.  ``horner_genus0`` composes the
 whole antiderivative with J^{-1} and reads off one coefficient.
 ``t_ful_nhat`` is the higher-genus route with t kept symbolic through the
 solve and the moments, in the marker ring, where ``nhat`` solves at t = 0.
-All five are kept here only as references.
+``product_series_I`` is the earlier ``series_I``, one product of (b, l)
+polynomials per power of r, and ``split_marked_faces`` the earlier
+``pipeline._marked_faces``, which split each coefficient of that I by
+powers of l; both now read the integer rows of ``families.series_I_rows``.
+``product_series_J`` is the earlier ``series_J``, one product of b-only
+polynomials per power of r, where ``series_J`` now steps an integer row.
+All eight are kept here only as references.
 """
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from irrmaps import families, pipeline
-from irrmaps.families import (ConsistencyError, power_one_plus_r, series_I,
+from irrmaps.families import (I_GENS, ConsistencyError, power_one_plus_r, series_I,
                               series_J, series_J_inverse)
-from irrmaps.pipeline import (B_ONLY, free_energy, nhat, nhat_genus0,
-                              nhat_higher_genus, solve_R_hat)
+from irrmaps.pipeline import (B_ONLY, _marked_faces, _zhat_series, free_energy, nhat,
+                              nhat_genus0, nhat_higher_genus, solve_R_hat)
 from irrmaps.ring import GradedSeries, MultiPoly, Series
 
 from test_reference_graded import (antiderivative, face_I, marker_moment, marker_solve_R,
                                    widen)
 from test_reference_mbasis import expand
+
+
+def product_series_I(order):
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    bp = MultiPoly.variable(I_GENS, "b")
+    lp2 = MultiPoly.variable(I_GENS, "l") ** 2
+    coeffs = [MultiPoly.constant(I_GENS, 1)]
+    prod = MultiPoly.constant(I_GENS, 1)
+    for p in range(1, order + 1):
+        m = p - 1
+        prod = prod * (lp2 - (bp - m) ** 2)
+        coeffs.append(prod * Fraction(1, factorial(p) ** 2))
+    return Series(coeffs, order, MultiPoly(I_GENS))
+
+
+def product_series_J(order):
+    bp = MultiPoly.variable(B_ONLY, "b")
+    zero = MultiPoly(B_ONLY)
+    coeffs = [zero, MultiPoly.constant(B_ONLY, 1)]
+    prod = MultiPoly.constant(B_ONLY, 1)
+    for p in range(2, order + 1):
+        m = p - 2
+        prod = prod * (bp - m) * (bp - m - 1)
+        c = Fraction((-1) ** (p + 1), factorial(p) * factorial(p - 1))
+        coeffs.append(prod * c)
+    return Series(coeffs, order, zero)
+
+
+def split_marked_faces(cap, order):
+    coeffs = [GradedSeries(cap, {(a,): ca.with_context(B_ONLY)
+                                 for a, ca in c.coefficients_in("l").items()})
+              for c in product_series_I(order).coeffs]
+    return Series(coeffs, order, GradedSeries(cap))
 
 
 def face_parts(order):
@@ -174,3 +215,49 @@ def test_nhat_higher_genus_never_reaches_j_inverse(monkeypatch, genus, n):
     monkeypatch.setattr(families, "series_J_inverse", refuse)
     monkeypatch.setattr(pipeline, "series_J_inverse", refuse)
     assert nhat_higher_genus(genus, n) == want
+
+
+@pytest.mark.parametrize("order", range(21))
+def test_row_built_I_and_J_match_the_products(order):
+    got, want = series_I(order), product_series_I(order)
+    assert got.order == want.order == order
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is MultiPoly and c.gens == I_GENS for c in got.coeffs)
+    with pytest.raises(ValueError):
+        series_I(-1)
+    if order:
+        got, want = series_J(order), product_series_J(order)
+        assert got.order == want.order and got.zero == want.zero
+        assert [(c.gens, c.num, c.den) for c in got.coeffs] == \
+            [(c.gens, c.num, c.den) for c in want.coeffs]
+    else:
+        with pytest.raises(ValueError):
+            series_J(order)
+
+
+@pytest.mark.parametrize("cap", range(6))
+def test_row_built_face_markers_match_the_split_of_I(cap):
+    for order in range(9):
+        got, want = _marked_faces(cap, order), split_marked_faces(cap, order)
+        assert got.order == want.order == order
+        assert [(c.cap, c.num, c.den) for c in got.coeffs] == \
+            [(c.cap, c.num, c.den) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("cap", range(5))
+def test_zhat_is_J_minus_the_split_of_I(cap):
+    for order in range(1, 8):
+        got = _zhat_series(cap, order)
+        want = -split_marked_faces(cap, order) + product_series_J(order)
+        assert got.order == want.order == order
+        assert [(c.cap, c.num, c.den) for c in got.coeffs] == \
+            [(c.cap, c.num, c.den) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_zhat_at_cap_0_keeps_only_the_key_of_J(order):
+    # every face-marker key (a,) is longer than cap 0, so Z is J alone
+    Z = _zhat_series(0, order)
+    assert all(set(c.num) <= {()} for c in Z.coeffs)
+    assert all(c.is_zero() for c in _marked_faces(0, order).coeffs)
+    assert [c.terms.get(()) for c in Z.coeffs[1:]] == series_J(order).coeffs[1:]
