@@ -143,12 +143,10 @@ def power_one_plus_r(c0: int, c1: int, order: int) -> Series:
     The exponent may be any integer-linear expression in b; the coefficient
     of r^k is binom(c0 + c1*b, k) expanded as a polynomial.
     """
-    alpha = MultiPoly.constant(B_ONLY, c0) + MultiPoly.variable(B_ONLY, "b") * c1
+    alpha = MultiPoly.variable(B_ONLY, "b") * c1 + c0
     coeffs = [MultiPoly.constant(B_ONLY, 1)]
-    acc = MultiPoly.constant(B_ONLY, 1)
     for k in range(1, order + 1):
-        acc = acc * (alpha - (k - 1)) * Fraction(1, k)
-        coeffs.append(acc)
+        coeffs.append(coeffs[-1] * (alpha - (k - 1)) * Fraction(1, k))
     return Series(coeffs, order, MultiPoly(B_ONLY))
 
 

@@ -9,7 +9,7 @@ from one pass (``moment_hats``): one Z, one chain of (1+r) d/dr steps taken
 on the coefficients, and one list of powers of R.  The paper's equations
 carry a deformation variable t, the weight of the smallest admissible face
 degree, and the polynomial is the t^0 part; setting t = 0 is a ring map that
-commutes with composition, the unit log and inverse and the Q operator, so
+commutes with composition, the log and powers of a unit and the Q operator, so
 the solve and the moments run at t = 0 and the ring has no t.  Only the
 moment-route check at no faces keeps t: there R is J^{-1}(b; t), a plain
 series in t (``moment_hats_via_Q``, the same pass, and ``moment_hats_via_T``).
@@ -46,18 +46,18 @@ from .families import power_one_plus_r, qpoly_table, series_I_rows, series_J, so
 from .families import series_I, series_J_inverse  # noqa: F401
 from .oracle import SizeError
 from .ring import (B_ONLY, GradedSeries, MultiPoly, Series, _graded, distinct_permutations,
-                   face_generators, inverse_unit, log_unit, sum_of_products)
+                   face_generators, log_unit, sum_of_products, unit_power)
 
 SUPPORTED_GENERA = (0, 1, 2)
 
 #: largest face count per genus that ``nhat`` computes.  In a fresh process
 #: on a 2-vCPU Xeon VM with Python 3.11.7 (2026-10-20), with ``--format``
-#: mlambda, json and monomials: (0, 11) 0.12 s, 0.35-0.38 s and 79 MB,
-#: 0.35 s and 65 MB; (1, 10) 0.16-0.17 s, 0.88-1.01 s and 192 MB,
-#: 0.97-1.02 s and 157 MB; (2, 8) 0.20-0.22 s, 0.52-0.57 s and 99 MB,
-#: 0.54-0.65 s and 85 MB, all within a 5 s budget.  With json one face
-#: more takes 3.7-3.8 s and 667 MB at genus 1, near it, 1.4-1.7 s and
-#: 255 MB at genus 0 and 1.6 s and 341 MB at genus 2: the bounds stay so
+#: mlambda, json and monomials: (0, 11) 0.13-0.17 s, 0.47-0.66 s and 78 MB,
+#: 0.54-0.57 s and 65 MB; (1, 10) 0.21-0.22 s, 1.36 s and 191 MB,
+#: 1.28-1.30 s and 159 MB; (2, 8) 0.26 s, 0.63-0.68 s and 100 MB,
+#: 0.72-0.75 s and 85 MB, all within a 5 s budget.  With json one face
+#: more takes 3.9-4.3 s and 667 MB at genus 1, near it, 1.6-1.8 s and
+#: 258 MB at genus 0 and 1.8-2.0 s and 341 MB at genus 2: the bounds stay so
 #: that every guarded command and the 20-side formula sweep, which skips
 #: the genus-2 tuples of 9 and 10 faces, answer as before
 MAX_FACES = {0: 11, 1: 10, 2: 8}
@@ -204,9 +204,9 @@ def moment_hats_via_T(ps, R: Series, order: int) -> list[Series]:
     Computes (1+R)^(1-b) (dR/dt)^(-(2p+1)) T_p(b, 1+R, dR/dt, ..., d^{p+1}R/dt^{p+1})
     exact to ``order`` in t.  Each derivative consumes one order, so ``R``
     must be exact to order + max(ps) + 1.  One chain of derivatives, one
-    prefactor and one 1/R' serve every p: the odd powers of 1/R' come by
-    repeated multiplication.  An index past the T weights raises
-    DomainError first.
+    prefactor and one 1/R', both by :func:`ring.unit_power`, serve every p:
+    the odd powers of 1/R' come by repeated multiplication.  An index past
+    the T weights raises DomainError first.
     """
     top = max(ps) + 1
     if top > 4:
@@ -215,12 +215,12 @@ def moment_hats_via_T(ps, R: Series, order: int) -> list[Series]:
     for _ in range(top):
         derivs.append(derivs[-1].derivative())
     rs = [(derivs[0] + 1).truncate(order)] + [d.truncate(order) for d in derivs[1:]]
-    inv = inverse_unit(rs[1], order)
+    bpol = MultiPoly.variable(B_ONLY, "b")
+    inv = unit_power(rs[1], -1, order)
     inv2 = inv * inv
-    weights = [power_one_plus_r(1, -1, order).compose(rs[0] - 1) * inv]
+    weights = [unit_power(rs[0], 1 - bpol, order) * inv]
     for _ in range(top - 1):
         weights.append(weights[-1] * inv2)
-    bpol = MultiPoly.variable(B_ONLY, "b")
     return [weights[p] * t_weight(p, bpol, rs) for p in ps]
 
 
@@ -234,22 +234,16 @@ def moment_hat_via_T(p: int, R: Series, order: int) -> Series:
 # ============================================================
 
 
-def genus2_combination(inv0, m1, m2, m3):
-    """The universal genus-2 free energy in terms of moment ratios."""
-    # Horner form in m1: two graded products
-    inner = m1 * (m1 * (m1 * 2016 + 1086) - m2 * 3480 + 407) - m2 * 860 + m3 * 1400 + 128
-    return inv0 * inv0 * inner * Fraction(-1, 30720) + Fraction(1, 240)
-
-
 def free_energy(genus: int, moments: list, cap: int):
-    """Assemble the genus-1 or genus-2 free energy from moment series."""
+    """The genus-1 or genus-2 free energy: -log(M_0)/12, or the M_i/M_0 form, cleared of M_0."""
     m0 = moments[0]
     if genus == 1:
         return log_unit(m0, cap) * Fraction(-1, 12)
     if genus == 2:
-        inv0 = inverse_unit(m0, cap)
-        m1, m2, m3 = (m * inv0 for m in moments[1:4])
-        return genus2_combination(inv0, m1, m2, m3)
+        (m1, m2, m3), zero = moments[1:4], m0 * 0
+        inner = sum_of_products([(m1, m1 * 2016 + m0 * 1086), (m0, m0 * 407 - m2 * 3480)], zero)
+        P = sum_of_products([(m1, inner), (m0 * m0, m3 * 1400 - m2 * 860 + m0 * 128)], zero)
+        return P * (unit_power(m0, -5, cap) * Fraction(-1, 30720)) + Fraction(1, 240)
     raise UnsupportedGenusError(f"no free energy available for genus {genus}")
 
 
@@ -358,7 +352,7 @@ def nhat_genus0(n: int) -> CountPolynomial:
     faces = _marked_faces(n, order) ** n
     j_over_r = Series(series_J(order + 1).coeffs[1:], order, MultiPoly(B_ONLY))
     rest = power_one_plus_r(-1, -2, order) \
-        * inverse_unit(j_over_r, order) ** (n - 2) * Fraction(factorial(n - 3), factorial(n))
+        * unit_power(j_over_r, 2 - n, order) * Fraction(factorial(n - 3), factorial(n))
     # only [r^(n-3)] of faces * rest is needed
     total = sum_of_products([(faces[k], rest[order - k]) for k in range(order + 1)],
                             GradedSeries(n))

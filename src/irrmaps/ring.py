@@ -22,11 +22,11 @@ Conventions
   markers ``e_1, ..., e_n`` (``e_i**2 = 0``), graded by the number of marked
   faces and truncated at ``cap`` = n, with one dense polynomial in b per
   sorted tuple of marked-face exponents, all over one denominator.
-* The three types share one ``**``: repeated multiplication by the base,
-  which keeps a sparse base sparse on the right of every product.  A
-  series is evaluated at a ring element by :meth:`Series.compose` alone;
-  the compositional inverse J^{-1} is a fixed point solved with it in
-  ``families``.
+* The three types share one ``**`` for any element, such as the face
+  markers: repeated multiplication, a sparse base on the right of every
+  product.  A unit (constant term 1) takes any power and its log by
+  :func:`unit_power` and :func:`log_unit`, one recurrence on its ``parts``
+  by degree, and :meth:`Series.compose` alone evaluates a series.
 * :func:`sum_of_products` is the one kernel for sums of products: it
   accumulates int numerators over one common denominator and reduces
   once.  A MultiPoly or graded product and a graded sum are one call, and
@@ -465,6 +465,9 @@ class Series:
         self.coeffs = cs
         self.order = order
 
+    def parts(self) -> list:
+        return list(self.coeffs)
+
     def __getitem__(self, k: int):
         if k < 0:
             raise IndexError(k)
@@ -562,18 +565,40 @@ class Series:
     __repr__ = __str__
 
 
+def _unit_parts(u, order: int):
+    """A unit's parts by degree through ``order``, their zero, and the map from
+    pairs (x_k, c_k) to the element with parts x_k c_k; ValueError if u_0 != 1."""
+    parts = u.parts()[:order + 1]
+    if parts[0] != 1:
+        raise ValueError("a unit must have constant term 1")
+    zero = parts[0] * 0
+    if isinstance(u, Series):
+        return parts, zero, lambda pairs: Series([x * c for x, c in pairs], len(pairs) - 1, u.zero)
+    return parts, zero, lambda pairs: sum_of_products(pairs, zero)
+
+
+def unit_power(u, alpha, order: int):
+    """u ** alpha for a unit u through degree ``order``, alpha an int or a b-only
+    MultiPoly: u D v = alpha v D u, D the degree derivation, gives J. C. P. Miller's
+    k v_k = sum_{j=1..k} ((alpha + 1) j - k) u_j v_(k-j) (Knuth, TAOCP 4.7): one sum per v_k."""
+    parts, zero, rebuild = _unit_parts(u, order)
+    a, vs = alpha + 1, [parts[0]]
+    for k in range(1, len(parts)):
+        vs.append(sum_of_products([(parts[j], vs[k - j] * (a * Fraction(j, k) - 1))
+                                   for j in range(1, k + 1)], zero))
+    return rebuild([(v, 1) for v in vs])
+
+
 def log_unit(u, order: int):
-    """log u for a ring element u with constant term 1: the Mercator series
-    composed at u - 1, through order ``order``."""
-    mercator = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
-    return Series(mercator, order, Fraction(0)).compose(u - 1)
-
-
-def inverse_unit(u, order: int):
-    """1 / u for a ring element u with constant term 1: the alternating
-    geometric series composed at u - 1, through order ``order``."""
-    geometric = [Fraction((-1) ** k) for k in range(order + 1)]
-    return Series(geometric, order, Fraction(0)).compose(u - 1)
+    """log u for a unit u through degree ``order``: w = log u has u D w = D u,
+    so k w_k = k u_k - sum_{j=1..k-1} j w_j u_(k-j) (Brent and Kung, J. ACM
+    1978), one :func:`sum_of_products` per k w_k."""
+    parts, zero, rebuild = _unit_parts(u, order)
+    minus, dws = [zero] + [-x for x in parts[1:-1]], [zero] + parts[1:2]
+    for k in range(2, len(parts)):
+        dws.append(sum_of_products([(parts[k], k)] + [(dws[j], minus[k - j])
+                                                      for j in range(1, k)], zero))
+    return rebuild([(x, Fraction(1, max(k, 1))) for k, x in enumerate(dws)])
 
 
 def _is_zero_elem(c) -> bool:
@@ -668,10 +693,6 @@ class GradedSeries:
 
     # ---------- constructors and views ----------
 
-    @classmethod
-    def constant(cls, cap: int, value) -> "GradedSeries":
-        return cls(cap, {(): value})
-
     @property
     def terms(self) -> dict[tuple, MultiPoly]:
         """``{lam: coefficient}``, the coefficients as MultiPoly over B_ONLY."""
@@ -681,6 +702,11 @@ class GradedSeries:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def parts(self) -> list["GradedSeries"]:
+        """The homogeneous parts by grading degree 0..cap, at the same cap."""
+        return [_graded(self.cap, {lam: row for lam, row in self.num.items() if len(lam) == k},
+                        self.den) for k in range(self.cap + 1)]
 
     def truncate(self, cap: int) -> "GradedSeries":
         if cap > self.cap:
@@ -706,9 +732,6 @@ class GradedSeries:
     def __sub__(self, other):
         return self._plus(other, -1)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             p, q = _num_den(other)
@@ -726,7 +749,7 @@ class GradedSeries:
         if isinstance(other, MultiPoly) and other.gens != B_ONLY:
             return False
         if isinstance(other, (int, Fraction, MultiPoly)):
-            other = GradedSeries.constant(self.cap, other)
+            return (self.num, self.den) == _factor(other, B_ONLY, self.cap)
         if not isinstance(other, GradedSeries):
             return NotImplemented
         return self.cap == other.cap and self.den == other.den and self.num == other.num

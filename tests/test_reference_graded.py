@@ -94,6 +94,12 @@ class MarkerGradedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def parts(self) -> list["MarkerGradedSeries"]:
+        """The homogeneous parts by total degree 0..cap, at the same cap."""
+        return [MarkerGradedSeries(self.gens, self.cap, {key: c for key, c in self.terms.items()
+                                                         if key[0] + len(key[1]) == k})
+                for k in range(self.cap + 1)]
+
     def truncate(self, cap: int) -> "MarkerGradedSeries":
         if cap > self.cap:
             raise TruncationError(f"cannot extend truncated series ({self.cap} -> {cap})")

@@ -82,14 +82,22 @@ class TruncatedPoly:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, TruncatedPoly):
-            return self.poly == other.poly
+        if isinstance(other, (TruncatedPoly, int, Fraction)):
+            return self.poly == self._coerce(other)
         return NotImplemented
 
     __hash__ = None
 
     def coefficient(self, exps) -> Fraction:
         return self.poly.terms.get(tuple(exps), Fraction(0))
+
+    def parts(self) -> list["TruncatedPoly"]:
+        """The homogeneous parts by total degree 0..cap, at the same cap."""
+        groups = [{} for _ in range(self.cap + 1)]
+        for e, c in self.poly.num.items():
+            groups[sum(e)][e] = c
+        return [self._wrap(MultiPoly.from_numerators(self.poly.gens, g, self.poly.den))
+                for g in groups]
 
     def valuation_positive(self) -> bool:
         return (0,) * len(self.poly.gens) not in self.poly.num

@@ -7,10 +7,15 @@ operands included.  ``sparse_mul`` and ``accumulating_compose`` are the
 product and composition before ``ring.sum_of_products``: zero operands
 skipped, each product formed, reduced and added to an accumulator one by
 one.  ``loop_log_unit`` and ``loop_inv_unit`` are the earlier power loops
-behind the free energies for log u and 1/u.  ``reverse`` is the earlier
+behind the free energies for log u and 1/u, and ``composed_log_unit`` and
+``composed_inverse_unit`` the earlier ``ring.log_unit`` and
+``ring.inverse_unit``, which composed the Mercator and geometric series at
+u - 1, before ``ring.log_unit`` and ``ring.unit_power`` took the
+recurrences of the degree derivation.  ``ratio_genus2`` is the earlier
+genus-2 free energy, in the ratios M_i / M_0.  ``reverse`` is the earlier
 ``Series.reverse``, the general compositional inverse that built J^{-1}
 term by term before ``series_J_inverse`` solved it as a fixed point.  All
-seven are kept here only as references.  The kernel is also checked with
+eleven are kept here only as references.  The kernel is also checked with
 no package arithmetic at all: against ``FractionPoly`` for polynomials, and
 for the graded ring against products of Fractions at integer b.
 """
@@ -21,11 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrmaps.families import series_J, series_J_inverse
-from irrmaps.pipeline import moment_hat, solve_R_hat
+from irrmaps.families import power_one_plus_r, series_J, series_J_inverse
+from irrmaps.pipeline import free_energy, moment_hat, moment_hats, solve_R_hat
 from irrmaps.ring import (B_ONLY, ContextError, GradedSeries, MultiPoly, Series,
-                          TruncationError, _is_zero_elem, _require_no_constant, inverse_unit,
-                          log_unit, sum_of_products)
+                          TruncationError, _is_zero_elem, _require_no_constant, log_unit,
+                          sum_of_products, unit_power)
 
 from test_reference_ring import FractionPoly
 
@@ -139,6 +144,35 @@ def loop_inv_unit(u, cap):
     return acc
 
 
+def composed_log_unit(u, order: int):
+    """log u for a ring element u with constant term 1: the Mercator series
+    composed at u - 1, through order ``order``."""
+    mercator = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
+    return Series(mercator, order, Fraction(0)).compose(u - 1)
+
+
+def composed_inverse_unit(u, order: int):
+    """1 / u for a ring element u with constant term 1: the alternating
+    geometric series composed at u - 1, through order ``order``."""
+    geometric = [Fraction((-1) ** k) for k in range(order + 1)]
+    return Series(geometric, order, Fraction(0)).compose(u - 1)
+
+
+def ratio_genus2(moments, cap):
+    """The genus-2 free energy in the moment ratios m_i = M_i / M_0."""
+    inv0 = composed_inverse_unit(moments[0], cap)
+    m1, m2, m3 = (m * inv0 for m in moments[1:4])
+    # Horner form in m1: two graded products
+    inner = m1 * (m1 * (m1 * 2016 + 1086) - m2 * 3480 + 407) - m2 * 860 + m3 * 1400 + 128
+    return inv0 * inv0 * inner * Fraction(-1, 30720) + Fraction(1, 240)
+
+
+def product_power(u, alpha, order: int):
+    """u ** alpha for an int alpha by repeated products, of u itself or,
+    for alpha < 0, of the composed inverse."""
+    return u ** alpha if alpha >= 0 else composed_inverse_unit(u, order) ** -alpha
+
+
 GENS = ("b",)
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -211,7 +245,90 @@ def test_unit_log_and_inverse_match_the_loops(inner):
     u = inner + 1
     order = inner.order if isinstance(inner, Series) else inner.cap
     assert_same(log_unit(u, order), loop_log_unit(u, order))
-    assert_same(inverse_unit(u, order), loop_inv_unit(u, order))
+    assert_same(unit_power(u, -1, order), loop_inv_unit(u, order))
+
+
+@st.composite
+def units(draw):
+    """1 + x for x of zero constant term: a Series over Fraction or over
+    b-only MultiPoly, about half its coefficients zero, or a GradedSeries
+    at a cap in 0..6 with keys of every grading degree up to the cap."""
+    kind = draw(st.sampled_from(["fraction", "poly", "graded"]))
+    bvar = MultiPoly.variable(B_ONLY, "b")
+    if kind == "graded":
+        cap = draw(st.integers(0, 6))
+        keys = [lam for lam in ((0,), (2,), (0, 2), (2, 2), (0, 0, 2), (0, 2, 2, 2),
+                                (0, 0, 2, 2, 4), (0, 2, 2, 4, 4, 6)) if len(lam) <= cap]
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4)) if keys else []
+        return GradedSeries(cap, {lam: bvar * draw(fractions) + draw(fractions)
+                                  for lam in chosen}) + 1
+    order = draw(st.integers(0, 6))
+    if kind == "fraction":
+        coeffs = [draw(st.sampled_from([Fraction(0), draw(fractions)])) for _ in range(order)]
+        return Series([Fraction(1)] + coeffs, order, Fraction(0))
+    zero = MultiPoly(B_ONLY)
+    coeffs = [draw(st.sampled_from([zero, bvar * draw(fractions) + draw(fractions)]))
+              for _ in range(order)]
+    return Series([zero + 1] + coeffs, order, zero)
+
+
+def degree(u):
+    return u.order if isinstance(u, Series) else u.cap
+
+
+def assert_equal(got, want):
+    """Equal elements of one ring, a Series compared coefficient by
+    coefficient, so that a Fraction equals the constant polynomial."""
+    assert type(got) is type(want)
+    if isinstance(want, Series):
+        assert got.order == want.order and len(got.coeffs) == got.order + 1
+        assert got.coeffs == want.coeffs
+    else:
+        assert got.cap == want.cap and got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(units(), st.integers(-5, 3))
+def test_unit_power_matches_the_product_powers(u, alpha):
+    order = degree(u)
+    assert_equal(unit_power(u, alpha, order), product_power(u, alpha, order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(units(), st.integers(-3, 3), st.integers(-2, 2))
+def test_unit_power_with_b_matches_the_composed_binomial_series(u, c0, c1):
+    order = degree(u)
+    alpha = MultiPoly.variable(B_ONLY, "b") * c1 + c0
+    assert_equal(unit_power(u, alpha, order), power_one_plus_r(c0, c1, order).compose(u - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(units())
+def test_log_unit_matches_the_composed_mercator_series(u):
+    order = degree(u)
+    assert_equal(log_unit(u, order), composed_log_unit(u, order))
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_the_binomial_series_is_a_power_of_one_plus_r(order):
+    one = MultiPoly.constant(B_ONLY, 1)
+    one_plus_r = Series([one, one], order, MultiPoly(B_ONLY))
+    b = MultiPoly.variable(B_ONLY, "b")
+    for c0, c1 in ((0, -1), (-1, -2), (1, -1), (1, 0), (-3, 0)):
+        assert_equal(unit_power(one_plus_r, b * c1 + c0, order), power_one_plus_r(c0, c1, order))
+
+
+def test_a_unit_needs_constant_term_one():
+    b = MultiPoly.variable(B_ONLY, "b")
+    for u in (Series([Fraction(2), Fraction(1)], 3, Fraction(0)),
+              Series([MultiPoly(B_ONLY), b], 2, MultiPoly(B_ONLY)),
+              Series([b + 1, b], 2, MultiPoly(B_ONLY)),
+              GradedSeries(2, {(): b * 0 + 3, (0,): b}),
+              GradedSeries(2, {(0,): b})):
+        for run in (lambda: log_unit(u, 2), lambda: unit_power(u, -1, 2),
+                    lambda: unit_power(u, b - 1, 2)):
+            with pytest.raises(ValueError, match="constant term 1"):
+                run()
 
 
 def test_jinv_matches_under_horner(monkeypatch):
@@ -227,7 +344,14 @@ def test_jinv_matches_under_horner(monkeypatch):
 def test_free_energy_units_match_the_loops(n):
     m0 = moment_hat(0, solve_R_hat(n))
     assert_same(log_unit(m0, n), loop_log_unit(m0, n))
-    assert_same(inverse_unit(m0, n), loop_inv_unit(m0, n))
+    assert_same(unit_power(m0, -1, n), loop_inv_unit(m0, n))
+    assert_same(unit_power(m0, -5, n), loop_inv_unit(m0, n) ** 5)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_genus2_free_energy_matches_the_ratio_form(n):
+    moments = moment_hats(range(4), solve_R_hat(n))
+    assert_same(free_energy(2, moments, n), ratio_genus2(moments, n))
 
 
 def scalar_series(coeffs, order):

@@ -108,41 +108,40 @@ def test_the_one_pass_differentiates_once_per_order_and_builds_one_prefactor(mon
     # one chain of max(ps) + 1 derivatives, one (1+R)^(1-b) and one 1/R'
     # serve every index
     R = series_J_inverse(9)
-    derivatives, powers, inverses = [], [], []
-    derivative = Series.derivative
-    power, inverse = pipeline.power_one_plus_r, pipeline.inverse_unit
+    derivatives, powers = [], []
+    derivative, power = Series.derivative, pipeline.unit_power
 
     def counted_derivative(self):
         derivatives.append(self.order)
         return derivative(self)
 
-    def counted_power(*args):
-        powers.append(args)
-        return power(*args)
-
-    def counted_inverse(*args):
-        inverses.append(args)
-        return inverse(*args)
+    def counted_power(u, alpha, order):
+        powers.append(alpha)
+        return power(u, alpha, order)
 
     monkeypatch.setattr(Series, "derivative", counted_derivative)
-    monkeypatch.setattr(pipeline, "power_one_plus_r", counted_power)
-    monkeypatch.setattr(pipeline, "inverse_unit", counted_inverse)
+    monkeypatch.setattr(pipeline, "unit_power", counted_power)
     for ps in (range(4), (0,), (2,), (3, 1)):
-        for seen in (derivatives, powers, inverses):
-            seen.clear()
+        derivatives.clear()
+        powers.clear()
         moment_hats_via_T(ps, R, 5)
         top = max(ps) + 1
         assert derivatives == [5 + top - k for k in range(top)]
-        assert powers == [(1, -1, 5)]
-        assert len(inverses) == 1
+        assert len(powers) == 2 and -1 in powers and 1 - MultiPoly.variable(B_ONLY, "b") in powers
 
 
-def test_no_binomial_series_serves_as_an_inverse_in_the_package():
-    # (1+x)^c0 with c1 = 0 composed at u - 1 is a second inverse of a unit;
-    # ring.inverse_unit is the one
+def test_no_series_is_composed_at_a_unit_minus_one_in_the_package():
+    # a series composed at u - 1 is a second log, inverse or power of a
+    # unit: ring.log_unit and ring.unit_power are the ones
     package = Path(pipeline.__file__).parent
-    calls = [node for path in package.glob("*.py")
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "power_one_plus_r"]
-    assert calls
-    assert all(not (isinstance(c.args[1], ast.Constant) and c.args[1].value == 0) for c in calls)
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    composed = [arg for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compose" for arg in node.args]
+    assert composed
+    assert not [arg for arg in composed if isinstance(arg, ast.BinOp)
+                and isinstance(arg.op, ast.Sub) and isinstance(arg.right, ast.Constant)
+                and arg.right.value == 1]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert "unit_power" in defined and "inverse_unit" not in defined

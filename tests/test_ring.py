@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from irrmaps.families import series_J, series_J_inverse
 from irrmaps.ring import (B_ONLY, ContextError, GradedSeries, MultiPoly, Series,
-                          TruncationError, bernoulli_plus, inverse_unit, log_unit)
+                          TruncationError, bernoulli_plus, log_unit, unit_power)
 
 from test_reference_graded import coefficient
 
@@ -177,7 +177,7 @@ def test_series_multiply_inverse():
     one_plus = scalar_series([1, 1], 6)
     geo = scalar_series([1, -1, 1, -1, 1, -1, 1], 6)
     assert (one_plus * geo) == scalar_series([1], 6)
-    assert inverse_unit(one_plus, 6) == geo
+    assert unit_power(one_plus, -1, 6) == geo
 
 
 def test_series_product_skips_zero_operands(monkeypatch):
@@ -195,6 +195,23 @@ def test_series_product_skips_zero_operands(monkeypatch):
     jinv = series_J_inverse(15)
     assert jinv[1] == 1 and jinv.order == 15
     assert calls <= 4500
+
+
+def test_series_keeps_order_plus_one_coefficients():
+    # however a series is built, its list holds exactly order + 1 coefficients
+    b = MultiPoly.variable(B_ONLY, "b")
+    longer = scalar_series(range(1, 10), 4)
+    shorter = scalar_series([1, -2], 4)
+    poly = Series([b * 0 + 1, b, b * b - 3, b + 2, b, 1 + b, b], 5, MultiPoly(B_ONLY))
+    built = [longer, shorter, poly, longer.truncate(2), shorter.truncate(0), poly.truncate(3),
+             longer.derivative(), poly.derivative()]
+    for u in (longer, shorter, poly):
+        for order in (0, 2, u.order):
+            built += [log_unit(u, order)] + [unit_power(u, alpha, order)
+                                             for alpha in (-5, -1, 0, 2, 1 - b, b * -2 - 1)]
+    for series in built:
+        assert len(series.coeffs) == series.order + 1
+    assert [len(s.coeffs) for s in built[:8]] == [5, 5, 6, 3, 1, 4, 4, 5]
 
 
 def test_series_log_exp():
@@ -282,13 +299,13 @@ def test_graded_constructor_adds_terms_whose_sorted_keys_agree():
 
 def test_graded_equality_with_a_polynomial_over_another_context_is_false():
     two = MultiPoly.constant(("b", "l"), 2)
-    assert not GradedSeries.constant(2, 2) == two
-    assert GradedSeries.constant(2, 2) != two
+    assert not GradedSeries(2, {(): 2}) == two
+    assert GradedSeries(2, {(): 2}) != two
     # as MultiPoly answers a context mismatch
     assert not MultiPoly.constant(B_ONLY, 2) == two
-    assert GradedSeries.constant(2, 2) == MultiPoly.constant(B_ONLY, 2)
+    assert GradedSeries(2, {(): 2}) == MultiPoly.constant(B_ONLY, 2)
     with pytest.raises(ContextError):
-        _ = GradedSeries.constant(2, 2) + two
+        _ = GradedSeries(2, {(): 2}) + two
 
 
 def test_graded_cap_mismatch():
