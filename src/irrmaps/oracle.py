@@ -25,13 +25,24 @@ The search prunes branches only on provably monotone grounds:
     component creates exactly one handle (oriented gluings), so the handle
     budget of the target genus prunes hard, especially for genus 0;
   * a component whose boundary is fully glued while others remain can never
-    connect.
+    connect;
+  * once the handle budget is spent, every boundary circle has even length
+    in any completion.  With no handle left, no later gluing joins two
+    circles of one component, so the sides on a circle C, with every side
+    of the components later attached through C, are glued only among
+    themselves; each component holds an even number of unglued sides,
+    because its faces have even degree, so C has even length.  Gluing a
+    side to the side i steps further along its own circle of L sides
+    leaves circles of i - 1 and L - i - 1 sides, so an even i is refused.
+    At genus 0 the rule always applies, at genus >= 1 after the last
+    handle.
 
-Two of these rules are decided before a gluing is applied, so a refused
+Three of these rules are decided before a gluing is applied, so a refused
 candidate never touches the search state: a gluing across two boundary
-circles of one component once the handle budget is spent, and, without
-degree-one vertices, a gluing of two consecutive sides of one polygon
-(which closes a degree-1 vertex).
+circles of one component once the handle budget is spent, a gluing at an
+even offset along one circle once it is spent, and, without degree-one
+vertices, a gluing of two consecutive sides of one polygon (which closes a
+degree-1 vertex).
 
 The partial surface is kept once, as its vertex chains: maximal runs d,
 sigma(d), ... of glued sides around an unfinished vertex, known by their
@@ -951,8 +962,10 @@ def _search(spec: GluingSpec) -> int:
 
     At each node the boundary circle of the smallest unmatched dart is
     walked once, each unglued dart d stepping to the end of the vertex chain
-    at phi(d); candidates that would add a handle beyond the target genus or
-    close a degree-one vertex are skipped before any state changes.
+    at phi(d), and each dart on it keeps its offset from that dart;
+    candidates that would add a handle beyond the target genus, split the
+    circle into two odd ones with no handle left, or close a degree-one
+    vertex are skipped before any state changes.
     """
     spec = replace(spec, degrees=sorted(spec.degrees, reverse=True))
     degrees = spec.degrees
@@ -1101,10 +1114,10 @@ def _search(spec: GluingSpec) -> int:
             # anchor, and no side of polygon 0 to a class below it
             anchor = poly_of[partner[0]] if lo else 1
             cands = chain(range(lo + 1 if lo else n0, n0), range(offsets[anchor], S))
-        circle = set()            # lo's boundary circle
+        circle = {}               # lo's boundary circle: side -> offset from lo
         cur = cend[nxt[lo]]
         while cur != lo:
-            circle.add(cur)
+            circle[cur] = len(circle) + 1
             cur = cend[nxt[cur]]
         root = find(p)
         no_handle = genus_acc == g_target
@@ -1125,10 +1138,13 @@ def _search(spec: GluingSpec) -> int:
                 w *= 2 * degrees[q] * (end[q] - q)
             if mindeg2 and (c == nxt[lo] or lo == nxt[c]):
                 continue  # a degree-one vertex
-            same_circle = c in circle
-            if no_handle and not same_circle and find(q) == root:
-                continue  # one handle too many
-            trail, ok = glue(lo, c, remaining, same_circle)
+            offset = circle.get(c, 0)
+            if no_handle:
+                if not offset and find(q) == root:
+                    continue  # one handle too many
+                if offset and offset % 2 == 0:
+                    continue  # two odd circles, which no handle is left to mend
+            trail, ok = glue(lo, c, remaining, offset > 0)
             if ok:
                 rec(lo + 1, matched + 1, w)
             unglue(lo, c, trail)

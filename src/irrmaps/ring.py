@@ -844,12 +844,13 @@ def _sum(pairs, gens: tuple, cap: int | None):
     ``cap`` None over MultiPoly in ``gens``.  The factor with more keys
     goes on the left.  A graded pair of keys convolves their two lists,
     keys past the cap dropped, and a factor constant in b scales the
-    other's lists; polynomial terms multiply into one dict of exponents."""
+    other's lists; polynomial terms multiply into one dict of exponents.
+    A lone pair keeps its own denominator: no lcm and no rescaling."""
     parts, scaled, den = [], [], 1
     for x, y in pairs:
         (rx, dx), (ry, dy) = _factor(x, gens, cap), _factor(y, gens, cap)
         if rx and ry:
-            den = lcm(den, dx * dy)
+            den = dx * dy if den == 1 else lcm(den, dx * dy)
             if len(rx) < len(ry):
                 rx, ry = ry, rx
             # a factor constant in b scales the other's lists: such pairs go
@@ -862,14 +863,16 @@ def _sum(pairs, gens: tuple, cap: int | None):
         s = den // d
         if cap is None and len(gens) == 1:
             for (i,), c1 in rx.items():
-                c1 *= s
+                if s != 1:
+                    c1 *= s
                 for (j,), c2 in ry.items():
                     key = (i + j,)
                     out[key] = get(key, 0) + c1 * c2
             continue
         if cap is None:
             for e1, c1 in rx.items():
-                c1 *= s
+                if s != 1:
+                    c1 *= s
                 for e2, c2 in ry.items():
                     key = tuple(map(add, e1, e2))
                     out[key] = get(key, 0) + c1 * c2

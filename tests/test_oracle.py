@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irrmaps import oracle
@@ -268,10 +269,13 @@ def test_brute_vs_formula_spot_checks_medium():
 
 def test_brute_vs_formula_on_six_planar_faces():
     # 24 and 20 sides: entering each class of equal faces once per node
-    # takes these from 13 s and 1.7 s to about 0.1 s each
-    for degs, want in [((2, 2, 2, 2, 2, 2), 2730), ((2, 2, 2, 2, 1, 1), 504)]:
-        got = brute_count(GluingSpec(0, degs, 1, guard_sides=24))
-        assert got == count_exact(0, 6, 1, degs) == want
+    # takes the b = 1 specs from 13 s and 1.7 s to about 0.1 s each, and
+    # keeping every boundary circle even takes the b = 2 specs, both on 24
+    # sides, from 0.04 s and 0.18 s to 0.03 s and 0.06 s
+    for degs, b, want in [((2, 2, 2, 2, 2, 2), 1, 2730), ((2, 2, 2, 2, 1, 1), 1, 504),
+                          ((2, 2, 2, 2, 2, 2), 2, 30), ((3, 3, 2, 2, 2), 2, 62)]:
+        got = brute_count(GluingSpec(0, degs, b, guard_sides=24))
+        assert got == count_exact(0, len(degs), b, degs) == want
 
 
 def _naive_count(spec):
@@ -402,6 +406,131 @@ def test_memo_checks_one_leaf_per_rotation_orbit_of_a_single_face(monkeypatch):
     assert len(leaves) <= 52
     assert len(calls) <= 40
     assert len({_rotation_code((5,), p) for p in calls}) == len(calls)
+
+
+def test_parity_rule_cuts_the_planar_benchmark_search(monkeypatch):
+    # with no handle left a gluing at an even offset along the smallest
+    # unmatched side's own circle is refused: the four genus-0 specs of the
+    # benchmark's oracle-planar workload make 2,799 glues where the search
+    # made 7,982 without the rule, and reach the same 331 leaves, 210 of
+    # them checked
+    calls = _count_leaf_checks(monkeypatch)
+    leaves = _count_leaves(monkeypatch)
+    glue = next(c for c in _search.__code__.co_consts if getattr(c, "co_name", None) == "glue")
+    glues = 0
+
+    def profile(frame, event, arg):
+        nonlocal glues
+        if event == "call" and frame.f_code is glue:
+            glues += 1
+
+    specs = [
+        GluingSpec(0, (3, 3, 2, 2), 2, constraint="girth", guard_sides=20),
+        GluingSpec(0, (3, 2, 2, 2), 1),
+        GluingSpec(0, (2, 2, 2, 1), 1, allow_degree_one=True),
+        GluingSpec(0, (2, 2, 2, 1, 1), 1),
+    ]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = [brute_count(spec) for spec in specs]
+    finally:
+        sys.setprofile(previous)
+    assert got == [19, 14, 6, 30]
+    assert glues == 2799
+    assert len(leaves) == 331
+    assert len(calls) == 210
+
+
+def _boundary_states(degrees, pairs):
+    """Glue ``pairs`` of sides in order; give (handles, circle lengths)
+    before the first gluing and after each, the genus of the result and
+    whether it is connected.
+
+    Written from the definitions alone: phi turns one side along its
+    polygon, the unglued side after an unglued d on its boundary circle is
+    the first unglued one of phi(d), phi(alpha(phi(d))), ..., and gluing
+    two sides on distinct circles of one component adds a handle.
+    """
+    phi, poly = [], []
+    for p, l in enumerate(degrees):
+        start = len(phi)
+        phi += [start + (k + 1) % (2 * l) for k in range(2 * l)]
+        poly += [p] * (2 * l)
+    alpha = {}
+    comp = list(range(len(degrees)))   # component label of each polygon
+
+    def succ(d):
+        d = phi[d]
+        while d in alpha:
+            d = phi[alpha[d]]
+        return d
+
+    def circles():
+        seen, out = set(), []
+        for d in range(len(phi)):
+            if d not in alpha and d not in seen:
+                circle = [d]
+                while (d := succ(d)) != circle[0]:
+                    circle.append(d)
+                seen.update(circle)
+                out.append(circle)
+        return out
+
+    handles = 0
+    states = [(handles, [len(c) for c in circles()])]
+    for a, c in pairs:
+        ca, cc = comp[poly[a]], comp[poly[c]]
+        if ca == cc:
+            handles += not any(a in circle and c in circle for circle in circles())
+        else:
+            comp = [ca if x == cc else x for x in comp]
+        alpha[a], alpha[c] = c, a
+        states.append((handles, [len(c) for c in circles()]))
+    vertices, seen = 0, set()
+    for d in range(len(phi)):
+        if d not in seen:
+            vertices += 1
+            while d not in seen:
+                seen.add(d)
+                d = phi[alpha[d]]
+    genus = (2 - vertices + len(phi) // 2 - len(degrees)) // 2
+    return states, genus, len(set(comp)) == 1
+
+
+@st.composite
+def _glued_polygons(draw):
+    """Polygons of at most 16 sides in all and their sides in a random
+    order: consecutive sides of the order are glued, in that order."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                   .filter(lambda ls: sum(ls) <= 8))
+    sides = draw(st.permutations(range(2 * sum(degrees))))
+    return tuple(degrees), list(zip(sides[::2], sides[1::2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_glued_polygons())
+@example(((3,), [(0, 3), (1, 4), (2, 5)]))       # one face, genus 1
+@example(((2, 2), [(0, 2), (4, 6), (1, 5), (3, 7)]))
+def test_circles_stay_even_once_no_handle_is_left(case):
+    # the lemma behind the search's parity rule, checked without the
+    # search: a map with faces of even degree, glued in any order, has
+    # only even boundary circles from its last handle on
+    degrees, pairs = case
+    states, genus, connected = _boundary_states(degrees, pairs)
+    assume(connected and genus <= 2)
+    assert states[-1][0] == genus
+    for handles, lengths in states:
+        if handles == genus:
+            assert all(L % 2 == 0 for L in lengths), (handles, lengths)
+
+
+def test_circles_may_be_odd_while_a_handle_is_left():
+    # the square torus glued 0-2 first: two circles of one side each, which
+    # the second gluing joins as the handle
+    states, genus, connected = _boundary_states((2,), [(0, 2), (1, 3)])
+    assert (genus, connected) == (1, True)
+    assert states == [(0, [4]), (0, [1, 1]), (1, [])]
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
