@@ -107,7 +107,11 @@ lifts to a closed walk exactly when its word is trivial: at genus 1 the
 group is Z^2 and exponent sums decide, at genus >= 2 the one relator is
 C'(1/6) and Dehn's algorithm decides.  The cycles of length at most 2b are
 walked once each up to deck transformations, comparing the lifts of their
-prefixes exactly, so no radius has to be chosen.  ``CoverBall`` builds
+prefixes exactly, so no radius has to be chosen.  Walks that could not
+close in time are pruned by distances in the homology cover, tabled to
+radius b - 1 only: the j-th step ends within distance j, so only a step
+j > b is pruned, for a distance above 2b - j < b, which the table tells
+exactly (``check_irreducible`` has the proof).  ``CoverBall`` builds
 finite balls of the universal cover, face by face around a lift of a
 vertex; the leaf check does not use it, because a ball identifies two
 lifts of a vertex only once it has developed the disk between them, and no
@@ -227,10 +231,7 @@ class HalfEdgeMap:
         if len(partner) != S or not all(0 <= p < S and p != d and partner[p] == d
                                         for d, p in enumerate(partner)):
             raise OracleError("matching is not a perfect matching of the sides")
-        self.degrees = degrees
-        self.S = S
-        self.nxt = nxt
-        self.poly_of = poly_of
+        self.degrees, self.S, self.nxt, self.poly_of = degrees, S, nxt, poly_of
         self.partner = partner
 
         # vertices = orbits of sigma = phi o alpha
@@ -255,16 +256,17 @@ class HalfEdgeMap:
             raise ConsistencyError("odd Euler characteristic from an oriented gluing")
         self.genus = (2 - chi) // 2
 
-        seen = {0}
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for j in range(2 * degrees[p]):
-                q = poly_of[partner[offsets[p] + j]]
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        self.connected = len(seen) == len(degrees)
+    @property
+    def connected(self) -> bool:
+        """Whether the gluing joins every polygon (the search knows it already)."""
+        offsets = polygon_layout(self.degrees)[2]
+        order = [0]
+        for p in order:                       # grows while it is walked
+            for d in range(offsets[p], offsets[p] + 2 * self.degrees[p]):
+                q = self.poly_of[self.partner[d]]
+                if q not in order:
+                    order.append(q)
+        return len(order) == len(self.degrees)
 
     @property
     def num_vertices(self) -> int:
@@ -381,10 +383,11 @@ class Pi1Words:
         if hmap.genus < 1:
             raise OracleError("fundamental group words are for genus >= 1 maps")
         S, nxt, partner, vertex_of = hmap.S, hmap.nxt, hmap.partner, hmap.vertex_of
-        poly_of, offsets = hmap.poly_of, polygon_layout(hmap.degrees)[2]
+        degrees, poly_of, offsets = hmap.degrees, hmap.poly_of, polygon_layout(hmap.degrees)[2]
         self.genus = g = hmap.genus
+        self._hmap = hmap
 
-        in_tree = [False] * S
+        word: list = [None] * S               # None until a dart has its word
         reached = [False] * hmap.num_vertices
         reached[0] = True
         queue = [0]
@@ -393,54 +396,48 @@ class Pi1Words:
                 w = vertex_of[partner[d]]
                 if not reached[w]:
                     reached[w] = True
-                    in_tree[d] = in_tree[partner[d]] = True
+                    word[d] = word[partner[d]] = ()
                     queue.append(w)
 
-        def face_walk(d):
-            yield d
-            e = nxt[d]
-            while e != d:
-                yield e
-                e = nxt[e]
-
-        word: list = [() if t else None for t in in_tree]
-        up = [-1] * len(hmap.degrees)         # a face's dart on its cotree edge
+        up = [-1] * len(degrees)              # a face's dart on its cotree edge
         order = [0]
         for p in order:
-            for d in face_walk(offsets[p]):
+            for d in range(offsets[p], offsets[p] + 2 * degrees[p]):
                 q = poly_of[partner[d]]
-                if word[d] is None and q != 0 and up[q] == -1:
+                if word[d] is None and q and up[q] == -1:
                     up[q] = partner[d]
+                    word[d] = word[partner[d]] = ()   # no letter; solved below
                     order.append(q)
-        cotree = {up[q] for q in order[1:]}
-        cotree |= {partner[d] for d in cotree}
         letters = 0
         for d in range(S):
-            if word[d] is None and d not in cotree and d < partner[d]:
+            if word[d] is None and d < partner[d]:
                 letters += 1
                 word[d], word[partner[d]] = (letters,), (-letters,)
         if letters != 2 * g:
             raise ConsistencyError(f"{letters} generators for a genus-{g} map")
-        for q in reversed(order[1:]):
-            e = up[q]
-            rest = _reduce(x for d in face_walk(e) if d != e for x in word[d])
-            word[e], word[partner[e]] = tuple(_inverse(rest)), tuple(rest)
-
-        r = _reduce(x for d in face_walk(0) for x in word[d])
+        # each cotree dart, leaves first, takes the inverse of the rest of its
+        # face, and the root face, from dart 0, is left to read the relator
+        for e in [up[q] for q in reversed(order[1:])] + [0]:
+            rest = []                         # the face word after e, reduced
+            d = nxt[e]
+            while d != e:
+                for x in word[d]:
+                    if rest and rest[-1] == -x:
+                        rest.pop()
+                    else:
+                        rest.append(x)
+                d = nxt[d]
+            if e:
+                word[partner[e]] = tuple(rest)
+                word[e] = tuple([-x for x in reversed(rest)])
+        r = _reduce(word[0] + tuple(rest))
         while len(r) > 1 and r[0] == -r[-1]:
             r = r[1:-1]
         if sorted(r) != [x for x in range(-2 * g, 2 * g + 1) if x]:
             raise ConsistencyError(f"root face relator {r} of a genus-{g} map")
         self.word = word
         self.relator = tuple(r)
-        # the letter after x in r and in r^-1, read cyclically
-        n = len(r)
-        at = {x: i for i, x in enumerate(r)}
-        self._succ = ({x: r[(i + 1) % n] for x, i in at.items()},
-                      {x: -r[(at[-x] - 1) % n] for x in at})
-
-        self._ends = [(vertex_of[d], vertex_of[partner[d]]) for d in range(S)]
-        self._nv = hmap.num_vertices
+        self._succ = None                     # Dehn's algorithm builds it
 
     def steps(self, length: int) -> list[int]:
         """Each dart's step in the homology cover, for walks of <= ``length`` darts.
@@ -451,11 +448,16 @@ class Pi1Words:
         vertex v0 then ends at vertex v with homology h exactly when
         v0 + (sum of its steps) = H(h) V + v, V the number of vertices.
         """
+        hmap = self._hmap
+        vertex_of, partner, V = hmap.vertex_of, hmap.partner, hmap.num_vertices
         B = 2 * length * max(map(len, self.word)) + 1
+        power = [B ** i for i in range(2 * self.genus)]
         out = []
-        for w, (tail, head) in zip(self.word, self._ends):
-            h = sum(B ** (x - 1) if x > 0 else -B ** (-x - 1) for x in w)
-            out.append(h * self._nv + head - tail)
+        for d, w in enumerate(self.word):
+            h = 0
+            for x in w:
+                h += power[x - 1] if x > 0 else -power[-x - 1]
+            out.append(h * V + vertex_of[partner[d]] - vertex_of[d])
         return out
 
     def is_trivial(self, word) -> bool:
@@ -473,6 +475,12 @@ class Pi1Words:
         if g == 1:
             return all(sum(1 if x == a else -1 for x in w if abs(x) == a) == 0
                        for a in (1, 2))
+        if self._succ is None:
+            # the letter after x in r and in r^-1, read cyclically
+            r, n = self.relator, 4 * g
+            at = {x: i for i, x in enumerate(r)}
+            self._succ = ({x: r[(i + 1) % n] for x, i in at.items()},
+                          {x: -r[(at[-x] - 1) % n] for x in at})
         half = 2 * g
         while w:
             if len(w) <= half:
@@ -505,42 +513,40 @@ def _follows_face(walk, nxt, partner) -> bool:
 def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bool:
     """Essential 2b-irreducibility (or just essential girth >= 2b).
 
-    Both tests run on the simple cycles of the universal cover: none is
-    shorter than 2b, and each of length 2b goes once around a face, either
-    way round; with ``girth_only`` the second test is skipped.  Each cover
-    cycle of length <= 2b is walked once up to deck transformations, from
-    its least dart d0 (d0 < partner[d0], and every later dart and its
-    partner at least d0).  The lifts of the walk's prefixes are compared
-    exactly: two prefixes end at one cover vertex when they end at one
-    homology-cover vertex and the word of the walk between them is trivial.
-    A planar map is its own universal cover: a dart steps from its tail to
-    its head, and every word is trivial.  At genus 1 the homology cover
-    (``Pi1Words.steps``) is the universal cover, and at genus >= 2
-    ``Pi1Words.is_trivial`` decides the word.  The step straight back along
-    the last edge lands on the previous lift, so it is refused before any
-    lookup; a step onto another earlier lift is refused unless it closes
-    the cycle at the start; breadth-first distances in the homology cover,
-    which bound those of the universal cover from below, prune walks that
-    could not come back in time.
+    No simple cycle of the universal cover is shorter than 2b, and each of
+    length 2b goes once around a face, either way round (not asked with
+    ``girth_only``).  Each cover cycle of length <= 2b is walked once up to
+    deck transformations, from its least dart d0 (d0 < partner[d0], every
+    later dart and its partner at least d0).  Two prefixes end at one cover
+    vertex when they end at one homology-cover vertex (``Pi1Words.steps``;
+    a planar dart steps from tail to head) and, at genus >= 2, the word
+    between them is trivial (``Pi1Words.is_trivial``).  A step back along
+    the last edge is refused before any lookup, one onto another earlier
+    lift unless it closes the cycle at the start.
+
+    The j-th step, to a vertex at homology-cover distance dist from the
+    start (a lower bound of the universal cover's), is pruned once
+    j + dist > 2b.  The distances are tabled to radius b - 1 only, and a
+    vertex outside the table reads as b: the j-th step ends within distance
+    j, so for j <= b the test never fires, with the table or without it,
+    and for j > b it asks whether dist > 2b - j, a bound below b, which the
+    table answers exactly.  Every pruning decision, and so every verdict,
+    is that of a table without bound.
     """
     if b == 0:
         return True
     two_b = 2 * b
-    nxt, partner, out = hmap.nxt, hmap.partner, hmap.vertices
-    vertex_of = hmap.vertex_of
+    nxt, partner, out, vertex_of = hmap.nxt, hmap.partner, hmap.vertices, hmap.vertex_of
+    exact = hmap.genus <= 1
     if hmap.genus:
         words = Pi1Words(hmap)
         step = words.steps(two_b)
+        word, is_trivial = words.word, words.is_trivial
     else:   # no words: each dart steps from its tail to its head
         step = [vertex_of[partner[d]] - vertex_of[d] for d in range(hmap.S)]
     V = hmap.num_vertices
-    exact = hmap.genus <= 1
     path: list[int] = []
     keys: list[int] = []   # keys[i]: the homology-cover vertex after path[:i]
-
-    def same_lift(i: int, d: int) -> bool:
-        return exact or words.is_trivial([x for e in path[i:] + [d]
-                                          for x in words.word[e]])
 
     def walk(key: int, darts, d0: int, dist: dict[int, int]) -> bool:
         """Extend the path from the lift ``key`` along each of ``darts``;
@@ -552,17 +558,20 @@ def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bo
                 continue
             nk = key + step[d]
             if nk in keys:
-                i = next((i for i, k in enumerate(keys)
-                          if k == nk and same_lift(i, d)), None)
-                if i == 0:
+                # the earliest prefix whose lift the step lands on, if any
+                for i, k in enumerate(keys):
+                    if k == nk and (exact or is_trivial(
+                            [x for e in path[i:] + [d] for x in word[e]])):
+                        break
+                else:
+                    i = -1
+                if i >= 0:
                     # back at the start lift: a simple cycle of length j
-                    if j < two_b or not (girth_only
-                                         or _follows_face(path + [d], nxt, partner)):
+                    if i == 0 and (j < two_b or not (
+                            girth_only or _follows_face(path + [d], nxt, partner))):
                         return False
                     continue
-                if i is not None:
-                    continue
-            if j >= two_b or j + dist.get(nk, b + 1) > two_b:
+            if j >= two_b or j > b and j + dist.get(nk, b) > two_b:
                 continue
             path.append(d)
             keys.append(nk)
@@ -582,7 +591,7 @@ def check_irreducible(hmap: HalfEdgeMap, b: int, girth_only: bool = False) -> bo
         if dist is None:
             dist = dists[v0] = {v0: 0}
             ring = [v0]
-            for r in range(1, b + 1):
+            for r in range(1, b):
                 new = []
                 for key in ring:
                     for d in out[key % V]:
@@ -911,15 +920,9 @@ def _leaf_passes(spec: GluingSpec, partner) -> bool:
 def _rotation_code(degrees: tuple[int, ...], partner) -> tuple[int, ...]:
     """The least partner list among the rotations of a connected gluing.
 
-    For each rotation of polygon 0 that brings to its side 0 a side the
-    search may pin there (with n >= 2 polygons, one glued to the
-    least-indexed other polygon next to it; with one, a side of least
-    chord), the polygons are walked breadth-first from polygon 0, each
-    newly reached one rotated so that the side the walk enters first
-    becomes its side 0, and ``partner`` is relabeled under those rotations.
-    Rotating polygon 0 turns the set of starts with it, and rotating any
-    other polygon changes neither that set nor any walk, so the least
-    relabeling is the same for every rotation of the gluing.
+    It starts from each side of polygon 0 the search may pin at side 0
+    (glued to the least other polygon next to it, or, with one polygon, of
+    least chord); the module docstring shows every rotation has one code.
     """
     nxt, poly_of, offsets = polygon_layout(degrees)
     S = len(partner)
@@ -961,11 +964,8 @@ def _search(spec: GluingSpec) -> int:
     and checking each rotation orbit of leaves once.
 
     At each node the boundary circle of the smallest unmatched dart is
-    walked once, each unglued dart d stepping to the end of the vertex chain
-    at phi(d), and each dart on it keeps its offset from that dart;
-    candidates that would add a handle beyond the target genus, split the
-    circle into two odd ones with no handle left, or close a degree-one
-    vertex are skipped before any state changes.
+    walked once, keeping each dart's offset from it, and the three rules of
+    the module docstring refuse candidates before any state changes.
     """
     spec = replace(spec, degrees=sorted(spec.degrees, reverse=True))
     degrees = spec.degrees

@@ -408,12 +408,8 @@ def test_memo_checks_one_leaf_per_rotation_orbit_of_a_single_face(monkeypatch):
     assert len({_rotation_code((5,), p) for p in calls}) == len(calls)
 
 
-def test_parity_rule_cuts_the_planar_benchmark_search(monkeypatch):
-    # with no handle left a gluing at an even offset along the smallest
-    # unmatched side's own circle is refused: the four genus-0 specs of the
-    # benchmark's oracle-planar workload make 2,799 glues where the search
-    # made 7,982 without the rule, and reach the same 331 leaves, 210 of
-    # them checked
+def _search_work(monkeypatch, specs):
+    """The counts of ``specs``, with the glues, leaves and leaf checks made."""
     calls = _count_leaf_checks(monkeypatch)
     leaves = _count_leaves(monkeypatch)
     glue = next(c for c in _search.__code__.co_consts if getattr(c, "co_name", None) == "glue")
@@ -424,22 +420,43 @@ def test_parity_rule_cuts_the_planar_benchmark_search(monkeypatch):
         if event == "call" and frame.f_code is glue:
             glues += 1
 
-    specs = [
-        GluingSpec(0, (3, 3, 2, 2), 2, constraint="girth", guard_sides=20),
-        GluingSpec(0, (3, 2, 2, 2), 1),
-        GluingSpec(0, (2, 2, 2, 1), 1, allow_degree_one=True),
-        GluingSpec(0, (2, 2, 2, 1, 1), 1),
-    ]
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         got = [brute_count(spec) for spec in specs]
     finally:
         sys.setprofile(previous)
-    assert got == [19, 14, 6, 30]
-    assert glues == 2799
-    assert len(leaves) == 331
-    assert len(calls) == 210
+    return got, glues, len(leaves), len(calls)
+
+
+def test_parity_rule_cuts_the_planar_benchmark_search(monkeypatch):
+    # with no handle left a gluing at an even offset along the smallest
+    # unmatched side's own circle is refused: the four genus-0 specs of the
+    # benchmark's oracle-planar workload make 2,799 glues where the search
+    # made 7,982 without the rule, and reach the same 331 leaves, 210 of
+    # them checked
+    specs = [
+        GluingSpec(0, (3, 3, 2, 2), 2, constraint="girth", guard_sides=20),
+        GluingSpec(0, (3, 2, 2, 2), 1),
+        GluingSpec(0, (2, 2, 2, 1), 1, allow_degree_one=True),
+        GluingSpec(0, (2, 2, 2, 1, 1), 1),
+    ]
+    assert _search_work(monkeypatch, specs) == ([19, 14, 6, 30], 2799, 331, 210)
+
+
+def test_work_of_the_cover_benchmark_search(monkeypatch):
+    # the five higher-genus specs of the benchmark's oracle-cover workload
+    # make 1,469 glues and reach 235 leaves, 98 rotation orbits of which
+    # are checked: a cheaper leaf check must still be made 98 times
+    specs = [
+        GluingSpec(1, (2, 2, 2), 2),
+        GluingSpec(1, (3, 3), 2, constraint="girth"),
+        GluingSpec(1, (4, 2), 2),
+        GluingSpec(2, (5,), 2),
+        GluingSpec(2, (3, 2), 2),
+    ]
+    want = [F(6), F(34, 3), F(53, 4), F(273, 10), F(13, 2)]
+    assert _search_work(monkeypatch, specs) == (want, 1469, 235, 98)
 
 
 def _boundary_states(degrees, pairs):
