@@ -284,17 +284,14 @@ class CountPolynomial:
         every sub-multiset mu of the partitions.  Plain evaluation is the
         case of one point of weight 1 per face.
         """
-        return self._weighted_sums((b,), faces)[0]
-
-    def _weighted_sums(self, bs, faces) -> list[Fraction]:
-        """:meth:`weighted_sum` at each b in ``bs`` from one walk."""
-        nums, den = self._numerators(bs, faces)
-        return [Fraction(x, den) for x in nums]
+        (num,), den = self._numerators((b,), faces)
+        return Fraction(num, den)
 
     def _numerators(self, bs, faces) -> tuple[list[int], int]:
-        """The numerators of :meth:`_weighted_sums` over the plan's
-        denominator: V does not depend on b, and the sums over lambda per
-        power of b are read by Horner, in integers for integer b and weights."""
+        """The numerators of :meth:`weighted_sum` at each b in ``bs``, from
+        one walk, over the plan's denominator: V does not depend on b, and
+        the sums over lambda per power of b are read by Horner, in integers
+        for integer b and weights."""
         if len(faces) != self.nfaces:
             raise DomainError(f"expected {self.nfaces} degrees, got {len(faces)}")
         steps, exps, rows, den = self._plan

@@ -43,9 +43,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, zip_longest
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import add, eq, sub
+from types import MappingProxyType
 from typing import Union
 
 Rational = Fraction
@@ -102,15 +103,13 @@ class MultiPoly:
     reduces its result by one gcd.
 
     ``terms`` is the read-only view ``{exps: Fraction}`` of the
-    coefficients; its Fractions are built on the first read of a value.
-    Instances are treated as immutable.
+    coefficients, built on each read.  Instances are treated as immutable.
     """
 
-    __slots__ = ("gens", "num", "den", "_terms")
+    __slots__ = ("gens", "num", "den")
 
     def __init__(self, gens: Sequence[str], terms: Mapping[tuple, Scalar] | None = None):
         self.gens = tuple(gens)
-        self._terms = None
         parts = []
         if terms:
             width = len(self.gens)
@@ -174,10 +173,10 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
-        """Read-only ``{exps: Fraction}`` view of the nonzero coefficients."""
-        if self._terms is None:
-            self._terms = _TermsView(self.num, self.den)
-        return self._terms
+        """Read-only ``{exps: Fraction}`` view of the nonzero coefficients,
+        built on each read."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -391,53 +390,12 @@ def join_terms(terms) -> str:
     return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
-class _TermsView(Mapping):
-    """Read-only ``{exps: Fraction}`` view of a MultiPoly's coefficients.
-
-    Keys, length and membership are read from the numerators; the Fractions
-    are built on the first read of a value and kept.
-    """
-
-    __slots__ = ("_num", "_den", "_fractions")
-
-    def __init__(self, num: dict[tuple, int], den: int):
-        self._num, self._den, self._fractions = num, den, None
-
-    def _values(self) -> dict[tuple, Fraction]:
-        if self._fractions is None:
-            den = self._den
-            self._fractions = {e: Fraction(c, den) for e, c in self._num.items()}
-        return self._fractions
-
-    def __getitem__(self, exps):
-        return self._values()[exps]
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
-
-    def __contains__(self, exps):
-        return exps in self._num
-
-    def items(self):
-        return self._values().items()
-
-    def values(self):
-        return self._values().values()
-
-    def __repr__(self):
-        return repr(self._values())
-
-
 def _canonical(gens: tuple, num: dict[tuple, int], den: int) -> MultiPoly:
     """A MultiPoly from numerators and a denominator already in canonical form."""
     out = object.__new__(MultiPoly)
     out.gens = gens
     out.num = num
     out.den = den
-    out._terms = None
     return out
 
 
@@ -509,8 +467,7 @@ class Series:
         return Series([total([(x, b[k - j]) for j, x in a if j <= k and b[k - j] is not None])
                        for k in range(n + 1)], n, self.zero)
 
-    def __rmul__(self, other):
-        return Series([other * c for c in self.coeffs], self.order, self.zero)
+    __rmul__ = __mul__
 
     __pow__ = _power
 
@@ -845,18 +802,16 @@ def _sum(pairs, gens: tuple, cap: int | None):
     goes on the left.  A graded pair of keys convolves their two lists,
     keys past the cap dropped, and a factor constant in b scales the
     other's lists; polynomial terms multiply into one dict of exponents.
-    A lone pair keeps its own denominator: no lcm and no rescaling."""
-    parts, scaled, den = [], [], 1
+    The sum adds into lists of its own, never into a factor's.  A lone
+    pair keeps its own denominator: no lcm and no rescaling."""
+    parts, den = [], 1
     for x, y in pairs:
         (rx, dx), (ry, dy) = _factor(x, gens, cap), _factor(y, gens, cap)
         if rx and ry:
             den = dx * dy if den == 1 else lcm(den, dx * dy)
             if len(rx) < len(ry):
                 rx, ry = ry, rx
-            # a factor constant in b scales the other's lists: such pairs go
-            # last, after every pair that changes a list in place, and share
-            const = cap is not None and len(ry) == 1 and len(ry.get((), ())) == 1
-            (scaled if const else parts).append((rx, ry, dx * dy))
+            parts.append((rx, ry, dx * dy))
     out: dict = {}
     get = out.get
     for rx, ry, d in parts:
@@ -900,12 +855,6 @@ def _sum(pairs, gens: tuple, cap: int | None):
                 for i, x in enumerate(r1):
                     for j, y in enumerate(r2, i):
                         acc[j] += x * y
-    for rx, ry, d in scaled:
-        c = ry[()][0] * (den // d)
-        for l1, r1 in rx.items():
-            acc = get(l1)
-            out[l1] = (r1 if c == 1 else [x * c for x in r1]) if acc is None else \
-                [a + x * c for a, x in zip_longest(acc, r1, fillvalue=0)]
     return MultiPoly.from_numerators(gens, out, den) if cap is None else _graded(cap, out, den)
 
 

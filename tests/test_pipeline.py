@@ -1,4 +1,5 @@
 import json
+import pickle
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -155,6 +156,13 @@ def test_carried_m_basis_equals_the_regrouped_monomials(genus, n):
     assert carried == regroup(expanded_nhat(genus, n), n)
     carried.clear()  # callers get a copy
     assert to_m_basis(cp) == cp.mlambda and cp.mlambda
+
+
+def test_a_count_polynomial_survives_pickling_after_its_terms_are_read():
+    cp = nhat(1, 2)
+    assert all(c.terms for c in cp.mlambda.values())
+    copy = pickle.loads(pickle.dumps(cp))
+    assert copy == cp and copy.mlambda == cp.mlambda
 
 
 def test_m_basis_examples():

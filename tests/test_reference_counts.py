@@ -183,7 +183,8 @@ def test_planned_weighted_sum_matches_the_lattice_walk_and_the_term_walk(case, b
     got = count.weighted_sum(b, faces)
     assert got == lattice_weighted_sum(count, b, faces) == term_walk(count, b, faces)
     # the several-b path reads every b from one walk
-    assert count._weighted_sums(bs, faces) == [count.weighted_sum(x, faces) for x in bs]
+    nums, den = count._numerators(bs, faces)
+    assert [Fraction(x, den) for x in nums] == [count.weighted_sum(x, faces) for x in bs]
 
 
 @pytest.mark.parametrize("b", [0, 1, 3])
@@ -191,7 +192,7 @@ def test_planned_weighted_sum_of_the_zero_polynomial(b):
     zero = CountPolynomial(0, 3, {})
     faces = [((2, 1),), ((3, 5), (4, 7)), ((b + 1, 2),)]
     assert zero.weighted_sum(b, faces) == lattice_weighted_sum(zero, b, faces) == 0
-    assert zero._weighted_sums((b, b + 1), faces) == [0, 0]
+    assert zero._numerators((b, b + 1), faces)[0] == [0, 0]
     with pytest.raises(DomainError):
         zero.weighted_sum(b, faces[:2])
 
@@ -204,4 +205,5 @@ def test_planned_weighted_sum_of_a_constant_in_the_half_degrees(b):
     faces = [((2, 3), (5, 7)), ((4, 2),)]
     want = c.evaluate({"b": b}).as_fraction() * 10 * 2
     assert count.weighted_sum(b, faces) == lattice_weighted_sum(count, b, faces) == want
-    assert count._weighted_sums((b, 0), faces) == [want, 2 * 10 * Fraction(5, 6)]
+    nums, den = count._numerators((b, 0), faces)
+    assert [Fraction(x, den) for x in nums] == [want, 2 * 10 * Fraction(5, 6)]

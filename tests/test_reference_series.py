@@ -526,8 +526,8 @@ def test_fraction_series_product_and_compose_match_the_accumulators(data):
 
 
 def test_the_kernel_leaves_its_factors_unchanged():
-    # the pair times 1 lends its lists to the sum, and the pair times b adds
-    # into the same keys: it must not add into the lent lists
+    # the pairs times 1 and times b add into the same keys: the sum must
+    # come out right and leave g's numerator lists as they were
     b = MultiPoly.variable(B_ONLY, "b")
     g = GradedSeries(2, {(): 1 + b, (0,): b, (0, 2): 2 + b * b})
     before = repr(g)

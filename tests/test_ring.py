@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -126,6 +127,14 @@ def test_terms_is_a_read_only_view():
         p.terms[(0, 0)] = Fraction(1)
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+def test_a_polynomial_survives_pickling_after_its_terms_are_read():
+    # the view is built on each read: the polynomial keeps no proxy to pickle
+    p = var("b") * Fraction(1, 2) - var("j") ** 2 * Fraction(3, 4)
+    assert p.terms[(1, 0)] == Fraction(1, 2)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and copy.terms == p.terms
 
 
 @settings(max_examples=60, deadline=None)
