@@ -36,13 +36,35 @@ The search prunes branches only on provably monotone grounds:
     leaves circles of i - 1 and L - i - 1 sides, so an even i is refused.
     At genus 0 the rule always applies, at genus >= 1 after the last
     handle.
+  * at genus 0 with b >= 1, a vertex v that a gluing closes may not have
+    two edges ending in one vertex chain, named by its end, or by its
+    least side once closed, unless they are the two sides of one 2-gon;
+    girth mode at b = 1 asks for no cycle shorter than 2, so it is exempt.
+    A closed vertex never changes and chains only merge, so in every
+    completion the two edges end at one vertex w, and w is not v: they
+    form a cycle of length 2.  A planar map is its own universal cover,
+    so the cycle is contractible.  It is shorter than 2b for b >= 2, and
+    at b = 1 it bounds a face of degree 2 only if one 2-gon has a side in
+    each of the two edges, so ``check_irreducible`` rejects every leaf
+    below.  Loops need no such rule: by the parity rule every circle of a
+    genus-0 search stays even, so with its circles capped by disks each
+    component is a sphere of even faces, whose graph is bipartite.  One
+    such pair is refused before its vertex closes: gluing a to c makes
+    phi(c) turn about a's vertex and phi(a) about c's, so if phi(a) and
+    phi(c), or the sides before a and c, are glued to each other, the
+    vertices of a and c are joined twice (or by loops, which no completion
+    has), and the two edges are a 2-gon's sides only when a or c lies on
+    a 2-gon.
 
-Three of these rules are decided before a gluing is applied, so a refused
+Four of these rules are decided before a gluing is applied, so a refused
 candidate never touches the search state: a gluing across two boundary
 circles of one component once the handle budget is spent, a gluing at an
-even offset along one circle once it is spent, and, without degree-one
-vertices, a gluing of two consecutive sides of one polygon (which closes a
-degree-1 vertex).
+even offset along one circle once it is spent, without degree-one
+vertices a gluing of two consecutive sides of one polygon (which closes a
+degree-1 vertex), and, where 2-cycles are refused, a gluing parallel to
+the edge of the sides after, or before, its own two.  The vertex bounds,
+the sealed component and the 2-cycle rule at a closed vertex are decided
+after the gluing is applied, and it is undone when one refuses.
 
 The partial surface is kept once, as its vertex chains: maximal runs d,
 sigma(d), ... of glued sides around an unfinished vertex, known by their
@@ -964,8 +986,9 @@ def _search(spec: GluingSpec) -> int:
     and checking each rotation orbit of leaves once.
 
     At each node the boundary circle of the smallest unmatched dart is
-    walked once, keeping each dart's offset from it, and the three rules of
-    the module docstring refuse candidates before any state changes.
+    walked once, keeping each dart's offset from it, and the four rules of
+    the module docstring refuse candidates before any state changes; the
+    others refuse in ``glue``, which closes vertices through ``link``.
     """
     spec = replace(spec, degrees=sorted(spec.degrees, reverse=True))
     degrees = spec.degrees
@@ -977,8 +1000,15 @@ def _search(spec: GluingSpec) -> int:
     if V_target < 1:
         return 0
     mindeg2 = not spec.allow_degree_one
+    # the 2-cycle rule: planar, b >= 1, but not in girth mode at b = 1,
+    # which asks for no cycle shorter than 2
+    doubles = g_target == 0 and spec.b >= 1 and not (
+        spec.constraint == "girth" and spec.b == 1)
 
     nxt, poly_of, offsets = polygon_layout(degrees)
+    prv = [0] * S
+    for d in range(S):
+        prv[nxt[d]] = d
     partner = [-1] * S
     cstart = list(range(S))   # valid at chain ends
     cend = list(range(S))     # valid at chain starts
@@ -1000,7 +1030,38 @@ def _search(spec: GluingSpec) -> int:
             x = proot[x]
         return x
 
-    def link(u: int, v: int, trail) -> None:
+    def simple_vertex(v: int) -> bool:
+        """Whether no two edges of the vertex just closed at v end in one
+        chain, unless they are the two sides of a 2-gon."""
+        ends: dict[int, list[int]] = {}   # chain name -> darts of v into it
+        d = v
+        while True:
+            x = y = least = partner[d]
+            while partner[y] != -1:   # to the chain's end, or once round
+                y = nxt[partner[y]]
+                if y == x:
+                    y = least
+                    break
+                if y < least:
+                    least = y
+            same = ends.get(y)
+            if same is None:
+                ends[y] = [d]
+            else:
+                for e in same:
+                    # the 2-cycle of d and e is a face only if one 2-gon
+                    # has a side in each of their edges
+                    if not any(degrees[poly_of[s]] == 1 and nxt[s] in (d, partner[d])
+                               for s in (e, partner[e])):
+                        return False
+                same.append(d)
+            d = nxt[x]
+            if d == v:
+                return True
+
+    def link(u: int, v: int, trail) -> bool:
+        """Join the chain ending at u to the chain starting at v; False when
+        this closes a vertex the 2-cycle rule refuses."""
         nonlocal closedV, singles
         su = cstart[u]
         if su == v:
@@ -1009,7 +1070,7 @@ def _search(spec: GluingSpec) -> int:
             if length == 1:
                 singles -= 1
             trail.append((1, length, 0, 0, 0))
-            return
+            return not doubles or simple_vertex(v)
         ev = cend[v]
         lu, lv = clen[su], clen[v]
         clen[su] = lu + lv
@@ -1018,6 +1079,7 @@ def _search(spec: GluingSpec) -> int:
         d = (1 if lu == 1 else 0) + (1 if lv == 1 else 0)
         singles -= d
         trail.append((2, su, ev, (u, v, lu), d))
+        return True
 
     def glue(a: int, c: int, remaining: int, same_circle: bool):
         """Apply the gluing; return (trail, ok).  ``same_circle``: whether a
@@ -1041,10 +1103,9 @@ def _search(spec: GluingSpec) -> int:
             popen[ra] = popen[ra] + popen[rc] - 2
             ncomp -= 1
         # a sealed component can never connect to the rest
-        ok = popen[ra] != 0 or ncomp == 1
+        ok = (popen[ra] != 0 or ncomp == 1) and link(a, nxt[c], trail) \
+            and link(c, nxt[a], trail)
         if ok:
-            link(a, nxt[c], trail)
-            link(c, nxt[a], trail)
             chains = 2 * remaining
             vmax = closedV + (chains - singles) + singles // 2 if mindeg2 \
                 else closedV + chains
@@ -1138,6 +1199,9 @@ def _search(spec: GluingSpec) -> int:
                 w *= 2 * degrees[q] * (end[q] - q)
             if mindeg2 and (c == nxt[lo] or lo == nxt[c]):
                 continue  # a degree-one vertex
+            if doubles and degrees[p] != 1 and degrees[q] != 1 and (
+                    partner[nxt[c]] == nxt[lo] or partner[prv[c]] == prv[lo]):
+                continue  # a second edge between the vertices of lo and c
             offset = circle.get(c, 0)
             if no_handle:
                 if not offset and find(q) == root:

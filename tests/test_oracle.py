@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +14,7 @@ from irrmaps.oracle import (CoverBall, GluingSpec, HalfEdgeMap, OracleError,
 from irrmaps.pipeline import count_exact, girth_count
 from irrmaps.verify import harer_zagier_numbers
 from test_reference_cover import ball_verdict
-from test_reference_edge_set import cycle_graph, edge_set_verdict
+from test_reference_edge_set import cycle_graph, edge_set_verdict, planar_gluings
 from test_reference_search import assemble_map, enumerate_matchings
 
 F = Fraction
@@ -429,19 +429,22 @@ def _search_work(monkeypatch, specs):
     return got, glues, len(leaves), len(calls)
 
 
-def test_parity_rule_cuts_the_planar_benchmark_search(monkeypatch):
+def test_parity_and_two_cycle_rules_cut_the_planar_benchmark_search(monkeypatch):
     # with no handle left a gluing at an even offset along the smallest
-    # unmatched side's own circle is refused: the four genus-0 specs of the
-    # benchmark's oracle-planar workload make 2,799 glues where the search
-    # made 7,982 without the rule, and reach the same 331 leaves, 210 of
-    # them checked
+    # unmatched side's own circle is refused, and at genus 0 so is one that
+    # makes two edges join one pair of vertices, not a 2-gon's sides: the
+    # four genus-0 specs of the benchmark's oracle-planar workload make
+    # 1,649 glues (7,982 with neither rule, 2,799 with the parity rule
+    # alone, 1,967 when 2-cycles are refused only at a closed vertex) and
+    # reach 70 leaves (331 without the 2-cycle rule), of which 38 are
+    # checked, one per accepted rotation orbit (210)
     specs = [
         GluingSpec(0, (3, 3, 2, 2), 2, constraint="girth", guard_sides=20),
         GluingSpec(0, (3, 2, 2, 2), 1),
         GluingSpec(0, (2, 2, 2, 1), 1, allow_degree_one=True),
         GluingSpec(0, (2, 2, 2, 1, 1), 1),
     ]
-    assert _search_work(monkeypatch, specs) == ([19, 14, 6, 30], 2799, 331, 210)
+    assert _search_work(monkeypatch, specs) == ([19, 14, 6, 30], 1649, 70, 38)
 
 
 def test_work_of_the_cover_benchmark_search(monkeypatch):
@@ -548,6 +551,48 @@ def test_circles_may_be_odd_while_a_handle_is_left():
     states, genus, connected = _boundary_states((2,), [(0, 2), (1, 3)])
     assert (genus, connected) == (1, True)
     assert states == [(0, [4]), (0, [1, 1]), (1, [])]
+
+
+def _stray_two_cycles(hmap):
+    """Pairs of edges that join one pair of vertices without being the two
+    sides of one 2-gon; an edge is named by its lesser dart."""
+    partner, vertex_of = hmap.partner, hmap.vertex_of
+    offsets = polygon_layout(hmap.degrees)[2]
+    faces = {frozenset(min(d, partner[d]) for d in (base, base + 1))
+             for base, l in zip(offsets, hmap.degrees) if l == 1}
+    ends = {}
+    for d in range(hmap.S):   # each dart from its tail to its head
+        if d < partner[d]:
+            ends.setdefault(frozenset((vertex_of[d], vertex_of[partner[d]])), []).append(d)
+    return [pair for edges in ends.values() for pair in map(frozenset, combinations(edges, 2))
+            if pair not in faces]
+
+
+@settings(max_examples=200, deadline=None)
+@given(planar_gluings(7, digons=1), st.integers(1, 3))
+@example(HalfEdgeMap((1, 1, 1), THETA), 1)
+@example(HalfEdgeMap((1, 2, 2, 1), [(0, 2), (1, 3), (4, 6), (5, 7), (8, 10), (9, 11)]), 1)
+def test_stray_two_cycles_fail_every_planar_leaf_check(hmap, b):
+    # the lemma behind the search's 2-cycle rule, checked without the
+    # search on planar maps of at most 14 sides with a 2-gon: no edge is a
+    # loop (faces of even degree make the graph bipartite), and two edges
+    # between one pair of vertices that are not a 2-gon's sides make a
+    # cycle of length 2 that fails irreducibility at every b >= 1 and the
+    # essential girth from b = 2 on
+    assert all(hmap.vertex_of[d] != hmap.vertex_of[p] for d, p in enumerate(hmap.partner))
+    if _stray_two_cycles(hmap):
+        assert not edge_set_verdict(hmap, b)
+        if b >= 2:
+            assert not edge_set_verdict(hmap, b, girth_only=True)
+
+
+def test_stray_two_cycles_of_the_examples():
+    # the theta's three parallel edges are sides of its 2-gons, pair by
+    # pair; the second map has two parallel edges between its squares
+    assert _stray_two_cycles(HalfEdgeMap((1, 1, 1), THETA)) == []
+    hmap = HalfEdgeMap((1, 2, 2, 1), [(0, 2), (1, 3), (4, 6), (5, 7), (8, 10), (9, 11)])
+    assert _stray_two_cycles(hmap) == [frozenset({4, 5})]
+    assert edge_set_verdict(hmap, 1, girth_only=True)
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])

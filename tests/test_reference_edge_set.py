@@ -76,8 +76,9 @@ def test_edge_sets_refuse_a_torus():
 
 
 @st.composite
-def planar_gluings(draw):
-    """A connected planar gluing of at most 12 sides, as a HalfEdgeMap.
+def planar_gluings(draw, half_sides=6, digons=0):
+    """A connected planar gluing of at most 2 * ``half_sides`` sides, the
+    first ``digons`` polygons of them 2-gons, as a HalfEdgeMap.
 
     The polygons are first glued into one disk along a spanning tree of the
     dual, each new polygon by one of its sides to a free side of the disk,
@@ -85,10 +86,10 @@ def planar_gluings(draw):
     Cutting a connected planar map along a spanning tree of its dual leaves
     a disk whose sides are so matched, so every such map can be drawn.
     """
-    n = draw(st.integers(1, 6))
-    budget = 6 - n
-    degrees = []
-    for _ in range(n):
+    n = draw(st.integers(max(digons, 1), half_sides))
+    budget = half_sides - n
+    degrees = [1] * digons
+    for _ in range(n - digons):
         extra = draw(st.integers(0, budget))
         budget -= extra
         degrees.append(1 + extra)

@@ -22,6 +22,7 @@ from irrmaps.families import ConsistencyError
 from irrmaps.oracle import (GluingSpec, HalfEdgeMap, OracleError, Pi1Words, _follows_face,
                             _inverse, _reduce, brute_count, check_irreducible,
                             polygon_layout)
+import test_reference_search
 
 
 class ReferencePi1Words(Pi1Words):
@@ -222,18 +223,29 @@ BENCHMARK_SPECS = [
 
 
 def test_every_benchmark_leaf_has_the_reference_verdict(monkeypatch):
+    # the search checks 38 planar leaves, all accepted, and 98 higher-genus
+    # ones; the planar leaves its 2-cycle rule refuses before they are
+    # reached come from the reference search, which checks one leaf of
+    # every rotation orbit it reaches: 345, of which 276 fail
     leaves = []
     leaf_passes = oracle._leaf_passes
 
     def recorded(spec, partner):
-        leaves.append((spec, list(partner)))
-        return leaf_passes(spec, partner)
+        ok = leaf_passes(spec, partner)
+        leaves.append((spec, list(partner), ok))
+        return ok
 
     monkeypatch.setattr(oracle, "_leaf_passes", recorded)
+    monkeypatch.setattr(test_reference_search, "_leaf_passes", recorded)
     for spec in BENCHMARK_SPECS:
         brute_count(spec)
-    assert len(leaves) == 210 + 98
-    for spec, partner in leaves:
+    assert len(leaves) == 38 + 98
+    assert all(ok for spec, _, ok in leaves if spec.genus == 0)
+    for spec in BENCHMARK_SPECS[:4]:
+        test_reference_search.reference_search(spec)
+    assert len(leaves) == 38 + 98 + 345
+    assert sum(not ok for *_, ok in leaves[38 + 98:]) == 276
+    for spec, partner, _ in leaves:
         hm = HalfEdgeMap(spec.degrees, partner)
         girth_only = spec.constraint == "girth"
         assert check_irreducible(hm, spec.b, girth_only) == \

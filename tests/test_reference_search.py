@@ -19,7 +19,7 @@ they are the naive filter the other oracle tests compare the search with.
 from dataclasses import replace
 from itertools import permutations, product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrmaps.families import ConsistencyError
@@ -371,6 +371,35 @@ def _specs(draw):
 @settings(max_examples=80, deadline=None)
 @given(_specs())
 def test_search_equals_reference_on_random_specs(spec):
+    assert _search(spec) == reference_search(spec)
+
+
+@st.composite
+def _planar_specs(draw):
+    """Admissible genus-0 specs of 3-7 faces and at most 14 sides, b = 1-2,
+    both constraints, with or without degree-one vertices; at b = 1 a
+    uniform share of the faces, all or none included, are 2-gons."""
+    constraint = draw(st.sampled_from(["irreducible", "girth"]))
+    b = draw(st.integers(1, 2))
+    n = draw(st.integers(3, 7 // b))
+    twogons = draw(st.integers(0, n)) if b == 1 else 0
+    budget = 7 - b * n
+    degs = [1] * twogons
+    for _ in range(n - twogons):
+        extra = draw(st.integers(0, budget))
+        budget -= extra
+        degs.append(b + extra)
+    return GluingSpec(0, tuple(draw(st.permutations(degs))), b,
+                      allow_degree_one=draw(st.booleans()), constraint=constraint)
+
+
+# three faces at b = 3 already need 18 sides
+@settings(max_examples=100, deadline=None)
+@given(_planar_specs())
+@example(GluingSpec(0, (3, 3, 3), 3))
+@example(GluingSpec(0, (3, 3, 3), 3, allow_degree_one=True, constraint="girth"))
+def test_search_equals_reference_on_random_planar_specs(spec):
+    # the 2-cycle rule prunes genus-0 searches at b >= 1 only
     assert _search(spec) == reference_search(spec)
 
 

@@ -201,6 +201,22 @@ def test_json_and_counts_leave_the_expansion_unbuilt():
     assert not hasattr(CountPolynomial, "poly")
 
 
+def test_json_reads_each_m_basis_coefficient_once(monkeypatch):
+    # the terms view builds its Fractions on every read, so the rows and
+    # the mlambda block share one read of each c_lambda
+    count = nhat(1, 3)
+    reads = []
+    terms = MultiPoly.terms
+
+    def counted(self):
+        reads.append(self)
+        return terms.fget(self)
+
+    monkeypatch.setattr(MultiPoly, "terms", property(counted))
+    emit_polynomial_json(count)
+    assert len(reads) == len(count.mlambda) == len({id(c) for c in reads})
+
+
 def test_json_monomials_graded_lex():
     doc = json.loads(emit_polynomial_json(nhat(0, 4)))
     keys = [(sum(m["exps"]), tuple(m["exps"])) for m in doc["monomials"]]
